@@ -1,10 +1,9 @@
 """Histogramming and raw-moment extraction from detector outcomes.
 
-Digital counterpart of an on-the-fly hardware acquisition stage: 2D
-quadrature histograms,
-difference histograms, streaming (bin-free) moment accumulation and
-batch-means error estimates.  Histograms and accumulators are mergeable,
-so concurrent workers can fill private partials and combine them.
+Digital counterpart of an on-the-fly hardware acquisition stage: 2D quadrature
+histograms, difference histograms, streaming (bin-free) moment accumulation and
+batch-means error estimates.  Histograms and accumulators are mergeable, so
+concurrent workers can fill private partials and combine them.
 """
 
 from __future__ import annotations
@@ -41,8 +40,14 @@ class QuadratureHistogram:
         self.overflow = 0
 
     @property
-    def in_range(self) -> int:
-        return int(self.counts.sum())
+    def counts(self) -> np.ndarray:
+        return self._counts
+
+    @counts.setter
+    def counts(self, value: np.ndarray) -> None:
+        # add() fills a flat view and keeps in_range current from here on
+        self._counts = np.ascontiguousarray(value, dtype=np.uint64)
+        self.in_range = int(self._counts.sum())
 
     @property
     def total(self) -> int:
@@ -62,13 +67,21 @@ class QuadratureHistogram:
     def same_binning(self, other: "QuadratureHistogram") -> bool:
         return self.bins == other.bins and self.extent == other.extent
 
+    def _bin_index(self, v: np.ndarray) -> np.ndarray:
+        # bins as np.histogram2d assigns them: e[i] <= v < e[i+1], +extent in the last
+        e, last = self.edges(), self.bins - 1
+        i = np.minimum(((v + self.extent) / self.bin_width).astype(np.intp), last)
+        i -= v < e[i]  # the scaled estimate can be one bin off at an exact edge
+        return i + ((v >= e[i + 1]) & (i < last))
+
     def add(self, data) -> "QuadratureHistogram":
+        """Insert a batch of samples in place; off-axis, NaN and inf are overflow."""
         s = _as_samples(data)
-        if s.size:
-            h, _, _ = np.histogram2d(s.real, s.imag, bins=self.bins,
-                                     range=[[-self.extent, self.extent]] * 2)
-            self.counts += h.astype(np.uint64)
-            self.overflow += int(s.size - h.sum())
+        inside = (np.abs(s.real) <= self.extent) & (np.abs(s.imag) <= self.extent)
+        ix, iy = (self._bin_index(v[inside]) for v in (s.real, s.imag))
+        np.add.at(self._counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
+        self.in_range += ix.size
+        self.overflow += s.size - ix.size
         if self.total and self.overflow > OVERFLOW_WARN_FRACTION * self.total:
             warnings.warn(f"histogram overflow fraction "
                           f"{self.overflow / self.total:.2e} exceeds "
@@ -88,11 +101,6 @@ class QuadratureHistogram:
         if self.in_range == 0:
             raise ValueError("empty histogram")
         return self.counts / (self.in_range * self.bin_width ** 2)
-
-
-def accumulate(hist: QuadratureHistogram, batch) -> QuadratureHistogram:
-    """Insert a batch of samples into the histogram (in place, returned)."""
-    return hist.add(batch)
 
 
 @dataclass(frozen=True)
@@ -143,13 +151,15 @@ class StreamingMoments:
 
     def update(self, data) -> "StreamingMoments":
         s = _as_samples(data)
-        if not s.size:
-            return self
-        powers = _power_table(s, self.order)
-        conj_powers = [p.conj() for p in powers]
-        for n, m in moment_indices(self.order):
-            if n >= m:
-                self.sums[n, m] += np.sum(conj_powers[n] * powers[m])
+        # terms have n >= m and n + m <= order, so S^m is needed only to m = order // 2;
+        # S^n, its conjugate and the products reuse 4 rows, S^n two by turns because
+        # numpy's in-place complex multiply can round differently (sums stay bit-exact)
+        low, buf = _power_table(s, self.order // 2), np.empty((4, s.size), dtype=complex)
+        for n in range(self.order + 1):
+            power = low[n] if n < len(low) else np.multiply(power, s, out=buf[n % 2])
+            conj = np.conjugate(power, out=buf[2])
+            for m in range(min(n, self.order - n) + 1):
+                self.sums[n, m] += np.sum(np.multiply(conj, low[m], out=buf[3]))
         self.count += s.size
         return self
 
@@ -165,10 +175,8 @@ class StreamingMoments:
         if self.count == 0:
             raise ValueError("no samples accumulated")
         values = self.sums / self.count
-        # fill n < m from the Hermitian partner computed during update
-        for n, m in moment_indices(self.order):
-            if n < m:
-                values[n, m] = np.conj(values[m, n])
+        n, m = np.tril_indices(self.order + 1, -1)  # update fills n >= m only
+        values[m, n] = values[n, m].conj()
         values[0, 0] = 1.0
         return RawMomentMatrix(values, count=self.count, provenance="streaming")
 
@@ -197,9 +205,7 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMat
     for n, m in moment_indices(order):
         if n >= m:
             values[n, m] = np.sum(w * conj_powers[n] * powers[m])
-    for n, m in moment_indices(order):
-        if n < m:
-            values[n, m] = np.conj(values[m, n])
+            values[m, n] = np.conj(values[n, m])
     values[0, 0] = 1.0
     return RawMomentMatrix(values, count=hist.in_range, provenance="histogram")
 

@@ -318,6 +318,11 @@ def _load_run(run_dir: Path, name: str) -> list[RawMomentMatrix]:
     return serialize.load_batch_moments(path)
 
 
+def _up_to_order(batches: list[RawMomentMatrix], order: int) -> list[RawMomentMatrix]:
+    return [RawMomentMatrix(b.values[: order + 1, : order + 1], count=b.count,
+                            provenance=b.provenance) for b in batches]
+
+
 def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
                 order: int, out_path: Path) -> InversionReport:
     sig_batches = _load_run(signal_dir, "signal")
@@ -326,6 +331,10 @@ def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
         raise DataError("signal and vacuum runs have different moment orders")
     if sig_batches[0].order < order:
         raise DataError(f"stored moments only go to order {sig_batches[0].order}")
+    if order < 1:
+        raise ConfigError("order must be >= 1")
+    sig_batches = _up_to_order(sig_batches, order)
+    vac_batches = _up_to_order(vac_batches, order)
     raw_signal = combine_batches(sig_batches)
     raw_vacuum = combine_batches(vac_batches)
     try:
@@ -396,9 +405,9 @@ def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,
     report = serialize.load_report(report_path)
     threshold = 0.1
     if report.errors is not None:
-        diag_err = max(report.errors[n, n]
-                       for n in range(1, report.moments.order // 2 + 1))
-        threshold = max(0.1, 3.0 * diag_err)
+        # each diagonal m(n, n) is tested against its own error
+        diag_err = np.diag(report.errors)[: report.moments.order // 2 + 1]
+        threshold = np.maximum(0.1, 3.0 * diag_err)
     grid = reconstruct_wigner(report.moments, extent=extent,
                               resolution=resolution, threshold=threshold)
     serialize.save_wigner(out_prefix, grid)
@@ -545,3 +554,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

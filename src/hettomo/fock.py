@@ -229,21 +229,19 @@ def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
     return MomentMatrix(values, ordering=ANTINORMAL)
 
 
-def coherent_vectors(alpha: np.ndarray, dim: int) -> np.ndarray:
-    """Fock coefficients <k|alpha> for an array of amplitudes, shape (..., dim)."""
-    alpha = np.asarray(alpha, dtype=complex)
-    k = np.arange(dim)
-    logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, dim)))))
-    # alpha**k with 0**0 = 1
-    powers = np.where(k == 0, 1.0, alpha[..., None] ** k)
-    return np.exp(-0.5 * np.abs(alpha)[..., None] ** 2) * powers / np.exp(0.5 * logfact)
-
-
 def husimi_q(state: FockState, alpha) -> np.ndarray | float:
     """Husimi Q function <alpha|rho|alpha>/pi; non-negative, integrates to 1."""
     alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    v = coherent_vectors(alpha_arr.ravel(), state.dim)
-    q = np.einsum("ij,jk,ik->i", v.conj(), state.rho, v).real / np.pi
+    flat = alpha_arr.ravel()
+    # v[k] = <k|alpha> e^{|alpha|^2/2} = alpha^k / sqrt(k!), by recurrence
+    v = np.empty((state.dim, flat.size), dtype=complex)
+    v[0] = 1.0
+    for k in range(1, state.dim):
+        v[k] = v[k - 1] * flat / math.sqrt(k)
+    # one einsum loop, not `rho @ v`: a BLAS matmul this wide wakes OpenBLAS's
+    # worker threads, which keep spinning between calls and make timings erratic
+    q = np.einsum("in,ij,jn->n", v.conj(), state.rho, v).real
+    q *= np.exp(-(flat.real ** 2 + flat.imag ** 2)) / np.pi
     q = np.maximum(q, 0.0).reshape(alpha_arr.shape)
     if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
         return float(q.reshape(-1)[0])

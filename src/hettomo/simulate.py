@@ -16,8 +16,6 @@ import numpy as np
 
 from .fock import FockState, NoiseModel, husimi_q
 
-_REJECTION_SAFETY = 1.2
-
 
 @dataclass(frozen=True)
 class AmplifierChain:
@@ -93,44 +91,40 @@ def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np
     return arr.view(complex)
 
 
-def _rejection_envelope(state: FockState, support: int) -> tuple[float, float]:
-    """Proposal per-quadrature variance and envelope constant for Q sampling."""
-    var = (support + 2) / 2.0
-    radius = 2.0 * math.sqrt(support + 2.0)
-    x = np.linspace(-radius, radius, 101)
-    grid = x[:, None] + 1j * x[None, :]
-    q = husimi_q(state, grid)
-    proposal = np.exp(-np.abs(grid) ** 2 / (2.0 * var)) / (2.0 * np.pi * var)
-    bound = float(np.max(q / proposal)) * _REJECTION_SAFETY
-    if not math.isfinite(bound) or bound <= 0:
-        raise ValueError("could not compute a finite rejection envelope")
-    return var, bound
+def _envelope_candidates(rng: np.random.Generator, n: int, support: int,
+                         lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. draws from the equal-weight mixture of the Fock Q functions j = 0..K
+    (a vacuum draw stretched radially to |alpha|^2 ~ Gamma(j+1)), and at each the
+    envelope lam <alpha|P_K|alpha>/pi >= Q(alpha), lam (K+1) times that density."""
+    z = _complex_normal(rng, n, 0.5)
+    j = rng.integers(0, support + 1, n)
+    r2 = z2 = z.real ** 2 + z.imag ** 2
+    for k, extra in enumerate(rng.standard_exponential((support, n)), start=1):
+        r2 = r2 + np.where(j >= k, extra, 0.0)
+    poly = sum(r2 ** k / math.factorial(k) for k in range(support + 1))
+    return z * np.sqrt(r2 / z2), (lam / np.pi) * np.exp(-r2) * poly
 
 
 def _sample_q_rejection(state: FockState, n: int, rng: np.random.Generator) -> np.ndarray:
-    support = state.support()
-    trimmed = FockState(state.rho[: support + 1, : support + 1]
-                        / np.trace(state.rho[: support + 1, : support + 1]).real)
-    var, bound = _rejection_envelope(trimmed, support)
-    out = np.empty(n, dtype=complex)
-    filled = 0
+    dim = state.support() + 1
+    trimmed = FockState(state.rho[:dim, :dim] / np.trace(state.rho[:dim, :dim]).real)
+    lam = float(np.linalg.eigvalsh(trimmed.rho)[-1])
+    bound = lam * dim  # 1 / acceptance
+    parts, filled = [], 0
     while filled < n:
-        want = n - filled
-        draw = max(1000, int(want * bound * 1.1))
-        cand = _complex_normal(rng, draw, var)
-        proposal = np.exp(-np.abs(cand) ** 2 / (2.0 * var)) / (2.0 * np.pi * var)
-        accept = rng.random(draw) * bound * proposal < husimi_q(trimmed, cand)
-        got = cand[accept][:want]
-        out[filled:filled + got.size] = got
-        filled += got.size
-    return out
+        draw = max(1000, int((n - filled) * bound * 1.1))
+        cand, envelope = _envelope_candidates(rng, draw, dim - 1, lam)
+        parts.append(cand[rng.random(draw) * envelope < husimi_q(trimmed, cand)])
+        filled += parts[-1].size
+    # candidates stay in draw order, so the first n accepted are i.i.d.
+    return np.concatenate(parts)[:n]
 
 
 def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
     """Draw n i.i.d. samples from the state's Husimi Q distribution.
 
     Vacuum/coherent, Fock and thermal states use exact samplers; everything
-    else goes through rejection sampling against a wide Gaussian proposal.
+    else goes through rejection sampling under a proved Fock-mixture envelope.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -194,17 +194,20 @@ def estimate_gain(raw_super: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
     return (m2 / m1) ** 2
 
 
-def truncation_order(moments: MomentMatrix, threshold: float = 0.1) -> int:
+def truncation_order(moments: MomentMatrix,
+                     threshold: float | np.ndarray = 0.1) -> int:
     """Moment order retained in the Wigner sum.
 
     If the smallest N with |m(N, N)| < threshold exists, all moments with
     n+m >= 2N-1 vanish identically, so orders up to 2N-2 are kept;
-    otherwise the full order cap is used.
+    otherwise the full order cap is used.  `threshold` is one number or one
+    per diagonal index n = 0 .. order // 2.
     """
     if moments.ordering != NORMAL:
         raise ValueError("truncation rule applies to normally ordered moments")
+    limits = np.broadcast_to(threshold, (moments.order // 2 + 1,))
     for n in range(1, moments.order // 2 + 1):
-        if abs(moments.values[n, n]) < threshold:
+        if abs(moments.values[n, n]) < limits[n]:
             return 2 * n - 2
     return moments.order
 
@@ -251,8 +254,9 @@ def wigner_from_moments(moments: MomentMatrix, alpha,
 
 def reconstruct_wigner(moments: MomentMatrix, extent: float = 3.0,
                        resolution: int = 121,
-                       threshold: float = 0.1) -> WignerGrid:
-    """Wigner function from normally ordered moments on a square grid."""
+                       threshold: float | np.ndarray = 0.1) -> WignerGrid:
+    """Wigner function from normally ordered moments on a square grid;
+    `threshold` is passed to `truncation_order`."""
     if moments.ordering != NORMAL:
         raise ValueError("reconstruction needs normally ordered moments")
     truncation = truncation_order(moments, threshold)

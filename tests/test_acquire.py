@@ -1,14 +1,17 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hettomo.acquire import (QuadratureHistogram, RawMomentMatrix,
-                             StreamingMoments, accumulate, batch_errors,
+                             StreamingMoments, batch_errors,
                              difference_histogram, histogram_moments,
                              streaming_moments, vacuum_sigma)
 from hettomo.fock import FockState, NoiseModel, prepare_superposition
 from hettomo.moments import moment_indices
+from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
 
 CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
@@ -61,10 +64,46 @@ class TestQuadratureHistogram:
         h = QuadratureHistogram(bins=64, extent=5.0).add(gaussian_shots(20_000, 5))
         assert float(h.density().sum() * h.bin_width ** 2) == pytest.approx(1.0)
 
-    def test_accumulate_is_in_place(self):
+    def test_add_is_in_place(self):
         h = QuadratureHistogram(bins=16, extent=4.0)
-        out = accumulate(h, gaussian_shots(100, 6))
+        out = h.add(gaussian_shots(100, 6))
         assert out is h and h.total == 100
+
+    @pytest.mark.parametrize("bins", [1, 2, 3, 16, 1024])
+    @pytest.mark.parametrize("extent", [1.0, 0.3, 6.0, 1299.7])
+    def test_bit_identical_to_histogram2d(self, bins, extent):
+        h = QuadratureHistogram(bins=bins, extent=extent)
+        e = h.edges()
+        values = np.concatenate([
+            e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+            [-extent, extent, np.nan, np.inf, -np.inf],
+            stream_rng(bins).uniform(-1.1 * extent, 1.1 * extent, 500)])
+        # each value appears as x and as y, against edges, specials and draws
+        rng = stream_rng(bins, 1)
+        x = np.concatenate([values, values, rng.permutation(values)])
+        y = np.concatenate([values, rng.permutation(values), values[::-1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h.add(x + 1j * y)
+            ref, _, _ = np.histogram2d(x, y, bins=bins, range=[[-extent, extent]] * 2)
+        assert h.counts.dtype == np.uint64
+        assert np.array_equal(h.counts, ref.astype(np.uint64))
+        assert h.overflow == x.size - int(ref.sum())
+        assert h.in_range == int(ref.sum())
+
+    def test_counts_survive_merge_and_reload(self, tmp_path):
+        a = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(900, 22))
+        b = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(600, 23))
+        m = a.merge(b)
+        assert (m.in_range, m.overflow) == (a.in_range + b.in_range,
+                                            a.overflow + b.overflow)
+        m.add(gaussian_shots(400, 24))
+        assert m.total == 1900 and m.in_range == int(m.counts.sum())
+        save_histogram(tmp_path / "h", m)
+        back = load_histogram(tmp_path / "h")
+        assert (back.in_range, back.overflow) == (m.in_range, m.overflow)
+        back.add(gaussian_shots(100, 25))
+        assert back.total == 2000 and back.in_range == int(back.counts.sum())
 
 
 class TestRawMomentMatrix:
@@ -88,6 +127,22 @@ class TestStreamingMoments:
         for n, m in moment_indices(4):
             direct = np.mean(np.conj(s) ** n * s ** m)
             assert r[n, m] == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+    def test_sums_bit_identical_to_fresh_power_table(self, size):
+        # stored moments of exactly sampled states must not change by a rounding:
+        # the reused buffers must give the sums of a fresh S^n table, bit for bit
+        for seed, order in itertools.product(range(11, 15), range(10)):
+            s = gaussian_shots(size, seed=seed, sigma=30.0, mean=5.0 - 2.0j)
+            powers = [np.ones_like(s)]
+            for _ in range(order):
+                powers.append(powers[-1] * s)
+            expected = np.zeros((order + 1, order + 1), dtype=complex)
+            for n, m in moment_indices(order):
+                if n >= m:
+                    expected[n, m] = np.sum(powers[n].conj() * powers[m])
+            got = StreamingMoments(order).update(s).sums
+            assert got.tobytes() == expected.tobytes(), (seed, order)
 
     def test_merge_equals_single_pass(self):
         s = gaussian_shots(4000, seed=8)

@@ -9,9 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hettomo.cli import (ConfigError, build_state, load_config, parse_config,
-                         run)
-from hettomo.serialize import load_batch_moments, load_report
+from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
+                         parse_config, run)
+from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
+from hettomo.serialize import load_batch_moments, load_report, save_report
+from hettomo.tomo import InversionReport
 
 
 def write_config(tmp_path, **extra):
@@ -220,6 +222,17 @@ class TestPipelineCommands:
         text = capsys.readouterr().out
         assert "recovered" in text
 
+    def test_analyze_order_below_stored(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, order=8, shots=4000, batches=4)
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["analyze", "--signal", str(out), "--order", "4",
+                    "--out", str(tmp_path / "r4.json")]) == 0
+        doc = json.loads((tmp_path / "r4.json").read_text())
+        assert doc["order"] == 4
+        assert np.array(doc["moments"]).shape[:2] == (5, 5)
+        assert np.array(doc["errors"]).shape == (5, 5)
+
     def test_wigner_from_report(self, full_run, tmp_path, capsys):
         _, out = full_run
         code = run(["wigner", "--report", str(out / "report.json"),
@@ -228,6 +241,23 @@ class TestPipelineCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "min_w" in doc and "truncation_order" in doc
+
+
+def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):
+    # order-8 |1> moments whose high diagonals carry large errors, as at a
+    # few 1e6 shots: m(1, 1) = 1 is far above its own error, so m(2, 2) = 0
+    # ends the sum at order 2 and W(0) = -2/pi
+    errors = np.full((9, 9), 0.01)
+    errors[3, 3], errors[4, 4] = 0.4, 2.08
+    report = InversionReport(moments=analytic_moments(FockState.fock(1), 8),
+                             gain=1.0, noise=noise_moments(NoiseModel(0.0), 8),
+                             errors=errors)
+    save_report(tmp_path / "report.json", report)
+    result = cmd_wigner(tmp_path / "report.json", tmp_path / "w", extent=1.0,
+                        resolution=21)
+    assert result["truncation_order"] == 2
+    assert result["min_w"] == pytest.approx(-2.0 / math.pi, abs=1e-12)
+    assert result["at"] == [0.0, 0.0]
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -250,6 +280,13 @@ def _assert_help(cmd, env=None):
     assert "simulate" in proc.stdout and "full-run" in proc.stdout
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point_help():
     # start the declared [project.scripts] target the way an installed
     # console script does, so a bare checkout checks the same thing
@@ -257,10 +294,12 @@ def test_console_entry_point_help():
                 "sys.argv[0] = 'hettomo'; "
                 f"sys.exit(EntryPoint('hettomo', {_console_script_target()!r}, "
                 "'console_scripts').load()())")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    _assert_help([sys.executable, "-c", launcher], env)
+    _assert_help([sys.executable, "-c", launcher], _src_env())
     installed = shutil.which("hettomo")
     if installed:
         _assert_help([installed])
+
+
+def test_python_dash_m_help():
+    for module in ("hettomo", "hettomo.cli"):
+        _assert_help([sys.executable, "-m", module], _src_env())

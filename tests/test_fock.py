@@ -193,6 +193,15 @@ class TestHusimiQ:
         assert husimi_q(FockState.fock(1), 1.0) == pytest.approx(
             math.exp(-1.0) / math.pi, abs=1e-12)
 
+    @pytest.mark.parametrize("cutoff", [1, 8])
+    def test_qubit_superposition_closed_form(self, cutoff):
+        c0, c1 = 0.6, 0.48 - 0.64j
+        state = FockState.from_amplitudes([c0, c1] + [0.0] * (cutoff - 1))
+        x = np.linspace(-4.0, 4.0, 81)
+        alpha = x[:, None] + 1j * x[None, :]
+        expected = np.exp(-np.abs(alpha) ** 2) * np.abs(c0 + c1 * np.conj(alpha)) ** 2 / np.pi
+        assert np.max(np.abs(husimi_q(state, alpha) - expected)) < 1e-14
+
     @pytest.mark.parametrize("maker", [
         lambda: FockState.fock(2),
         lambda: coherent_state(1.0),

@@ -3,11 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from hettomo.fock import (FockState, NoiseModel, coherent_state,
+from hettomo.fock import (FockState, NoiseModel, antinormal_moments,
+                          coherent_state, husimi_q, loss_channel,
                           prepare_superposition, thermal_state)
+from hettomo.moments import moment_indices
 from hettomo.simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
-                              matched_filter, overlap, sample_detector,
-                              sample_q, simulate_time_trace, stream_rng)
+                              _envelope_candidates, matched_filter, overlap,
+                              sample_detector, sample_q, simulate_time_trace,
+                              stream_rng)
+
+from conftest import random_density_matrix
 
 CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
 QUIET = AmplifierChain(gain=1.0, noise=NoiseModel(0.0))
@@ -80,6 +85,49 @@ class TestSampleQ:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             sample_q(FockState.vacuum(), 0, seed=0)
+
+
+REJECTION_STATES = {
+    "pure": lambda: prepare_superposition(1.0 / math.sqrt(2.0)),
+    "vacuum-admixed": lambda: prepare_superposition(0.6j, 0.2),
+    "lossy": lambda: loss_channel(prepare_superposition(-0.8), 0.7),
+    "random-K3": lambda: random_density_matrix(np.random.default_rng(31), 4),
+}
+
+
+def _trimmed(state):
+    k = state.support()
+    rho = state.rho[: k + 1, : k + 1]
+    trimmed = FockState(rho / np.trace(rho).real)
+    return trimmed, k, float(np.linalg.eigvalsh(trimmed.rho)[-1])
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_STATES))
+class TestRejectionEnvelope:
+    def test_envelope_bounds_q_on_every_candidate(self, name):
+        trimmed, k, lam = _trimmed(REJECTION_STATES[name]())
+        cand, envelope = _envelope_candidates(stream_rng(40), 200_000, k, lam)
+        assert np.all(husimi_q(trimmed, cand) / envelope <= 1.0 + 1e-12)
+
+    def test_acceptance_is_one_over_lambda_k_plus_one(self, name):
+        trimmed, k, lam = _trimmed(REJECTION_STATES[name]())
+        rng = stream_rng(41)
+        n = 400_000
+        cand, envelope = _envelope_candidates(rng, n, k, lam)
+        accepted = rng.random(n) * envelope < husimi_q(trimmed, cand)
+        p = 1.0 / (lam * (k + 1))
+        assert abs(accepted.mean() - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_moments_to_order_four(self, name):
+        state = REJECTION_STATES[name]()
+        s = sample_q(state, 300_000, seed=42)
+        truth = antinormal_moments(state, 4)
+        for n, m in moment_indices(4):
+            x = s ** n * np.conj(s) ** m
+            err = np.std(x.real) / math.sqrt(s.size), np.std(x.imag) / math.sqrt(s.size)
+            d = np.mean(x) - truth.values[n, m]
+            assert abs(d.real) <= 5.0 * err[0] + 1e-12, (n, m)
+            assert abs(d.imag) <= 5.0 * err[1] + 1e-12, (n, m)
 
 
 class TestSampleDetector:
