@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .moments import ANTINORMAL, NORMAL, MomentErrors, MomentMatrix, moment_indices
+from .moments import ANTINORMAL, NORMAL, MomentMatrix, moment_indices
 from .fock import (FockState, NoiseModel, analytic_moments, antinormal_moments,
                    coherent_state, husimi_q, loss_channel, noise_moments,
                    prepare_superposition, thermal_state, wigner_oracle)
@@ -10,8 +10,8 @@ from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, overlap, sample_detector, sample_q,
                        simulate_time_trace)
 from .acquire import (QuadratureHistogram, RawMomentMatrix, StreamingMoments,
-                      batch_errors, difference_histogram, histogram_moments,
-                      streaming_moments, vacuum_sigma)
+                      batch_errors, combine_batches, difference_histogram,
+                      histogram_moments, streaming_moments, vacuum_sigma)
 from .tomo import (InversionReport, WignerGrid, bootstrap_errors, estimate_gain,
                    forward_moments, invert_moments, reconstruct_wigner,
                    recover_noise_moments, truncation_order, wigner_kernel)

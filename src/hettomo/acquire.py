@@ -1,9 +1,10 @@
 """Histogramming and raw-moment extraction from detector outcomes.
 
 Digital counterpart of an on-the-fly hardware acquisition stage: 2D quadrature
-histograms, difference histograms, streaming (bin-free) moment accumulation and
-batch-means error estimates.  Histograms and accumulators are mergeable, so
-concurrent workers can fill private partials and combine them.
+histograms, difference histograms, streaming (bin-free) moment accumulation,
+batch combination and bootstrap resampling, and batch-means error estimates.
+Histograms and accumulators are mergeable, so concurrent workers can fill
+private partials and combine them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .moments import MomentErrors, moment_indices
+from .moments import moment_indices
 from .simulate import ShotBatch
 
 DEFAULT_BINS = 1024
@@ -132,6 +133,28 @@ class RawMomentMatrix:
 
     def __getitem__(self, nm: tuple[int, int]) -> complex:
         return complex(self.values[nm])
+
+
+def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
+    counts = np.array([b.count for b in batches], dtype=float)
+    values = np.average([b.values for b in batches], axis=0, weights=counts)
+    values[0, 0] = 1.0
+    return RawMomentMatrix(values, count=int(counts.sum()),
+                           provenance=batches[0].provenance)
+
+
+def resample_batches(runs: list[list[RawMomentMatrix]], n_boot: int,
+                     seed: list[int]) -> list[tuple[RawMomentMatrix, ...]]:
+    """`n_boot` bootstrap replicas of each run's combined moments.
+
+    Each replica draws every run's batches with replacement, one run after
+    the other, from `default_rng(SeedSequence(seed))` and combines them with
+    `combine_batches`; replica b is a tuple with one entry per run.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return [tuple(combine_batches([run[k] for k in rng.integers(0, len(run), len(run))])
+                  for run in runs)
+            for _ in range(n_boot)]
 
 
 def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
@@ -259,7 +282,7 @@ def vacuum_sigma(data) -> float:
     return math.sqrt(0.5 * (vx + vp))
 
 
-def batch_errors(batches, order: int = 4, n_batches: int = 100) -> MomentErrors:
+def batch_errors(batches, order: int = 4, n_batches: int = 100) -> np.ndarray:
     """Standard error of each s(n, m) from the spread of per-batch estimates.
 
     `batches` is either a sequence of ShotBatch/arrays (used as-is) or a
@@ -276,5 +299,4 @@ def batch_errors(batches, order: int = 4, n_batches: int = 100) -> MomentErrors:
         raise ValueError("need at least two batches")
     per_batch = np.array([streaming_moments(b, order).values for b in batches])
     spread = np.sqrt(np.mean(np.abs(per_batch - per_batch.mean(axis=0)) ** 2, axis=0))
-    errors = spread / math.sqrt(len(batches) - 1)
-    return MomentErrors(errors, n_batches=len(batches))
+    return spread / math.sqrt(len(batches) - 1)

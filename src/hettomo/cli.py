@@ -22,7 +22,7 @@ import scipy
 
 from . import __version__
 from .acquire import (QuadratureHistogram, RawMomentMatrix, StreamingMoments,
-                      batch_errors, vacuum_sigma)
+                      combine_batches, resample_batches, vacuum_sigma)
 from .fock import (FockState, NoiseModel, coherent_state, prepare_superposition,
                    thermal_state)
 from .moments import moment_indices
@@ -39,6 +39,8 @@ STAGE_CALIBRATION = 2
 STAGE_PILOT = 3
 
 PILOT_SHOTS = 100_000
+# calibration fails when more bootstrap replicas than this share have no gain
+MAX_FAILED_REPLICA_FRACTION = 0.1
 
 
 class ConfigError(Exception):
@@ -242,14 +244,6 @@ def auto_extent(cfg: ExperimentConfig) -> float:
     return 6.0 * vacuum_sigma(pilot)
 
 
-def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
-    counts = np.array([b.count for b in batches], dtype=float)
-    values = np.average([b.values for b in batches], axis=0, weights=counts)
-    values[0, 0] = 1.0
-    return RawMomentMatrix(values, count=int(counts.sum()),
-                           provenance=batches[0].provenance)
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -364,38 +358,28 @@ def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path,
         if (super_dir / "moments_calibration.json").exists() \
         else _load_run(super_dir, "signal")
     vac_batches = _load_run(vacuum_dir, "vacuum")
-    raw_super = combine_batches(sup_batches)
-    raw_vacuum = combine_batches(vac_batches)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA1]))
-    sup = np.array([b.values for b in sup_batches])
-    vac = np.array([b.values for b in vac_batches])
-    estimates = []
-    for _ in range(n_boot):
-        i = rng.integers(0, len(sup), len(sup))
-        j = rng.integers(0, len(vac), len(vac))
-        s = RawMomentMatrix(_renorm(sup[i].mean(axis=0)), count=0)
-        v = RawMomentMatrix(_renorm(vac[j].mean(axis=0)), count=0)
+    replicas = resample_batches([sup_batches, vac_batches], n_boot,
+                                seed=[seed, 0xCA1])
+    estimates, failed = [], 0
+    for sup, vac in replicas:
         try:
-            estimates.append(estimate_gain(s, v))
+            estimates.append(estimate_gain(sup, vac))
         except ValueError:
-            continue
-    m1_err = float(np.std([abs(b.values[0, 1]) for b in sup_batches])
-                   / math.sqrt(max(len(sup_batches) - 1, 1)))
+            failed += 1
+    m1_err = float(np.std([abs(sup.values[0, 1]) for sup, _ in replicas]))
     try:
-        gain = estimate_gain(raw_super, raw_vacuum, m1_error=m1_err)
+        gain = estimate_gain(combine_batches(sup_batches),
+                             combine_batches(vac_batches), m1_error=m1_err)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
+    if failed > MAX_FAILED_REPLICA_FRACTION * n_boot:
+        raise NumericError(f"gain estimate failed on {failed} of {n_boot} "
+                           "bootstrap replicas")
     unc = float(np.std(estimates)) if len(estimates) > 1 else float("nan")
     result = {"gain": gain, "gain_stderr": unc, "m1_stderr": m1_err,
-              "n_bootstrap": len(estimates)}
+              "n_bootstrap": len(estimates), "n_bootstrap_failed": failed}
     out_path.write_text(json.dumps(result, indent=2))
     return result
-
-
-def _renorm(values: np.ndarray) -> np.ndarray:
-    values = values.copy()
-    values[0, 0] = 1.0
-    return values
 
 
 def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,

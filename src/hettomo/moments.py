@@ -11,7 +11,7 @@ moments ``<h^n (h^dag)^m>``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,20 +91,3 @@ class MomentMatrix:
         return MomentMatrix(hermitize(self.values * np.exp(1j * (m - n) * phi)),
                             ordering=self.ordering)
 
-
-@dataclass(frozen=True)
-class MomentErrors:
-    """Per-entry standard errors of a moment matrix estimate."""
-
-    errors: np.ndarray
-    n_batches: int
-
-    def __post_init__(self):
-        errors = np.asarray(self.errors, dtype=float)
-        if np.any(errors < 0) or not np.all(np.isfinite(errors)):
-            raise ValueError("standard errors must be finite and >= 0")
-        errors.setflags(write=False)
-        object.__setattr__(self, "errors", errors)
-
-    def __getitem__(self, nm: tuple[int, int]) -> float:
-        return float(self.errors[nm])

@@ -1,20 +1,24 @@
 """Moment inversion, gain self-calibration and Wigner reconstruction.
 
 The detector moments factorize into signal and noise moments through a
-double binomial sum; a vacuum-reference run pins the noise moments, after
-which the relation is inverted triangularly in increasing total order.
+double binomial sum, s = D_G B(h) m over moment_indices: D_G holds the
+gain powers and B(h), built from the noise moments h, is unit
+lower-triangular.  A vacuum-reference run pins h, after which one
+triangular solve recovers the signal moments.
 The Wigner function is then a finite sum of closed-form Gaussian kernels
 weighted by the recovered normally ordered moments.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from .acquire import RawMomentMatrix
+from .acquire import RawMomentMatrix, resample_batches
 from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
 
 WIGNER_KERNEL_MAX_ORDER = 8
@@ -75,9 +79,38 @@ def _check_orders(*matrices, order: int | None = None) -> int:
     return orders.pop()
 
 
+@functools.cache
+def _binomial_table(order: int) -> tuple[np.ndarray, ...]:
+    """Entries of B(h) over moment_indices(order): row (n, m), column (i, j),
+    C(n, i) C(m, j) and the flat index of the noise moment h(n-i, m-j)."""
+    position = {nm: k for k, nm in enumerate(moment_indices(order))}
+    entries = [(position[n, m], position[i, j], math.comb(n, i) * math.comb(m, j),
+                (n - i) * (order + 1) + (m - j))
+               for n, m in position for i in range(n + 1) for j in range(m + 1)]
+    return tuple(np.array(column) for column in zip(*entries))
+
+
+def _binomial_operator(noise: np.ndarray) -> np.ndarray:
+    """Unit lower-triangular B(h) with s = D_G B(h) m over moment_indices,
+    stacked over any leading axes of the noise moments h."""
+    order = noise.shape[-1] - 1
+    rows, cols, coeffs, flat = _binomial_table(order)
+    h = noise.reshape(*noise.shape[:-2], -1)
+    size = (order + 1) * (order + 2) // 2
+    op = np.zeros((*h.shape[:-1], size, size), dtype=complex)
+    op[..., rows, cols] = coeffs * h[..., flat]
+    return op
+
+
+def _gain_diagonal(order: int, gain: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices (n, m) of moment_indices(order) and the diagonal G^{(n+m)/2} of D_G."""
+    n, m = np.array(moment_indices(order)).T
+    return n, m, gain ** ((n + m) / 2.0)
+
+
 def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
                     gain: float) -> RawMomentMatrix:
-    """Detector moments from signal and noise moments:
+    """Detector moments from signal and noise moments, s = D_G B(h) m:
 
     s(n, m) = G^{(n+m)/2} sum_{i<=n, j<=m} C(n,i) C(m,j)
               <(a^dag)^i a^j> <h^{n-i} (h^dag)^{m-j}>.
@@ -87,14 +120,9 @@ def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
     if signal.ordering != NORMAL or noise.ordering != ANTINORMAL:
         raise ValueError("expected normal signal and antinormal noise moments")
     order = _check_orders(signal, noise)
+    n, m, g = _gain_diagonal(order, gain)
     values = np.zeros((order + 1, order + 1), dtype=complex)
-    for n, m in moment_indices(order):
-        total = 0.0 + 0.0j
-        for i in range(n + 1):
-            for j in range(m + 1):
-                total += (math.comb(n, i) * math.comb(m, j)
-                          * signal.values[i, j] * noise.values[n - i, m - j])
-        values[n, m] = gain ** ((n + m) / 2.0) * total
+    values[n, m] = g * (_binomial_operator(noise.values) @ signal.values[n, m])
     return RawMomentMatrix(hermitize(values), count=0, provenance="forward-model")
 
 
@@ -105,42 +133,33 @@ def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float,
     if gain <= 0:
         raise ValueError("gain must be > 0")
     order = raw_vacuum.order if order is None else _check_orders(raw_vacuum, order=order)
+    n, m, g = _gain_diagonal(order, gain)
     values = np.zeros((order + 1, order + 1), dtype=complex)
-    for n, m in moment_indices(order):
-        values[n, m] = raw_vacuum.values[n, m] / gain ** ((n + m) / 2.0)
+    values[n, m] = raw_vacuum.values[n, m] / g
     values[0, 0] = 1.0
     return MomentMatrix(hermitize(values), ordering=ANTINORMAL)
 
 
-def _triangular_invert(raw: np.ndarray, noise: np.ndarray, gain: float,
-                       order: int) -> np.ndarray:
-    signal = np.zeros((order + 1, order + 1), dtype=complex)
-    for n, m in moment_indices(order):  # increasing total order
-        cross = 0.0 + 0.0j
-        for i in range(n + 1):
-            for j in range(m + 1):
-                if i == n and j == m:
-                    continue
-                cross += (math.comb(n, i) * math.comb(m, j)
-                          * signal[i, j] * noise[n - i, m - j])
-        signal[n, m] = raw[n, m] / gain ** ((n + m) / 2.0) - cross
-    return hermitize(signal)
+def _solve(op: np.ndarray, raw: np.ndarray, gain: float) -> np.ndarray:
+    """Signal moments m from s = D_G B m, given B = op."""
+    n, m, g = _gain_diagonal(raw.shape[0] - 1, gain)
+    signal = np.zeros_like(raw, dtype=complex)
+    signal[n, m] = solve_triangular(op, raw[n, m] / g, lower=True,
+                                    unit_diagonal=True)
+    return signal
 
 
 def invert_moments(raw_signal: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
                    gain: float, errors: np.ndarray | None = None) -> InversionReport:
     """Recover <(a^dag)^n a^m> from a signal run and its vacuum reference.
 
-    Solves the binomial relation in increasing total order n+m; exact
-    algebraic inverse of forward_moments.
+    Solves the unit lower-triangular binomial relation; exact algebraic
+    inverse of forward_moments.
     """
-    order = _check_orders(raw_signal, raw_vacuum)
-    for raw in (raw_signal, raw_vacuum):
-        if abs(raw.values[0, 0] - 1.0) > 1e-9:
-            raise ValueError("raw moments are not normalized (s(0,0) != 1)")
+    _check_orders(raw_signal, raw_vacuum)
     noise = recover_noise_moments(raw_vacuum, gain)
-    signal = _triangular_invert(raw_signal.values, noise.values, gain, order)
-    return InversionReport(moments=MomentMatrix(signal, ordering=NORMAL),
+    signal = _solve(_binomial_operator(noise.values), raw_signal.values, gain)
+    return InversionReport(moments=MomentMatrix(hermitize(signal), ordering=NORMAL),
                            gain=gain, noise=noise, errors=errors)
 
 
@@ -149,28 +168,19 @@ def bootstrap_errors(signal_batches: list[RawMomentMatrix],
                      gain: float, n_boot: int = 200, seed: int = 0) -> np.ndarray:
     """Standard errors of the recovered moments by bootstrap over batches.
 
-    Resamples batch-level moment estimates with replacement, reruns the
-    inversion and reports the per-entry spread.
+    Resamples both runs' batches with replacement (`resample_batches`),
+    inverts every replica and reports the per-entry spread.
     """
     if len(signal_batches) < 2 or len(vacuum_batches) < 2:
         raise ValueError("need at least two batches on each side")
-    order = _check_orders(*signal_batches, *vacuum_batches)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
-    sig = np.array([b.values for b in signal_batches])
-    sig_w = np.array([b.count for b in signal_batches], dtype=float)
-    vac = np.array([b.values for b in vacuum_batches])
-    vac_w = np.array([b.count for b in vacuum_batches], dtype=float)
-    replicas = np.empty((n_boot, order + 1, order + 1), dtype=complex)
-    for b in range(n_boot):
-        i = rng.integers(0, len(sig), len(sig))
-        j = rng.integers(0, len(vac), len(vac))
-        s = np.average(sig[i], axis=0, weights=sig_w[i])
-        v = np.average(vac[j], axis=0, weights=vac_w[j])
-        noise = v / gain ** ((np.add.outer(np.arange(order + 1),
-                                           np.arange(order + 1))) / 2.0)
-        noise[0, 0] = 1.0
-        replicas[b] = _triangular_invert(s, noise, gain, order)
-    return np.sqrt(np.mean(np.abs(replicas - replicas.mean(axis=0)) ** 2, axis=0))
+    _check_orders(*signal_batches, *vacuum_batches)
+    replicas = resample_batches([signal_batches, vacuum_batches], n_boot,
+                                seed=[seed, 0xB007])
+    ops = _binomial_operator(np.array([recover_noise_moments(vac, gain).values
+                                      for _, vac in replicas]))
+    moments = np.array([_solve(op, sig.values, gain)
+                        for op, (sig, _) in zip(ops, replicas)])
+    return np.sqrt(np.mean(np.abs(moments - moments.mean(axis=0)) ** 2, axis=0))
 
 
 def estimate_gain(raw_super: RawMomentMatrix, raw_vacuum: RawMomentMatrix,

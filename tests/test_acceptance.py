@@ -10,8 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from hettomo.acquire import StreamingMoments, batch_errors, vacuum_sigma
-from hettomo.cli import combine_batches
+from hettomo.acquire import StreamingMoments, combine_batches, vacuum_sigma
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           coherent_state, loss_channel, noise_moments,
                           prepare_superposition, wigner_oracle)
@@ -19,9 +18,8 @@ from hettomo.moments import MomentMatrix, moment_indices
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope,
                               matched_filter, overlap, sample_detector,
                               simulate_time_trace)
-from hettomo.tomo import (_triangular_invert, estimate_gain, forward_moments,
-                          invert_moments, reconstruct_wigner,
-                          recover_noise_moments, truncation_order,
+from hettomo.tomo import (estimate_gain, forward_moments, invert_moments,
+                          reconstruct_wigner, truncation_order,
                           wigner_from_moments)
 
 from conftest import fock_power_moments, random_moment_matrix
@@ -111,12 +109,8 @@ def test_a3_error_scaling():
     sig = batched_moments(FockState.fock(1), chain, shots, 30, n_batches)
     vac = batched_moments(FockState.vacuum(), chain, shots, 31, n_batches)
     # paired per-batch inversions capture signal and reference fluctuations
-    recovered = []
-    for s, v in zip(sig, vac):
-        noise = recover_noise_moments(v, chain.gain)
-        recovered.append(_triangular_invert(s.values, noise.values,
-                                            chain.gain, 4))
-    recovered = np.array(recovered)
+    recovered = np.array([invert_moments(s, v, chain.gain).moments.values
+                          for s, v in zip(sig, vac)])
     spread = np.sqrt(np.mean(np.abs(recovered - recovered.mean(axis=0)) ** 2,
                              axis=0))
     se = spread / math.sqrt(n_batches - 1)

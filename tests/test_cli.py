@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hettomo.acquire import RawMomentMatrix
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
-from hettomo.serialize import load_batch_moments, load_report, save_report
+from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
+                               save_report)
 from hettomo.tomo import InversionReport
 
 
@@ -241,6 +243,44 @@ class TestPipelineCommands:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert "min_w" in doc and "truncation_order" in doc
+
+
+def _order2_batch(s01: complex, s11: float) -> RawMomentMatrix:
+    values = np.zeros((3, 3), dtype=complex)
+    values[0, 0], values[1, 1] = 1.0, s11
+    values[0, 1], values[1, 0] = s01, np.conj(s01)
+    return RawMomentMatrix(values, count=1000)
+
+
+@pytest.mark.parametrize("poison, code", [(-3.0, 0), (-16.0, 4)])
+def test_calibrate_counts_failed_replicas(tmp_path, capsys, poison, code):
+    # 19 calibration batches sit 1 above the vacuum's s(1,1) = 2 and one sits
+    # at `poison`: a replica's noise-subtracted s(1,1) is <= 0, and its gain
+    # estimate fails, once it draws the poisoned batch k times with
+    # 20 - k (3 - poison) <= 0, i.e. k >= 4 at -3 and k >= 2 at -16; the
+    # combined run keeps a positive (17 + poison) / 20 either way
+    save_batch_moments(tmp_path / "moments_calibration.json",
+                       [_order2_batch(1.0, 3.0)] * 19 + [_order2_batch(1.0, poison)])
+    save_batch_moments(tmp_path / "moments_vacuum.json", [_order2_batch(0.0, 2.0)] * 20)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0xCA1]))
+    expected = 0
+    for _ in range(200):   # the documented draw order: calibration, then vacuum
+        k = np.count_nonzero(rng.integers(0, 20, 20) == 19)
+        rng.integers(0, 20, 20)
+        expected += 20 - k * (3.0 - poison) <= 0
+    assert 0 < expected
+    assert (expected > 20) == (code == 4)
+
+    out = tmp_path / "calibration.json"
+    assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == code
+    if code == 4:
+        assert f"failed on {expected} of 200" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        doc = json.loads(out.read_text())
+        assert doc["n_bootstrap_failed"] == expected
+        assert doc["n_bootstrap"] == 200 - expected
+        assert doc["gain"] == pytest.approx(((17.0 + poison) / 20.0) ** 2)
 
 
 def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):

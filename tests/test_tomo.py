@@ -67,15 +67,17 @@ def test_fock_power_moments_match_trace_oracle(k, expected):
 
 
 class TestInvertMoments:
-    def test_exact_round_trip_random_moments(self):
+    @pytest.mark.parametrize("order, nbar", [(4, 64.0)] + [
+        (order, 2.0) for order in range(1, 9)])
+    def test_exact_round_trip_random_moments(self, order, nbar):
         rng = np.random.default_rng(23)
-        noise = noise_moments(NoiseModel(64.0), 4)
+        noise = noise_moments(NoiseModel(nbar), order)
         worst = 0.0
         for _ in range(100):
-            signal = MomentMatrix(random_moment_matrix(rng, 4))
+            signal = MomentMatrix(random_moment_matrix(rng, order))
             raw = forward_moments(signal, noise, 1.0e4)
             raw_vac = forward_moments(
-                analytic_moments(FockState.vacuum(), 4), noise, 1.0e4)
+                analytic_moments(FockState.vacuum(), order), noise, 1.0e4)
             report = invert_moments(raw, raw_vac, 1.0e4)
             worst = max(worst, float(np.max(np.abs(
                 report.moments.values - signal.values))))
@@ -147,6 +149,35 @@ class TestBootstrapErrors:
              for i in range(20)], 4)
         report = invert_moments(full_sig, full_vac, chain.gain)
         assert abs(report.moments[1, 1].real - 1.0) < 4.0 * err[1, 1]
+
+    def test_matches_delta_method(self):
+        # identical vacuum batches remove the reference term, so every
+        # replica is the same linear map m = A^-1 s of its resampled signal
+        # mean, A = D_G B(h), and the spread is sqrt(diag(A^-1 C A^-H)) with
+        # C the batches' population covariance of s over the batch count
+        order, gain, n_boot = 4, 100.0, 400
+        chain = AmplifierChain(gain=gain, noise=NoiseModel(1.0))
+        sig = [streaming_moments(
+            sample_detector(FockState.fock(1), chain, 20_000, seed=44, stream=i),
+            order) for i in range(20)]
+        vac = [streaming_moments(
+            sample_detector(FockState.vacuum(), chain, 400_000, seed=45), order)] * 20
+        err = bootstrap_errors(sig, vac, gain, n_boot=n_boot, seed=3)
+
+        idx = moment_indices(order)
+        noise = {(n, m): vac[0][n, m] / gain ** ((n + m) / 2.0) for n, m in idx}
+        noise[0, 0] = 1.0
+        a = np.array([[gain ** ((n + m) / 2.0) * math.comb(n, i) * math.comb(m, j)
+                       * noise[n - i, m - j] if i <= n and j <= m else 0.0
+                       for i, j in idx] for n, m in idx])
+        s = np.array([[b[n, m] for n, m in idx] for b in sig])
+        d = s - s.mean(axis=0)
+        c = d.T @ d.conj() / len(sig) ** 2
+        a_inv = np.linalg.inv(a)
+        delta = np.sqrt(np.diag(a_inv @ c @ a_inv.conj().T).real)
+        for k, (n, m) in enumerate(idx[1:], start=1):
+            assert err[n, m] == pytest.approx(
+                delta[k], rel=4.0 / math.sqrt(2.0 * n_boot)), (n, m)
 
     def test_deterministic_given_seed(self):
         chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
