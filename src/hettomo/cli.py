@@ -12,8 +12,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -107,7 +109,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         if value is not None:
             doc[key] = value
     _require("seed" in doc, "seed", "is mandatory (no wall-clock default)")
-    _require(isinstance(doc["seed"], int), "seed", "must be an integer")
+    _require(isinstance(doc["seed"], int) and not isinstance(doc["seed"], bool)
+             and doc["seed"] >= 0, "seed", "must be an integer >= 0")
     _require("shots" in doc and isinstance(doc["shots"], int) and doc["shots"] >= 1,
              "shots", "must be an integer >= 1")
     _require("state" in doc and isinstance(doc.get("state"), dict),
@@ -204,24 +207,47 @@ def _batch_sizes(shots: int, batches: int) -> list[int]:
     return [base + (1 if i < rem else 0) for i in range(batches)]
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+
+
+def _time_domain_batches(state: FockState, env: TemporalEnvelope,
+                         chain: AmplifierChain, sizes: list[int], seed):
+    """Matched-filtered batches in batch order, at most one per CPU in flight on
+    a thread pool; each keeps its own stream, so the CPU count changes no output."""
+    def make(b: int, size: int) -> ShotBatch:
+        records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b)
+        return matched_filter(records, env, seed=seed, stream=b)
+
+    workers = _available_cpus()
+    with ThreadPoolExecutor(workers) as pool:
+        window = []
+        for b, size in enumerate(sizes):
+            window.append(pool.submit(make, b, size))
+            if len(window) == workers:
+                yield window.pop(0).result()
+        yield from (future.result() for future in window)
+
+
 def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
                     extent: float) -> dict:
     """Simulate one run in batches; returns histogram, per-batch moments,
     optional shots."""
     chain = AmplifierChain(gain=cfg.gain, noise=NoiseModel(cfg.nbar))
     hist = QuadratureHistogram(bins=cfg.bins, extent=extent)
-    env = TemporalEnvelope(kappa=cfg.kappa, dt=cfg.dt, n_bins=cfg.time_bins) \
-        if cfg.time_domain else None
+    seed, sizes = [cfg.seed, stage], _batch_sizes(cfg.shots, cfg.batches)
+    if cfg.time_domain:
+        env = TemporalEnvelope(kappa=cfg.kappa, dt=cfg.dt, n_bins=cfg.time_bins)
+        batches = _time_domain_batches(state, env, chain, sizes, seed)
+    else:
+        # sequential: a pool here costs more memory than it saves time
+        batches = (sample_detector(state, chain, size, seed=seed, stream=b)
+                   for b, size in enumerate(sizes))
     batch_moments: list[RawMomentMatrix] = []
     shots_kept: list[np.ndarray] = []
-    for b, size in enumerate(_batch_sizes(cfg.shots, cfg.batches)):
-        if env is not None:
-            records = simulate_time_trace(state, env, chain, size,
-                                          seed=[cfg.seed, stage], stream=b)
-            batch = matched_filter(records, env, seed=[cfg.seed, stage], stream=b)
-        else:
-            batch = sample_detector(state, chain, size,
-                                    seed=[cfg.seed, stage], stream=b)
+    for batch in batches:
         hist.add(batch)
         batch_moments.append(StreamingMoments(cfg.order).update(batch).result())
         if cfg.store_shots:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.constants import h as PLANCK, k as BOLTZMANN
-from scipy.linalg import expm
+from scipy.special import eval_genlaguerre
 
 from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
 
@@ -248,35 +248,27 @@ def husimi_q(state: FockState, alpha) -> np.ndarray | float:
     return q
 
 
-def _parity_pad(state: FockState, alpha_max: float) -> int:
-    # displaced support center grows like (sqrt(N) + |alpha|)^2; keep a wide
-    # Gaussian-tail margin so truncation error stays below 1e-8
-    n = state.support()
-    center = (math.sqrt(n) + alpha_max) ** 2
-    return max(4, math.ceil(center + 8.0 * math.sqrt(center + 1.0) + 8) - state.cutoff)
-
-
 def wigner_oracle(state: FockState, alpha) -> np.ndarray | float:
-    """Displaced-parity Wigner function, W(alpha) = (2/pi) Tr[D(-a) rho D(a) Pi].
+    """Displaced-parity Wigner function, W(alpha) = (2/pi) Tr[rho D(alpha) Pi D(-alpha)].
 
-    Independent oracle for the moment-based reconstruction; uses an exact
-    truncated matrix exponential for the displacement with generous padding.
+    Independent oracle for the moment-based reconstruction, exact on the state's
+    own Fock space: D(alpha) Pi D(-alpha) = D(2 alpha) Pi, and for m >= n,
+    <m|D(b)|n> = sqrt(n!/m!) b^(m-n) e^(-|b|^2/2) L_n^(m-n)(|b|^2) = (-1)^(m-n) <n|D(b)|m>*.
     """
     alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    flat = alpha_arr.ravel()
-    pad = _parity_pad(state, float(np.max(np.abs(flat))) if flat.size else 0.0)
-    padded = state.padded(pad)
-    a = destroy(padded.dim)
-    ad = a.conj().T
-    parity = np.diag((-1.0) ** np.arange(padded.dim))
-    out = np.empty(flat.shape, dtype=float)
-    for i, al in enumerate(flat):
-        d = expm(al * ad - np.conj(al) * a)
-        out[i] = (2.0 / np.pi) * np.trace(d.conj().T @ padded.rho @ d @ parity).real
-    out = out.reshape(alpha_arr.shape)
+    beta = 2.0 * alpha_arr.ravel()
+    x = beta.real ** 2 + beta.imag ** 2
+    w = np.zeros(beta.shape)
+    for m in range(state.dim):
+        for n in range(m + 1):
+            d = math.sqrt(math.factorial(n) / math.factorial(m)) * beta ** (m - n) \
+                * eval_genlaguerre(n, m - n, x)
+            # rho_nm (-1)^n <m|D|n> plus its conjugate, the (m, n) term
+            w += (-1) ** n * (1 if m == n else 2) * (state.rho[n, m] * d).real
+    w = ((2.0 / np.pi) * np.exp(-0.5 * x) * w).reshape(alpha_arr.shape)
     if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
-        return float(out.reshape(-1)[0])
-    return out
+        return float(w.reshape(-1)[0])
+    return w
 
 
 def loss_channel(state: FockState, eta: float) -> FockState:

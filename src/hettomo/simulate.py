@@ -84,6 +84,9 @@ def stream_rng(seed, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + list(path)))
 
 
+_TRACE_ROW_BLOCK = 256   # rows that take alpha f in one in-place step (1.6 MB at 400 bins)
+
+
 def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np.ndarray:
     # interleaved (re, im) view keeps this a single draw + single scale pass
     arr = rng.standard_normal(2 * n)
@@ -169,13 +172,15 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
     if n < 1:
         raise ValueError("need n >= 1")
     alpha = sample_q(state, n, seed, stream=stream)
-    records = alpha[:, None] * env.f[None, :]
-    if chain.noise.nbar > 0:
-        noise_rng = stream_rng(seed, stream, 1)
-        var_per_quad = chain.noise.nbar / (2.0 * env.dt)
-        xi = _complex_normal(noise_rng, n * env.n_bins, var_per_quad)
-        records = records + xi.reshape(n, env.n_bins)
-    return math.sqrt(chain.gain) * records
+    if chain.noise.nbar == 0:
+        records = alpha[:, None] * env.f
+    else:
+        records = _complex_normal(stream_rng(seed, stream, 1), n * env.n_bins,
+                                  chain.noise.nbar / (2.0 * env.dt)).reshape(n, env.n_bins)
+        for i in range(0, n, _TRACE_ROW_BLOCK):
+            records[i:i + _TRACE_ROW_BLOCK] += alpha[i:i + _TRACE_ROW_BLOCK, None] * env.f
+    records *= math.sqrt(chain.gain)
+    return records
 
 
 def matched_filter(records: np.ndarray, env: TemporalEnvelope,
@@ -192,7 +197,8 @@ def matched_filter(records: np.ndarray, env: TemporalEnvelope,
     g = env.f if weights is None else np.asarray(weights, dtype=complex)
     if g.shape != (env.n_bins,):
         raise ValueError("filter weights do not match the envelope time grid")
-    s = records @ g.conj() * env.dt
+    # einsum, not `records @ g`: BLAS would leave OpenBLAS workers spinning between batches
+    s = np.einsum("ij,j->i", records, g.conj()) * env.dt
     return ShotBatch(s, seed=seed, stream=stream)
 
 

@@ -70,10 +70,8 @@ class WignerGrid:
         return float(np.sum(self.values) * dx * dp)
 
 
-def _check_orders(*matrices, order: int | None = None) -> int:
+def _check_orders(*matrices) -> int:
     orders = {m.order for m in matrices}
-    if order is not None:
-        orders.add(order)
     if len(orders) != 1:
         raise ValueError("moment matrices have inconsistent order caps")
     return orders.pop()
@@ -126,15 +124,13 @@ def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
     return RawMomentMatrix(hermitize(values), count=0, provenance="forward-model")
 
 
-def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float,
-                          order: int | None = None) -> MomentMatrix:
+def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float) -> MomentMatrix:
     """Antinormal noise moments from a vacuum-reference run:
     <h^n (h^dag)^m> = s_vac(n, m) / G^{(n+m)/2}."""
     if gain <= 0:
         raise ValueError("gain must be > 0")
-    order = raw_vacuum.order if order is None else _check_orders(raw_vacuum, order=order)
-    n, m, g = _gain_diagonal(order, gain)
-    values = np.zeros((order + 1, order + 1), dtype=complex)
+    n, m, g = _gain_diagonal(raw_vacuum.order, gain)
+    values = np.zeros_like(raw_vacuum.values)
     values[n, m] = raw_vacuum.values[n, m] / g
     values[0, 0] = 1.0
     return MomentMatrix(hermitize(values), ordering=ANTINORMAL)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hettomo import cli
 from hettomo.acquire import RawMomentMatrix
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
@@ -47,6 +48,12 @@ class TestParseConfig:
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({"seed": "abc", "shots": 100,
+                          "state": {"kind": "vacuum"}})
+
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"seed": seed, "shots": 100,
                           "state": {"kind": "vacuum"}})
 
     def test_unknown_state_kind(self):
@@ -113,6 +120,25 @@ class TestExitCodes:
                     "--out", str(tmp_path / "out")]) == 2
         assert "error [simulate]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_bad_config_seed_is_2(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, seed=seed)
+        assert run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "true"])
+    def test_bad_seed_flag_is_2(self, tmp_path, capsys, seed):
+        argv = ["simulate", "--config", str(write_config(tmp_path)),
+                "--seed", seed, "--out", str(tmp_path / "out")]
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse rejects a non-integer itself
+            code = exc.code
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_data_error_is_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
         assert run(["analyze", "--signal", str(tmp_path / "empty"),
@@ -170,6 +196,29 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "moments_signal.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_time_domain_output_independent_of_cpu_count(self, tmp_path, capsys,
+                                                         monkeypatch, workers):
+        cfg = write_config(tmp_path, shots=6000, batches=7,
+                           time_domain={"enabled": True, "kappa": 0.05,
+                                        "dt": 1.0, "bins": 200})
+        assert run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "default")]) == 0
+        monkeypatch.setattr(cli, "_available_cpus", lambda: workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # switch threads often to expose races
+        try:
+            assert run(["simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / "forced")]) == 0
+        finally:
+            sys.setswitchinterval(interval)
+        names = [f"{kind}_{run_}.{ext}" for run_ in ("signal", "vacuum")
+                 for kind, ext in (("hist", "u64"), ("hist", "json"),
+                                   ("moments", "json"))]
+        for name in names:
+            assert (tmp_path / "default" / name).read_bytes() == \
+                (tmp_path / "forced" / name).read_bytes(), name
 
     def test_store_shots(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=1000, batches=2, store_shots=True)

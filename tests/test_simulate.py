@@ -7,7 +7,8 @@ from hettomo.fock import (FockState, NoiseModel, antinormal_moments,
                           coherent_state, husimi_q, loss_channel,
                           prepare_superposition, thermal_state)
 from hettomo.moments import moment_indices
-from hettomo.simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
+from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, ShotBatch,
+                              TemporalEnvelope, _complex_normal,
                               _envelope_candidates, matched_filter, overlap,
                               sample_detector, sample_q, simulate_time_trace,
                               stream_rng)
@@ -204,6 +205,36 @@ class TestTimeTrace:
         # orthogonal mode carries no signal photon: <|S|^2> = G nbar_h
         assert np.mean(np.abs(batch.samples) ** 2) == pytest.approx(
             CHAIN.gain * 64.0, rel=0.02)
+
+    @pytest.mark.parametrize("nbar", [2.0, 0.0])
+    @pytest.mark.parametrize("state", [
+        FockState.vacuum(), FockState.fock(1),
+        prepare_superposition(1.0 / math.sqrt(2.0))], ids=["vacuum", "fock1", "super"])
+    def test_records_bit_equal_to_signal_plus_noise(self, state, nbar):
+        env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
+        chain = AmplifierChain(gain=9.0e3, noise=NoiseModel(nbar))
+        n = 2 * _TRACE_ROW_BLOCK + 3    # last row block is partial
+        rec = simulate_time_trace(state, env, chain, n, seed=[21, 0], stream=4)
+        # sqrt(G) (alpha f + xi), rebuilt from the same streams
+        expected = sample_q(state, n, [21, 0], stream=4)[:, None] * env.f
+        if nbar > 0:
+            expected = expected + _complex_normal(
+                stream_rng([21, 0], 4, 1), n * env.n_bins,
+                nbar / (2.0 * env.dt)).reshape(n, env.n_bins)
+        expected = math.sqrt(chain.gain) * expected
+        assert rec.dtype == expected.dtype and rec.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("weights", [None, "random"])
+    def test_matched_filter_matches_plain_sum(self, weights):
+        env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=800)
+        rec = simulate_time_trace(FockState.fock(1), env, CHAIN, 300, seed=5)
+        g = env.f
+        if weights:
+            rng = np.random.default_rng(6)
+            g = rng.normal(size=800) + 1j * rng.normal(size=800)
+        got = matched_filter(rec, env, weights=None if weights is None else g).samples
+        ref = np.sum(rec * g.conj(), axis=1) * env.dt
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_filter_rejects_wrong_grid(self):
         env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
