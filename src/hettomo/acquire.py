@@ -1,8 +1,8 @@
 """Histogramming and raw-moment extraction from detector outcomes.
 
 Digital counterpart of an on-the-fly hardware acquisition stage: 2D quadrature
-histograms, difference histograms, streaming (bin-free) moment accumulation,
-batch combination and bootstrap resampling, and batch-means error estimates.
+histograms, streaming (bin-free) moment accumulation, batch combination and
+bootstrap resampling, and batch-means error estimates.
 Histograms and accumulators are mergeable, so concurrent workers can fill
 private partials and combine them.
 """
@@ -231,14 +231,6 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMat
             values[m, n] = np.conj(values[n, m])
     values[0, 0] = 1.0
     return RawMomentMatrix(values, count=hist.in_range, provenance="histogram")
-
-
-def difference_histogram(h_signal: QuadratureHistogram,
-                         h_reference: QuadratureHistogram) -> np.ndarray:
-    """Per-bin difference of the two normalized densities; sums to zero."""
-    if not h_signal.same_binning(h_reference):
-        raise ValueError("histograms have different binning or range")
-    return h_signal.density() - h_reference.density()
 
 
 def _gaussian(x, amp, sigma):

@@ -16,7 +16,8 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ import scipy
 from . import __version__
 from .acquire import (QuadratureHistogram, RawMomentMatrix, StreamingMoments,
                       combine_batches, resample_batches, vacuum_sigma)
-from .fock import (FockState, NoiseModel, coherent_state, prepare_superposition,
-                   thermal_state)
+from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
+                   prepare_superposition, thermal_state)
 from .moments import moment_indices
 from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, sample_detector, simulate_time_trace)
@@ -63,21 +64,16 @@ class NumericError(Exception):
 class ExperimentConfig:
     seed: int
     shots: int
-    state: dict
-    gain: float = 1.0
-    nbar: float = 0.0
-    order: int = 4
-    batches: int = 100
-    bins: int = 1024
-    extent: float | None = None     # None -> auto from pilot vacuum run
-    time_domain: bool = False
-    kappa: float = 1.0 / 40.0
-    dt: float = 1.0
-    time_bins: int = 400
-    calibration: dict | None = None
-    store_shots: bool = False
-    emit_reference: bool = True
-    raw: dict = field(default_factory=dict)
+    state: FockState
+    chain: AmplifierChain
+    order: int
+    batches: int
+    bins: int
+    extent: float | None            # None -> auto from pilot vacuum run
+    envelope: TemporalEnvelope | None   # None -> direct detector path
+    calibration: FockState | None
+    store_shots: bool
+    raw: dict
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -89,16 +85,28 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _noise_nbar(amp: dict) -> float:
+@contextmanager
+def _block(name: str):
+    """Report what a constructor refuses as a ConfigError naming the config block."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _object(doc: dict, key: str, default: dict) -> dict:
+    block = doc.get(key, default)
+    _require(isinstance(block, dict), key, "must be an object")
+    return block
+
+
+def _noise_model(amp: dict) -> NoiseModel:
     if "nbar" in amp:
-        _require(isinstance(amp["nbar"], (int, float)) and amp["nbar"] >= 0,
-                 "amplifier.nbar", "must be a number >= 0")
-        return float(amp["nbar"])
+        return NoiseModel(amp["nbar"])
     _require("temperature_K" in amp and "frequency_Hz" in amp,
              "amplifier", "need either nbar or temperature_K + frequency_Hz")
-    model = NoiseModel.from_temperature(amp["temperature_K"], amp["frequency_Hz"],
-                                        rayleigh_jeans=amp.get("rayleigh_jeans", False))
-    return model.nbar
+    return NoiseModel.from_temperature(amp["temperature_K"], amp["frequency_Hz"],
+                                       rayleigh_jeans=amp.get("rayleigh_jeans", False))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -106,6 +114,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError("config: top level must be a JSON object")
     doc = dict(doc)
     for key, value in (overrides or {}).items():
+        if isinstance(value, dict):     # flags for one block merge into it
+            value = {**_object(doc, key, {}), **value}
         if value is not None:
             doc[key] = value
     _require("seed" in doc, "seed", "is mandatory (no wall-clock default)")
@@ -113,25 +123,16 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
              and doc["seed"] >= 0, "seed", "must be an integer >= 0")
     _require("shots" in doc and isinstance(doc["shots"], int) and doc["shots"] >= 1,
              "shots", "must be an integer >= 1")
-    _require("state" in doc and isinstance(doc.get("state"), dict),
-             "state", "must be an object with a 'kind' field")
-    state = doc["state"]
-    _require(state.get("kind") in
-             {"vacuum", "fock", "coherent", "superposition", "thermal"},
-             "state.kind", "must be one of vacuum|fock|coherent|superposition|thermal")
-    amp = doc.get("amplifier", {"gain": 1.0, "nbar": 0.0})
-    _require(isinstance(amp, dict), "amplifier", "must be an object")
-    gain = amp.get("gain", 1.0)
-    _require(isinstance(gain, (int, float)) and gain > 0,
-             "amplifier.gain", "must be a number > 0")
-    hist = doc.get("histogram", {})
+    spec = _object(doc, "state", None)
+    amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
+    hist = _object(doc, "histogram", {})
     bins = hist.get("bins", 1024)
     _require(isinstance(bins, int) and bins >= 1, "histogram.bins",
              "must be an integer >= 1")
     extent = hist.get("range")
     _require(extent is None or (isinstance(extent, (int, float)) and extent > 0),
              "histogram.range", "must be null (auto) or a number > 0")
-    td = doc.get("time_domain", {})
+    td = _object(doc, "time_domain", {})
     batches = doc.get("batches", 100)
     _require(isinstance(batches, int) and 1 <= batches <= doc["shots"],
              "batches", "must be an integer in [1, shots]")
@@ -139,27 +140,34 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     _require(isinstance(order, int) and 1 <= order <= 8, "order",
              "must be an integer in [1, 8]")
     cal = doc.get("calibration")
+    _require(cal is None or isinstance(cal, dict), "calibration", "must be an object")
+
+    with _block("state"):
+        state = build_state(spec)
+    with _block("amplifier"):
+        chain = AmplifierChain(gain=amp.get("gain", 1.0), noise=_noise_model(amp))
+    envelope = calibration = None
+    if td.get("enabled", False):
+        with _block("time_domain"):
+            envelope = TemporalEnvelope(kappa=float(td.get("kappa", 1.0 / 40.0)),
+                                        dt=float(td.get("dt", 1.0)),
+                                        n_bins=int(td.get("bins", 400)))
     if cal is not None:
-        _require(isinstance(cal, dict), "calibration", "must be an object")
-        beta = abs(complex(cal.get("beta", 1.0 / math.sqrt(2.0))))
-        _require(beta <= 1.0, "calibration.beta", "must satisfy |beta| <= 1")
+        with _block("calibration"):
+            calibration = build_state({"beta": 1.0 / math.sqrt(2.0), "phase": math.pi,
+                                       **cal, "kind": "superposition"})
     return ExperimentConfig(
         seed=doc["seed"],
         shots=doc["shots"],
         state=state,
-        gain=float(gain),
-        nbar=_noise_nbar(amp),
+        chain=chain,
         order=order,
         batches=batches,
         bins=bins,
         extent=None if extent is None else float(extent),
-        time_domain=bool(td.get("enabled", False)),
-        kappa=float(td.get("kappa", 1.0 / 40.0)),
-        dt=float(td.get("dt", 1.0)),
-        time_bins=int(td.get("bins", 400)),
-        calibration=cal,
+        envelope=envelope,
+        calibration=calibration,
         store_shots=bool(doc.get("store_shots", False)),
-        emit_reference=bool(doc.get("emit_reference", True)),
         raw=doc,
     )
 
@@ -175,29 +183,28 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def build_state(spec: dict) -> FockState:
-    kind = spec["kind"]
-    try:
-        if kind == "vacuum":
-            return FockState.vacuum()
-        if kind == "fock":
-            return FockState.fock(int(spec.get("k", 1)))
-        if kind == "coherent":
-            alpha = spec.get("alpha", 1.0)
-            if isinstance(alpha, list):
-                alpha = complex(alpha[0], alpha[1])
-            return coherent_state(alpha)
-        if kind == "thermal":
-            return thermal_state(float(spec.get("nbar", 1.0)))
-        beta = abs(complex(spec.get("beta", 1.0))) \
-            * np.exp(1j * float(spec.get("phase", 0.0)))
-        state = prepare_superposition(beta, float(spec.get("admixture", 0.0)))
-        eta = spec.get("loss_eta")
-        if eta is not None:
-            from .fock import loss_channel
-            state = loss_channel(state, float(eta))
-        return state
-    except ValueError as exc:
-        raise ConfigError(f"state: {exc}") from exc
+    kind = spec.get("kind")
+    if kind == "vacuum":
+        return FockState.vacuum()
+    if kind == "fock":
+        return FockState.fock(int(spec.get("k", 1)))
+    if kind == "coherent":
+        alpha = spec.get("alpha", 1.0)
+        if isinstance(alpha, list):
+            x, p = alpha
+            alpha = complex(x, p)
+        return coherent_state(alpha)
+    if kind == "thermal":
+        return thermal_state(float(spec.get("nbar", 1.0)))
+    if kind != "superposition":
+        raise ValueError("kind must be one of vacuum|fock|coherent|superposition|thermal")
+    beta = abs(complex(spec.get("beta", 1.0))) \
+        * np.exp(1j * float(spec.get("phase", 0.0)))
+    state = prepare_superposition(beta, float(spec.get("admixture", 0.0)))
+    eta = spec.get("loss_eta")
+    if eta is not None:
+        state = loss_channel(state, float(eta))
+    return state
 
 
 # -- simulation runs ---------------------------------------------------------
@@ -235,15 +242,13 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
                     extent: float) -> dict:
     """Simulate one run in batches; returns histogram, per-batch moments,
     optional shots."""
-    chain = AmplifierChain(gain=cfg.gain, noise=NoiseModel(cfg.nbar))
     hist = QuadratureHistogram(bins=cfg.bins, extent=extent)
     seed, sizes = [cfg.seed, stage], _batch_sizes(cfg.shots, cfg.batches)
-    if cfg.time_domain:
-        env = TemporalEnvelope(kappa=cfg.kappa, dt=cfg.dt, n_bins=cfg.time_bins)
-        batches = _time_domain_batches(state, env, chain, sizes, seed)
+    if cfg.envelope is not None:
+        batches = _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed)
     else:
         # sequential: a pool here costs more memory than it saves time
-        batches = (sample_detector(state, chain, size, seed=seed, stream=b)
+        batches = (sample_detector(state, cfg.chain, size, seed=seed, stream=b)
                    for b, size in enumerate(sizes))
     batch_moments: list[RawMomentMatrix] = []
     shots_kept: list[np.ndarray] = []
@@ -263,8 +268,7 @@ def auto_extent(cfg: ExperimentConfig) -> float:
     """Axis range from a pilot vacuum batch: 6x the vacuum-reference sigma."""
     if cfg.extent is not None:
         return cfg.extent
-    chain = AmplifierChain(gain=cfg.gain, noise=NoiseModel(cfg.nbar))
-    pilot = sample_detector(FockState.vacuum(), chain,
+    pilot = sample_detector(FockState.vacuum(), cfg.chain,
                             min(PILOT_SHOTS, max(cfg.shots, 1000)),
                             seed=[cfg.seed, STAGE_PILOT])
     return 6.0 * vacuum_sigma(pilot)
@@ -298,29 +302,24 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.monotonic()
     out_dir.mkdir(parents=True, exist_ok=True)
     extent = auto_extent(cfg)
-    state = build_state(cfg.state)
-    derived = {"extent": extent, "gain_true": cfg.gain, "nbar": cfg.nbar}
+    derived = {"extent": extent, "gain_true": cfg.chain.gain,
+               "nbar": cfg.chain.noise.nbar}
 
-    runs = [("signal", state, STAGE_SIGNAL)]
-    if cfg.emit_reference:
-        runs.append(("vacuum", FockState.vacuum(), STAGE_VACUUM))
+    runs = [("signal", cfg.state, STAGE_SIGNAL),
+            ("vacuum", FockState.vacuum(), STAGE_VACUUM)]
     if cfg.calibration is not None:
-        cal = cfg.calibration
-        beta = abs(complex(cal.get("beta", 1.0 / math.sqrt(2.0)))) \
-            * np.exp(1j * float(cal.get("phase", math.pi)))
-        cal_state = prepare_superposition(beta, float(cal.get("admixture", 0.0)))
-        runs.append(("calibration", cal_state, STAGE_CALIBRATION))
+        runs.append(("calibration", cfg.calibration, STAGE_CALIBRATION))
 
     for name, run_state, stage in runs:
         result = run_acquisition(run_state, cfg, stage, extent)
         serialize.save_histogram(out_dir / f"hist_{name}", result["hist"],
                                  meta={"seed": cfg.seed, "stage": stage,
-                                       "units": "detector", "gain": cfg.gain})
+                                       "units": "detector", "gain": cfg.chain.gain})
         serialize.save_batch_moments(out_dir / f"moments_{name}.json",
                                      result["batch_moments"])
         if cfg.store_shots:
             serialize.save_shots(out_dir / f"shots_{name}", result["shots"],
-                                 gain=cfg.gain)
+                                 gain=cfg.chain.gain)
         if name == "vacuum":
             sigma = vacuum_sigma(result["hist"])
             derived["sigma_vac"] = sigma
@@ -345,14 +344,14 @@ def _up_to_order(batches: list[RawMomentMatrix], order: int) -> list[RawMomentMa
 
 def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
                 order: int, out_path: Path) -> InversionReport:
+    _require(math.isfinite(gain) and gain > 0, "gain", f"must be a number > 0, got {gain}")
+    _require(order >= 1, "order", f"must be >= 1, got {order}")
     sig_batches = _load_run(signal_dir, "signal")
     vac_batches = _load_run(vacuum_dir, "vacuum")
     if sig_batches[0].order != vac_batches[0].order:
         raise DataError("signal and vacuum runs have different moment orders")
     if sig_batches[0].order < order:
         raise DataError(f"stored moments only go to order {sig_batches[0].order}")
-    if order < 1:
-        raise ConfigError("order must be >= 1")
     sig_batches = _up_to_order(sig_batches, order)
     vac_batches = _up_to_order(vac_batches, order)
     raw_signal = combine_batches(sig_batches)
@@ -410,6 +409,9 @@ def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path,
 
 def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,
                resolution: int) -> dict:
+    _require(math.isfinite(extent) and extent > 0, "extent",
+             f"must be a number > 0, got {extent}")
+    _require(resolution >= 1, "resolution", f"must be >= 1, got {resolution}")
     if not Path(report_path).exists():
         raise DataError(f"missing inversion report: {report_path}")
     report = serialize.load_report(report_path)
@@ -439,7 +441,7 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                 extent=3.0, resolution=121)
     summary = {
         "sigma_vac": derived.get("sigma_vac"),
-        "gain_true": cfg.gain,
+        "gain_true": cfg.chain.gain,
         "gain_estimate": calib["gain"],
         "gain_stderr": calib["gain_stderr"],
         "m11": report.moments.values[1, 1].real,
@@ -469,17 +471,13 @@ def _add_config_overrides(p: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args) -> dict:
-    ov: dict = {}
-    for key in ("seed", "shots", "order"):
-        ov[key] = getattr(args, key, None)
-    if getattr(args, "bins", None) is not None or getattr(args, "extent", None) is not None:
-        hist = {}
-        if args.bins is not None:
-            hist["bins"] = args.bins
-        if args.extent is not None:
-            hist["range"] = args.extent
+    """Flag values for parse_config; a block's flags merge into that block."""
+    ov = {key: getattr(args, key) for key in ("seed", "shots", "order")}
+    hist = {key: value for key, value in (("bins", args.bins), ("range", args.extent))
+            if value is not None}
+    if hist:
         ov["histogram"] = hist
-    if getattr(args, "time_domain", None):
+    if args.time_domain:
         ov["time_domain"] = {"enabled": True}
     return ov
 

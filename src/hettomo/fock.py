@@ -111,6 +111,7 @@ class NoiseModel:
     def __post_init__(self):
         if not math.isfinite(self.nbar) or self.nbar < 0:
             raise ValueError("mean thermal photon number must be >= 0")
+        object.__setattr__(self, "nbar", float(self.nbar))
 
     @classmethod
     def from_temperature(cls, temperature_k: float, frequency_hz: float,

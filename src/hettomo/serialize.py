@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .acquire import QuadratureHistogram, RawMomentMatrix
-from .fock import FockState
 from .moments import MomentMatrix
 from .simulate import ShotBatch
 from .tomo import InversionReport, WignerGrid
@@ -33,18 +32,6 @@ def matrix_to_json(values: np.ndarray) -> list:
 
 def matrix_from_json(rows) -> np.ndarray:
     return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
-
-
-# -- quantum states ----------------------------------------------------------
-
-def save_state(path, state: FockState) -> None:
-    doc = {"cutoff": state.cutoff, "rho": matrix_to_json(state.rho)}
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_state(path) -> FockState:
-    doc = json.loads(Path(path).read_text())
-    return FockState(matrix_from_json(doc["rho"]))
 
 
 # -- shot batches ------------------------------------------------------------
@@ -116,37 +103,7 @@ def load_histogram(prefix) -> QuadratureHistogram:
     return hist
 
 
-def histogram_to_csv(path, hist: QuadratureHistogram) -> None:
-    c = hist.centers()
-    with open(path, "w") as fh:
-        fh.write("x,p,count\n")
-        for i, x in enumerate(c):
-            for j, p in enumerate(c):
-                fh.write(f"{x:.9g},{p:.9g},{int(hist.counts[i, j])}\n")
-
-
 # -- moments and reports -----------------------------------------------------
-
-def save_raw_moments(path, moments: RawMomentMatrix,
-                     errors: np.ndarray | None = None) -> None:
-    doc = {
-        "order": moments.order,
-        "count": moments.count,
-        "provenance": moments.provenance,
-        "values": matrix_to_json(moments.values),
-    }
-    if errors is not None:
-        doc["errors"] = np.asarray(errors, dtype=float).tolist()
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_raw_moments(path) -> tuple[RawMomentMatrix, np.ndarray | None]:
-    doc = json.loads(Path(path).read_text())
-    raw = RawMomentMatrix(matrix_from_json(doc["values"]), count=doc["count"],
-                          provenance=doc["provenance"])
-    errors = np.array(doc["errors"]) if "errors" in doc else None
-    return raw, errors
-
 
 def save_batch_moments(path, batches: list[RawMomentMatrix]) -> None:
     doc = [{"count": b.count, "provenance": b.provenance,

@@ -27,6 +27,7 @@ class AmplifierChain:
     def __post_init__(self):
         if not (math.isfinite(self.gain) and self.gain > 0):
             raise ValueError("gain must be > 0")
+        object.__setattr__(self, "gain", float(self.gain))
 
 
 @dataclass(frozen=True)

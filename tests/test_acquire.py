@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import (QuadratureHistogram, RawMomentMatrix,
-                             StreamingMoments, batch_errors,
-                             difference_histogram, histogram_moments,
+                             StreamingMoments, batch_errors, histogram_moments,
                              streaming_moments, vacuum_sigma)
 from hettomo.fock import FockState, NoiseModel, prepare_superposition
 from hettomo.moments import moment_indices
@@ -182,26 +181,6 @@ class TestHistogramMoments:
     def test_empty_histogram_raises(self):
         with pytest.raises(ValueError):
             histogram_moments(QuadratureHistogram(16, 1.0))
-
-
-class TestDifferenceHistogram:
-    def test_sums_to_zero(self):
-        a = QuadratureHistogram(64, 5.0).add(gaussian_shots(50_000, 11))
-        b = QuadratureHistogram(64, 5.0).add(gaussian_shots(50_000, 12,
-                                                            mean=0.2))
-        d = difference_histogram(a, b)
-        assert float(d.sum()) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_runs_near_zero(self):
-        s = gaussian_shots(50_000, 13)
-        a = QuadratureHistogram(64, 5.0).add(s)
-        d = difference_histogram(a, a)
-        assert np.max(np.abs(d)) == 0.0
-
-    def test_rejects_binning_mismatch(self):
-        with pytest.raises(ValueError):
-            difference_histogram(QuadratureHistogram(64, 5.0),
-                                 QuadratureHistogram(64, 4.0))
 
 
 class TestVacuumSigma:

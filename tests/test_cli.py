@@ -39,7 +39,8 @@ class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config({"seed": 1, "shots": 100,
                             "state": {"kind": "vacuum"}})
-        assert cfg.gain == 1.0 and cfg.nbar == 0.0 and cfg.order == 4
+        assert cfg.chain.gain == 1.0 and cfg.chain.noise.nbar == 0.0
+        assert cfg.order == 4 and cfg.envelope is None and cfg.calibration is None
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -57,7 +58,7 @@ class TestParseConfig:
                           "state": {"kind": "vacuum"}})
 
     def test_unknown_state_kind(self):
-        with pytest.raises(ConfigError, match="state.kind"):
+        with pytest.raises(ConfigError, match="state: kind must be one of"):
             parse_config({"seed": 1, "shots": 100, "state": {"kind": "cat"}})
 
     def test_batches_bounded_by_shots(self):
@@ -66,17 +67,17 @@ class TestParseConfig:
                           "state": {"kind": "vacuum"}})
 
     def test_negative_gain(self):
-        with pytest.raises(ConfigError, match="amplifier.gain"):
+        with pytest.raises(ConfigError, match="amplifier: gain must be > 0"):
             parse_config({"seed": 1, "shots": 100,
                           "state": {"kind": "vacuum"},
-                          "amplifier": {"gain": -1.0}})
+                          "amplifier": {"gain": -1.0, "nbar": 0.0}})
 
     def test_nbar_from_temperature(self):
         cfg = parse_config({"seed": 1, "shots": 100,
                             "state": {"kind": "vacuum"},
                             "amplifier": {"gain": 1.0, "temperature_K": 21.0,
                                           "frequency_Hz": 6.77e9}})
-        assert cfg.nbar == pytest.approx(64.1, abs=0.5)
+        assert cfg.chain.noise.nbar == pytest.approx(64.1, abs=0.5)
 
     def test_overrides_take_precedence(self):
         cfg = parse_config({"seed": 1, "shots": 100,
@@ -110,8 +111,9 @@ class TestBuildState:
         assert state.rho[1, 1].real == pytest.approx(0.5)
 
     def test_invalid_parameters_become_config_errors(self):
-        with pytest.raises(ConfigError):
-            build_state({"kind": "superposition", "beta": 2.0})
+        with pytest.raises(ConfigError, match="state"):
+            parse_config({"seed": 1, "shots": 100,
+                          "state": {"kind": "superposition", "beta": 2.0}})
 
 
 class TestExitCodes:
@@ -138,6 +140,43 @@ class TestExitCodes:
             code = exc.code
         assert code == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block, value", [
+        ("time_domain", {"enabled": True, "kappa": 0.5}),
+        ("amplifier", {"temperature_K": -1, "frequency_Hz": 6e9}),
+        ("time_domain", {"enabled": True, "bins": "abc"}),
+        ("calibration", {"phase": "x"}),
+        ("state", {"kind": "coherent", "alpha": [1]}),
+        ("histogram", []),
+        ("time_domain", []),
+        ("state", {"kind": "fock", "k": 99}),
+    ])
+    def test_bad_config_block_is_2(self, tmp_path, capsys, block, value):
+        cfg = write_config(tmp_path, **{block: value})
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{block}: " in capsys.readouterr().err
+        assert not out.exists()     # refused before the pilot run
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", "--gain", "-1", "--order", "2"], "gain"),
+        (["wigner", "--resolution", "0"], "resolution"),
+        (["wigner", "--extent", "-1"], "extent"),
+    ])
+    def test_bad_flag_is_2(self, tmp_path, capsys, argv, flag):
+        # valid inputs, so only the flag is at fault
+        for name, s01, s11 in (("signal", 1.0, 3.0), ("vacuum", 0.0, 2.0)):
+            save_batch_moments(tmp_path / f"moments_{name}.json",
+                               [_order2_batch(s01, s11)] * 4)
+        save_report(tmp_path / "report.json", InversionReport(
+            moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
+            noise=noise_moments(NoiseModel(0.0), 4)))
+        inputs = {"analyze": ["--signal", str(tmp_path)],
+                  "wigner": ["--report", str(tmp_path / "report.json")]}
+        out = tmp_path / "out"
+        assert run([*argv, *inputs[argv[0]], "--out", str(out)]) == 2
+        assert f"{flag}: " in capsys.readouterr().err
+        assert not any(tmp_path.glob("out*"))
 
     def test_data_error_is_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -219,6 +258,33 @@ class TestSimulateCommand:
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "forced" / name).read_bytes(), name
+
+    def test_bins_flag_keeps_histogram_range(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, shots=1000, batches=1,
+                           histogram={"bins": 128, "range": 75.0})
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--bins", "8",
+                    "--out", str(out)]) == 0
+        header = json.loads((out / "hist_signal.json").read_text())
+        assert header["bins"] == 8 and header["extent"] == 75.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["histogram"] == {"bins": 8, "range": 75.0}
+
+    def test_time_domain_flag_keeps_block_settings(self, tmp_path, capsys):
+        block = {"kappa": 0.05, "bins": 200}
+        flagged = write_config(tmp_path, shots=1000, batches=1, time_domain=block)
+        assert run(["simulate", "--config", str(flagged), "--time-domain",
+                    "--out", str(tmp_path / "flag")]) == 0
+        enabled = {**block, "enabled": True}
+        manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
+        assert manifest["config"]["time_domain"] == enabled
+        (tmp_path / "enabled").mkdir()
+        cfg = write_config(tmp_path / "enabled", shots=1000, batches=1,
+                           time_domain=enabled)
+        assert run(["simulate", "--config", str(cfg),
+                    "--out", str(tmp_path / "enabled" / "run")]) == 0
+        assert (tmp_path / "flag" / "moments_signal.json").read_bytes() == \
+            (tmp_path / "enabled" / "run" / "moments_signal.json").read_bytes()
 
     def test_store_shots(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=1000, batches=2, store_shots=True)

@@ -8,12 +8,10 @@ import pytest
 from hettomo.acquire import QuadratureHistogram, streaming_moments
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           noise_moments, prepare_superposition)
-from hettomo.serialize import (histogram_to_csv, load_batch_moments,
-                               load_histogram, load_raw_moments, load_report,
-                               load_shots, load_state, matrix_from_json,
-                               matrix_to_json, save_batch_moments,
-                               save_histogram, save_raw_moments, save_report,
-                               save_shots, save_state, save_wigner)
+from hettomo.serialize import (load_batch_moments, load_histogram, load_report,
+                               load_shots, matrix_from_json, matrix_to_json,
+                               save_batch_moments, save_histogram, save_report,
+                               save_shots, save_wigner)
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (InversionReport, forward_moments, invert_moments,
                           reconstruct_wigner)
@@ -24,13 +22,6 @@ def test_matrix_json_round_trip():
     v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = matrix_from_json(json.loads(json.dumps(matrix_to_json(v))))
     assert np.array_equal(back, v)
-
-
-def test_state_round_trip(tmp_path):
-    state = prepare_superposition(0.6 + 0.2j, admixture_error=0.05)
-    save_state(tmp_path / "state.json", state)
-    back = load_state(tmp_path / "state.json")
-    assert np.array_equal(back.rho, state.rho)
 
 
 def test_shots_round_trip(tmp_path):
@@ -60,28 +51,6 @@ def test_histogram_round_trip(tmp_path):
     back = load_histogram(tmp_path / "hist")
     assert np.array_equal(back.counts, hist.counts)
     assert back.extent == hist.extent and back.overflow == hist.overflow
-
-
-def test_histogram_csv(tmp_path):
-    hist = QuadratureHistogram(bins=4, extent=2.0)
-    hist.add(np.array([0.5 + 0.5j]))
-    histogram_to_csv(tmp_path / "hist.csv", hist)
-    with open(tmp_path / "hist.csv") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 16
-    assert sum(int(r["count"]) for r in rows) == 1
-
-
-def test_raw_moments_round_trip(tmp_path):
-    chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
-    batch = sample_detector(FockState.vacuum(), chain, 2000, seed=7)
-    raw = streaming_moments(batch, order=4)
-    err = np.full((5, 5), 0.01)
-    save_raw_moments(tmp_path / "m.json", raw, errors=err)
-    back, back_err = load_raw_moments(tmp_path / "m.json")
-    assert np.array_equal(back.values, raw.values)
-    assert back.count == raw.count and back.provenance == raw.provenance
-    assert np.array_equal(back_err, err)
 
 
 def test_batch_moments_round_trip(tmp_path):
