@@ -2,7 +2,7 @@
 
 Digital counterpart of an on-the-fly hardware acquisition stage: 2D quadrature
 histograms, streaming (bin-free) moment accumulation, batch combination and
-bootstrap resampling, and batch-means error estimates.
+bootstrap resampling, and vacuum-width extraction.
 Histograms and accumulators are mergeable, so concurrent workers can fill
 private partials and combine them.
 """
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .moments import moment_indices
+from .moments import RawMomentMatrix, moment_indices
 from .simulate import ShotBatch
 
 DEFAULT_BINS = 1024
@@ -102,37 +101,6 @@ class QuadratureHistogram:
         if self.in_range == 0:
             raise ValueError("empty histogram")
         return self.counts / (self.in_range * self.bin_width ** 2)
-
-
-@dataclass(frozen=True)
-class RawMomentMatrix:
-    """Estimated detector moments s(n, m) = <(S*)^n S^m>, s(0,0) = 1."""
-
-    values: np.ndarray
-    count: int
-    provenance: str = "streaming"
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("moment matrix must be square")
-        if abs(values[0, 0] - 1.0) > 1e-9:
-            raise ValueError("s(0, 0) must be 1 after normalization")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if np.max(np.abs(values - values.conj().T)) > 1e-9 * scale:
-            raise ValueError("raw moments must be Hermitian-symmetric")
-        k = values.shape[0] - 1
-        n, m = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        values = np.where(n + m <= k, values, 0.0)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def order(self) -> int:
-        return self.values.shape[0] - 1
-
-    def __getitem__(self, nm: tuple[int, int]) -> complex:
-        return complex(self.values[nm])
 
 
 def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
@@ -272,23 +240,3 @@ def vacuum_sigma(data) -> float:
         warnings.warn("X and P variances differ by more than 3 standard "
                       "errors; input may not be a vacuum run", stacklevel=2)
     return math.sqrt(0.5 * (vx + vp))
-
-
-def batch_errors(batches, order: int = 4, n_batches: int = 100) -> np.ndarray:
-    """Standard error of each s(n, m) from the spread of per-batch estimates.
-
-    `batches` is either a sequence of ShotBatch/arrays (used as-is) or a
-    single batch that gets split into `n_batches` equal chunks.
-    """
-    if isinstance(batches, (ShotBatch, np.ndarray)):
-        s = _as_samples(batches)
-        if s.size < n_batches:
-            raise ValueError("not enough samples to form the requested batches")
-        batches = np.array_split(s, n_batches)
-    else:
-        batches = list(batches)
-    if len(batches) < 2:
-        raise ValueError("need at least two batches")
-    per_batch = np.array([streaming_moments(b, order).values for b in batches])
-    spread = np.sqrt(np.mean(np.abs(per_batch - per_batch.mean(axis=0)) ** 2, axis=0))
-    return spread / math.sqrt(len(batches) - 1)

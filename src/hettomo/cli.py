@@ -86,12 +86,44 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 
 @contextmanager
-def _block(name: str):
-    """Report what a constructor refuses as a ConfigError naming the config block."""
+def _block(name: str, error: type[Exception] = ConfigError):
+    """Report what a reader or constructor refuses as `error` (a ConfigError
+    by default, a DataError for stored files) naming the block or file."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+    except (ValueError, TypeError, LookupError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise error(f"{name}: {detail}") from exc
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
+          str: "a string"}
+_MANDATORY = object()
+
+
+def _typed(value, kind: type, key: str, lo=None, hi=None):
+    """`value` checked against JSON type `kind` and the bounds [lo, hi].
+
+    A bool is not a number, an integer serves where a float is wanted but
+    not the reverse, and numbers must be finite."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    ok = {bool: isinstance(value, bool), str: isinstance(value, str),
+          int: number and isinstance(value, int),
+          float: number and abs(value) <= sys.float_info.max}[kind]
+    if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{key} must be {_KINDS[kind]}{bounds}, got {json.dumps(value)}")
+    return float(value) if kind is float else value
+
+
+def _get(block: dict, key: str, kind: type, default=_MANDATORY, lo=None, hi=None):
+    """`block[key]` read with `_typed`; null passes only where null is the default."""
+    value = block[key] if key in block else default
+    if value is _MANDATORY:
+        raise ValueError(f"{key} is mandatory")
+    if value is None and default is None:
+        return None
+    return _typed(value, kind, key, lo, hi)
 
 
 def _object(doc: dict, key: str, default: dict) -> dict:
@@ -102,11 +134,12 @@ def _object(doc: dict, key: str, default: dict) -> dict:
 
 def _noise_model(amp: dict) -> NoiseModel:
     if "nbar" in amp:
-        return NoiseModel(amp["nbar"])
-    _require("temperature_K" in amp and "frequency_Hz" in amp,
-             "amplifier", "need either nbar or temperature_K + frequency_Hz")
-    return NoiseModel.from_temperature(amp["temperature_K"], amp["frequency_Hz"],
-                                       rayleigh_jeans=amp.get("rayleigh_jeans", False))
+        return NoiseModel(_get(amp, "nbar", float))
+    if "temperature_K" not in amp or "frequency_Hz" not in amp:
+        raise ValueError("need either nbar or temperature_K + frequency_Hz")
+    return NoiseModel.from_temperature(
+        _get(amp, "temperature_K", float), _get(amp, "frequency_Hz", float),
+        rayleigh_jeans=_get(amp, "rayleigh_jeans", bool, False))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -119,57 +152,42 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         if value is not None:
             doc[key] = value
     _require("seed" in doc, "seed", "is mandatory (no wall-clock default)")
-    _require(isinstance(doc["seed"], int) and not isinstance(doc["seed"], bool)
-             and doc["seed"] >= 0, "seed", "must be an integer >= 0")
-    _require("shots" in doc and isinstance(doc["shots"], int) and doc["shots"] >= 1,
-             "shots", "must be an integer >= 1")
+    with _block("config"):
+        seed = _get(doc, "seed", int, lo=0)
+        shots = _get(doc, "shots", int, lo=1)
+        batches = _get(doc, "batches", int, 100, lo=1, hi=shots)
+        order = _get(doc, "order", int, 4, lo=1, hi=8)
+        store_shots = _get(doc, "store_shots", bool, False)
     spec = _object(doc, "state", None)
     amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
     hist = _object(doc, "histogram", {})
-    bins = hist.get("bins", 1024)
-    _require(isinstance(bins, int) and bins >= 1, "histogram.bins",
-             "must be an integer >= 1")
-    extent = hist.get("range")
-    _require(extent is None or (isinstance(extent, (int, float)) and extent > 0),
-             "histogram.range", "must be null (auto) or a number > 0")
     td = _object(doc, "time_domain", {})
-    batches = doc.get("batches", 100)
-    _require(isinstance(batches, int) and 1 <= batches <= doc["shots"],
-             "batches", "must be an integer in [1, shots]")
-    order = doc.get("order", 4)
-    _require(isinstance(order, int) and 1 <= order <= 8, "order",
-             "must be an integer in [1, 8]")
     cal = doc.get("calibration")
     _require(cal is None or isinstance(cal, dict), "calibration", "must be an object")
 
     with _block("state"):
         state = build_state(spec)
     with _block("amplifier"):
-        chain = AmplifierChain(gain=amp.get("gain", 1.0), noise=_noise_model(amp))
+        chain = AmplifierChain(gain=_get(amp, "gain", float, 1.0), noise=_noise_model(amp))
+    with _block("histogram"):
+        bins = _get(hist, "bins", int, 1024, lo=1)
+        extent = _get(hist, "range", float, None)
+        if extent is not None and extent <= 0:
+            raise ValueError(f"range must be null (auto) or a number > 0, got {extent}")
     envelope = calibration = None
-    if td.get("enabled", False):
-        with _block("time_domain"):
-            envelope = TemporalEnvelope(kappa=float(td.get("kappa", 1.0 / 40.0)),
-                                        dt=float(td.get("dt", 1.0)),
-                                        n_bins=int(td.get("bins", 400)))
+    with _block("time_domain"):
+        if _get(td, "enabled", bool, False):
+            envelope = TemporalEnvelope(kappa=_get(td, "kappa", float, 1.0 / 40.0),
+                                        dt=_get(td, "dt", float, 1.0),
+                                        n_bins=_get(td, "bins", int, 400))
     if cal is not None:
         with _block("calibration"):
             calibration = build_state({"beta": 1.0 / math.sqrt(2.0), "phase": math.pi,
                                        **cal, "kind": "superposition"})
-    return ExperimentConfig(
-        seed=doc["seed"],
-        shots=doc["shots"],
-        state=state,
-        chain=chain,
-        order=order,
-        batches=batches,
-        bins=bins,
-        extent=None if extent is None else float(extent),
-        envelope=envelope,
-        calibration=calibration,
-        store_shots=bool(doc.get("store_shots", False)),
-        raw=doc,
-    )
+    return ExperimentConfig(seed=seed, shots=shots, state=state, chain=chain,
+                            order=order, batches=batches, bins=bins, extent=extent,
+                            envelope=envelope, calibration=calibration,
+                            store_shots=store_shots, raw=doc)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -183,28 +201,28 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def build_state(spec: dict) -> FockState:
-    kind = spec.get("kind")
+    kind = _get(spec, "kind", str, None)
     if kind == "vacuum":
         return FockState.vacuum()
     if kind == "fock":
-        return FockState.fock(int(spec.get("k", 1)))
+        return FockState.fock(_get(spec, "k", int, 1))
     if kind == "coherent":
         alpha = spec.get("alpha", 1.0)
-        if isinstance(alpha, list):
-            x, p = alpha
-            alpha = complex(x, p)
-        return coherent_state(alpha)
+        if not isinstance(alpha, list):
+            return coherent_state(_get(spec, "alpha", float, 1.0))
+        if len(alpha) != 2:
+            raise ValueError("alpha must be a number or a pair [x, p]")
+        x, p = (_typed(a, float, "alpha") for a in alpha)
+        return coherent_state(x + 1j * p)
     if kind == "thermal":
-        return thermal_state(float(spec.get("nbar", 1.0)))
+        return thermal_state(_get(spec, "nbar", float, 1.0))
     if kind != "superposition":
         raise ValueError("kind must be one of vacuum|fock|coherent|superposition|thermal")
-    beta = abs(complex(spec.get("beta", 1.0))) \
-        * np.exp(1j * float(spec.get("phase", 0.0)))
-    state = prepare_superposition(beta, float(spec.get("admixture", 0.0)))
-    eta = spec.get("loss_eta")
-    if eta is not None:
-        state = loss_channel(state, float(eta))
-    return state
+    phase = _get(spec, "phase", float, 0.0)
+    beta = abs(_get(spec, "beta", float, 1.0)) * np.exp(1j * phase)
+    state = prepare_superposition(beta, _get(spec, "admixture", float, 0.0))
+    eta = _get(spec, "loss_eta", float, None)
+    return state if eta is None else loss_channel(state, eta)
 
 
 # -- simulation runs ---------------------------------------------------------
@@ -334,7 +352,13 @@ def _load_run(run_dir: Path, name: str) -> list[RawMomentMatrix]:
     path = run_dir / f"moments_{name}.json"
     if not path.exists():
         raise DataError(f"missing {name} moments: {path}")
-    return serialize.load_batch_moments(path)
+    with _block(str(path), DataError):
+        batches = serialize.load_batch_moments(path)
+        if len({b.order for b in batches}) != 1:
+            raise ValueError("need one or more batches, all of one order")
+        for b in batches:
+            _typed(b.count, int, "count", lo=1)
+    return batches
 
 
 def _up_to_order(batches: list[RawMomentMatrix], order: int) -> list[RawMomentMatrix]:
@@ -414,7 +438,8 @@ def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,
     _require(resolution >= 1, "resolution", f"must be >= 1, got {resolution}")
     if not Path(report_path).exists():
         raise DataError(f"missing inversion report: {report_path}")
-    report = serialize.load_report(report_path)
+    with _block(str(report_path), DataError):
+        report = serialize.load_report(report_path)
     threshold = 0.1
     if report.errors is not None:
         # each diagonal m(n, n) is tested against its own error
@@ -519,11 +544,8 @@ def _manifest_gain(run_dir: Path) -> float:
     manifest = run_dir / "manifest.json"
     if not manifest.exists():
         raise DataError(f"no manifest in {run_dir}; pass --gain explicitly")
-    doc = json.loads(manifest.read_text())
-    gain = doc.get("derived", {}).get("gain_true")
-    if gain is None:
-        raise DataError("manifest carries no gain; pass --gain explicitly")
-    return float(gain)
+    with _block(str(manifest), DataError):
+        return _get(json.loads(manifest.read_text())["derived"], "gain_true", float)
 
 
 def run(argv=None) -> int:

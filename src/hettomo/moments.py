@@ -5,20 +5,22 @@ Conventions
 A moment matrix of order cap ``K`` stores complex entries ``m(n, m)`` for
 all ``0 <= n + m <= K``.  Entries with ``n + m > K`` are kept at zero and
 are not part of the contract.  The ordering tag distinguishes normally
-ordered signal moments ``<(a^dag)^n a^m>`` from antinormally ordered noise
-moments ``<h^n (h^dag)^m>``.
+ordered signal moments ``<(a^dag)^n a^m>``, antinormally ordered noise
+moments ``<h^n (h^dag)^m>`` and estimated detector moments
+``<(S*)^n S^m>``; all three pass the same checks on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 NORMAL = "normal"
 ANTINORMAL = "antinormal"
+DETECTOR = "detector"
 
-_ORDERINGS = (NORMAL, ANTINORMAL)
+_ORDERINGS = (NORMAL, ANTINORMAL, DETECTOR)
 
 
 def moment_indices(order: int) -> list[tuple[int, int]]:
@@ -40,10 +42,12 @@ def hermitize(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Exact/analytic moment matrix of a single bosonic mode.
+    """Moment matrix of a single bosonic mode.
 
-    ``values[n, m]`` is ``<(a^dag)^n a^m>`` for normal ordering or
-    ``<h^n (h^dag)^m>`` for antinormal ordering.
+    ``values[n, m]`` is ``<(a^dag)^n a^m>`` for normal ordering,
+    ``<h^n (h^dag)^m>`` for antinormal ordering or ``<(S*)^n S^m>`` for
+    detector moments.  It must be square and finite with m(0, 0) = 1, a real
+    diagonal and Hermitian symmetry; entries above the order cap are zeroed.
     """
 
     values: np.ndarray
@@ -60,10 +64,10 @@ class MomentMatrix:
         scale = max(1.0, float(np.max(np.abs(values))))
         if abs(values[0, 0] - 1.0) > 1e-9:
             raise ValueError("m(0, 0) must be 1")
-        if np.max(np.abs(values - np.conj(values.T))) > 1e-9 * scale:
-            raise ValueError("moment matrix must be Hermitian-symmetric")
         if np.max(np.abs(np.diag(values).imag)) > 1e-9 * scale:
             raise ValueError("diagonal moments must be real")
+        if np.max(np.abs(values - np.conj(values.T))) > 1e-9 * scale:
+            raise ValueError("moment matrix must be Hermitian-symmetric")
         # entries above the order cap are not part of the contract
         k = values.shape[0] - 1
         n, m = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
@@ -81,13 +85,18 @@ class MomentMatrix:
             raise IndexError(f"moment ({n}, {m}) above order cap {self.order}")
         return complex(self.values[n, m])
 
-    def indices(self) -> list[tuple[int, int]]:
-        return moment_indices(self.order)
-
     def rotated(self, phi: float) -> "MomentMatrix":
         """Phase rotation a -> a e^{i phi}: m(n, m) -> e^{i(m-n) phi} m(n, m)."""
         k = self.order
         n, m = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        return MomentMatrix(hermitize(self.values * np.exp(1j * (m - n) * phi)),
-                            ordering=self.ordering)
+        return replace(self, values=hermitize(self.values * np.exp(1j * (m - n) * phi)))
+
+
+@dataclass(frozen=True, kw_only=True)
+class RawMomentMatrix(MomentMatrix):
+    """Estimated detector moments s(n, m) = <(S*)^n S^m> of `count` shots."""
+
+    ordering: str = field(default=DETECTOR, init=False)
+    count: int
+    provenance: str = "streaming"
 

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .acquire import QuadratureHistogram, RawMomentMatrix
-from .moments import MomentMatrix
+from .acquire import QuadratureHistogram
+from .moments import MomentMatrix, RawMomentMatrix
 from .simulate import ShotBatch
 from .tomo import InversionReport, WignerGrid
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .acquire import RawMomentMatrix, resample_batches
-from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
+from .acquire import resample_batches
+from .moments import (ANTINORMAL, NORMAL, MomentMatrix, RawMomentMatrix, hermitize,
+                      moment_indices)
 
 WIGNER_KERNEL_MAX_ORDER = 8
 
@@ -38,10 +39,13 @@ class InversionReport:
             raise ValueError("recovered moments must be normally ordered")
         if self.noise.ordering != ANTINORMAL:
             raise ValueError("noise moments must be antinormally ordered")
+        if not 0 < self.gain < math.inf:
+            raise ValueError("gain must be finite and > 0")
         if self.errors is not None:
             errors = np.asarray(self.errors, dtype=float)
-            if np.any(errors < 0) or not np.all(np.isfinite(errors)):
-                raise ValueError("errors must be finite and >= 0")
+            if errors.shape != self.moments.values.shape \
+                    or np.any(errors < 0) or not np.all(np.isfinite(errors)):
+                raise ValueError("errors must be finite, >= 0 and one per moment")
             errors.setflags(write=False)
             object.__setattr__(self, "errors", errors)
 

@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from hettomo.acquire import (QuadratureHistogram, RawMomentMatrix,
-                             StreamingMoments, batch_errors, histogram_moments,
-                             streaming_moments, vacuum_sigma)
+from hettomo.acquire import (QuadratureHistogram, StreamingMoments,
+                             histogram_moments, streaming_moments, vacuum_sigma)
 from hettomo.fock import FockState, NoiseModel, prepare_superposition
-from hettomo.moments import moment_indices
+from hettomo.moments import RawMomentMatrix, moment_indices
 from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
 
@@ -111,6 +110,17 @@ class TestRawMomentMatrix:
         with pytest.raises(ValueError):
             RawMomentMatrix(v, count=1)
 
+    @pytest.mark.parametrize("n, m, value, message", [
+        (1, 1, np.nan, "non-finite"),
+        (0, 1, np.nan, "non-finite"),
+        (1, 1, 2.0 + 0.5j, "diagonal moments must be real"),
+    ])
+    def test_rejects_non_finite_and_complex_diagonal(self, n, m, value, message):
+        v = np.eye(3, dtype=complex)
+        v[n, m], v[m, n] = value, np.conj(value)
+        with pytest.raises(ValueError, match=message):
+            RawMomentMatrix(v, count=1)
+
     def test_zeros_above_order_cap(self):
         v = np.ones((3, 3), dtype=complex)
         r = RawMomentMatrix(v, count=1)
@@ -198,28 +208,3 @@ class TestVacuumSigma:
         s = 2.0 * rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
         with pytest.warns(UserWarning, match="variances differ"):
             vacuum_sigma(s)
-
-
-class TestBatchErrors:
-    def test_errors_scale_as_inverse_root_n(self):
-        small = batch_errors(gaussian_shots(40_000, 17), order=2, n_batches=50)
-        big = batch_errors(gaussian_shots(160_000, 18), order=2, n_batches=50)
-        ratio = small[1, 1] / big[1, 1]
-        assert ratio == pytest.approx(2.0, rel=0.3)
-
-    def test_covers_true_moment(self):
-        batch = sample_detector(FockState.fock(1), CHAIN, 100_000, seed=19)
-        est = streaming_moments(batch, order=2)
-        err = batch_errors(batch, order=2, n_batches=100)
-        truth = CHAIN.gain * (1.0 + 65.0)  # G (<a^dag a> + nbar + 1)
-        assert abs(est[1, 1] - truth) < 4.0 * err[1, 1]
-
-    def test_accepts_batch_sequence(self):
-        batches = [gaussian_shots(1000, seed=(20, i)) for i in range(10)]
-        err = batch_errors(batches, order=2)
-        assert err.shape == (3, 3)
-        assert err[1, 1] > 0
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            batch_errors(gaussian_shots(50, 21), order=2, n_batches=100)

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from hettomo import cli
-from hettomo.acquire import RawMomentMatrix
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
+from hettomo.moments import RawMomentMatrix
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
 from hettomo.tomo import InversionReport
@@ -71,6 +72,19 @@ class TestParseConfig:
             parse_config({"seed": 1, "shots": 100,
                           "state": {"kind": "vacuum"},
                           "amplifier": {"gain": -1.0, "nbar": 0.0}})
+
+    @pytest.mark.parametrize("block, value, expected", [
+        ("amplifier", {"gain": 100, "nbar": 0}, (100.0, 0.0)),
+        ("histogram", {"range": 5}, 5.0),
+        ("histogram", {"range": None}, None),
+    ])
+    def test_integers_serve_as_numbers_and_null_range_means_auto(self, block, value,
+                                                                 expected):
+        cfg = parse_config({"seed": 1, "shots": 100, "state": {"kind": "vacuum"},
+                            block: value})
+        read = (cfg.chain.gain, cfg.chain.noise.nbar) if block == "amplifier" \
+            else cfg.extent
+        assert repr(read) == repr(expected)     # numbers come back as floats
 
     def test_nbar_from_temperature(self):
         cfg = parse_config({"seed": 1, "shots": 100,
@@ -150,9 +164,30 @@ class TestExitCodes:
         ("histogram", []),
         ("time_domain", []),
         ("state", {"kind": "fock", "k": 99}),
+        # wrong JSON types: a bool is not a number, a float not an integer,
+        # a string not a number or a switch, and numbers must be finite
+        ("config", {"shots": True}),
+        ("config", {"order": True}),
+        ("config", {"batches": True}),
+        ("histogram", {"bins": True}),
+        ("histogram", {"range": True}),
+        ("amplifier", {"gain": True, "nbar": 1.0}),
+        ("amplifier", {"gain": 100.0, "nbar": True}),
+        ("time_domain", {"enabled": "false"}),
+        ("config", {"store_shots": "false"}),
+        ("state", {"kind": "fock", "k": 1.7}),
+        ("time_domain", {"enabled": True, "bins": 400.7}),
+        ("time_domain", {"enabled": True, "kappa": "0.025"}),
+        ("state", {"kind": "superposition", "beta": "0.5"}),
+        ("calibration", {"beta": "0.5"}),
+        ("calibration", {"admixture": "0.1"}),
+        ("state", {"kind": "thermal", "nbar": "0.5"}),
+        ("histogram", {"range": math.inf}),
+        ("time_domain", {"enabled": True, "kappa": math.nan}),
     ])
     def test_bad_config_block_is_2(self, tmp_path, capsys, block, value):
-        cfg = write_config(tmp_path, **{block: value})
+        # "config" names the top level: its keys are set directly
+        cfg = write_config(tmp_path, **(value if block == "config" else {block: value}))
         out = tmp_path / "out"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         assert f"{block}: " in capsys.readouterr().err
@@ -176,6 +211,44 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run([*argv, *inputs[argv[0]], "--out", str(out)]) == 2
         assert f"{flag}: " in capsys.readouterr().err
+        assert not any(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("argv, name, corrupt", [
+        (["calibrate", "--signal", "."], "moments_calibration.json",
+         lambda doc: doc[3]["values"][1].__setitem__(1, [math.nan, 0.0])),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_vacuum.json",
+         lambda doc: doc[0]["values"][0].__setitem__(1, [0.5, 0.0])),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc["moments"][1].__setitem__(1, [math.nan, 0.0])),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc["errors"][1].__setitem__(1, -0.1)),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.pop("noise_moments")),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("errors", doc["errors"][:3])),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("gain", "1.0")),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json", lambda doc: doc[2].__setitem__("count", 0)),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json", lambda doc: doc.clear()),
+    ])
+    def test_corrupt_stored_file_is_3(self, tmp_path, capsys, monkeypatch, argv, name,
+                                      corrupt):
+        for run_name, s01, s11 in (("signal", 1.0, 3.0), ("calibration", 1.0, 3.0),
+                                   ("vacuum", 0.0, 2.0)):
+            save_batch_moments(tmp_path / f"moments_{run_name}.json",
+                               [_order2_batch(s01, s11)] * 20)
+        save_report(tmp_path / "report.json", InversionReport(
+            moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
+            noise=noise_moments(NoiseModel(0.0), 4), errors=np.full((5, 5), 0.01)))
+        doc = json.loads((tmp_path / name).read_text())
+        corrupt(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        assert run([*argv, "--out", "out"]) == 3
+        assert f"{name}: " in capsys.readouterr().err
         assert not any(tmp_path.glob("out*"))
 
     def test_data_error_is_3(self, tmp_path, capsys):
@@ -416,6 +489,19 @@ def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):
 
 
 REPO = Path(__file__).resolve().parents[1]
+
+
+def test_readme_config_and_state_kinds_parse():
+    # the README's example config and every state.kind it lists must pass the
+    # config reader, so a README edit that the reader would refuse fails here
+    section = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert parse_config(example).calibration is not None
+    kinds = re.search(r"`state\.kind` is one of `([^`]*)`", section).group(1)
+    kinds = re.split(r"[\s|]+", kinds.strip())
+    assert "superposition" in kinds
+    for kind in kinds:
+        assert parse_config({**example, "state": {"kind": kind}}).state is not None
 
 
 def _console_script_target() -> str:

@@ -54,6 +54,12 @@ class TestForwardMoments:
         with pytest.raises(ValueError):
             forward_moments(m, m, 1.0)
 
+    def test_rejects_detector_moments_as_signal(self):
+        noise = noise_moments(NoiseModel(2.0), 4)
+        raw = forward_moments(analytic_moments(FockState.vacuum(), 4), noise, 100.0)
+        with pytest.raises(ValueError, match="expected normal signal"):
+            forward_moments(raw, noise, 100.0)
+
 
 @pytest.mark.parametrize("k, expected", [(1, (3.0, 16.0)), (0, (2.0, 8.0))])
 def test_fock_power_moments_match_trace_oracle(k, expected):
