@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .moments import RawMomentMatrix, moment_indices
 from .simulate import ShotBatch
@@ -117,8 +116,11 @@ def resample_batches(runs: list[list[RawMomentMatrix]], n_boot: int,
 
     Each replica draws every run's batches with replacement, one run after
     the other, from `default_rng(SeedSequence(seed))` and combines them with
-    `combine_batches`; replica b is a tuple with one entry per run.
+    `combine_batches`; replica b is a tuple with one entry per run. A run of
+    one batch would give every replica the same value, so it is refused.
     """
+    if min(len(run) for run in runs) < 2:
+        raise ValueError("bootstrap needs at least two batches in each run")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return [tuple(combine_batches([run[k] for k in rng.integers(0, len(run), len(run))])
                   for run in runs)
@@ -201,10 +203,6 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMat
     return RawMomentMatrix(values, count=hist.in_range, provenance="histogram")
 
 
-def _gaussian(x, amp, sigma):
-    return amp * np.exp(-0.5 * (x / sigma) ** 2)
-
-
 def vacuum_sigma(data) -> float:
     """Per-quadrature width of a vacuum-reference run (X and P pooled)."""
     if isinstance(data, QuadratureHistogram):
@@ -217,17 +215,12 @@ def vacuum_sigma(data) -> float:
         quad_weights = np.concatenate([marg_x, marg_p])
         mean = np.average(quad_values, weights=quad_weights)
         sigma = math.sqrt(np.average((quad_values - mean) ** 2, weights=quad_weights))
-        # cross-check against a Gaussian fit of the pooled marginal
-        pooled = marg_x + marg_p
-        try:
-            popt, _ = curve_fit(_gaussian, c, pooled,
-                                p0=[float(pooled.max()), sigma])
-            if abs(abs(popt[1]) - sigma) > 0.01 * sigma:
-                warnings.warn("Gaussian fit width deviates from sample width "
-                              "by more than 1%; data may be non-Gaussian",
-                              stacklevel=2)
-        except RuntimeError:
-            warnings.warn("Gaussian fit did not converge", stacklevel=2)
+        # bins of width w add w^2/12 to each variance, so sigma reads high by
+        # about w^2/(24 sigma^2) (Sheppard's correction); warn above 1%
+        if data.bin_width ** 2 > 0.24 * sigma ** 2:
+            warnings.warn(f"histogram bins of width {data.bin_width:.3g} widen "
+                          f"sigma {sigma:.3g} by w^2/(24 sigma^2) > 1%; "
+                          "use more bins", stacklevel=2)
         return sigma
     s = _as_samples(data)
     if s.size < 2:

@@ -180,6 +180,10 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
             envelope = TemporalEnvelope(kappa=_get(td, "kappa", float, 1.0 / 40.0),
                                         dt=_get(td, "dt", float, 1.0),
                                         n_bins=_get(td, "bins", int, 400))
+    # the largest draw of a batch, 2 normals per shot and time bin, must be indexable
+    draws = -(-shots // batches) * 2 * (envelope.n_bins if envelope else 1)
+    _require(draws <= np.iinfo(np.intp).max, "config", f"shots {shots} in {batches} "
+             f"batches need {draws} noise draws per batch, more than numpy can index")
     if cal is not None:
         with _block("calibration"):
             calibration = build_state({"beta": 1.0 / math.sqrt(2.0), "phase": math.pi,
@@ -407,16 +411,16 @@ def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path,
         if (super_dir / "moments_calibration.json").exists() \
         else _load_run(super_dir, "signal")
     vac_batches = _load_run(vacuum_dir, "vacuum")
-    replicas = resample_batches([sup_batches, vac_batches], n_boot,
-                                seed=[seed, 0xCA1])
     estimates, failed = [], 0
-    for sup, vac in replicas:
-        try:
-            estimates.append(estimate_gain(sup, vac))
-        except ValueError:
-            failed += 1
-    m1_err = float(np.std([abs(sup.values[0, 1]) for sup, _ in replicas]))
     try:
+        replicas = resample_batches([sup_batches, vac_batches], n_boot,
+                                    seed=[seed, 0xCA1])
+        for sup, vac in replicas:
+            try:
+                estimates.append(estimate_gain(sup, vac))
+            except ValueError:
+                failed += 1
+        m1_err = float(np.std([abs(sup.values[0, 1]) for sup, _ in replicas]))
         gain = estimate_gain(combine_batches(sup_batches),
                              combine_batches(vac_batches), m1_error=m1_err)
     except ValueError as exc:
@@ -457,6 +461,8 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     t0 = time.monotonic()
     if cfg.calibration is None:
         raise ConfigError("calibration: block is required for full-run")
+    _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
+             f"bootstrap resamples batches, got {cfg.batches}")
     out_dir.mkdir(parents=True, exist_ok=True)
     derived = cmd_simulate(cfg, out_dir)
     calib = cmd_calibrate(out_dir, out_dir, out_dir / "calibration.json")

@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import h as PLANCK, k as BOLTZMANN
 from scipy.special import eval_genlaguerre
 
 from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
 
 DEFAULT_CUTOFF = 8
+
+# exact in the SI since 2019
+PLANCK = 6.62607015e-34     # J s
+BOLTZMANN = 1.380649e-23    # J / K
 
 _TRACE_TOL = 1e-12
 _HERM_TOL = 1e-12

@@ -77,10 +77,8 @@ class ShotBatch:
 
 
 def stream_rng(seed, *path: int) -> np.random.Generator:
-    """Deterministic RNG stream derived from (seed, *path) via SeedSequence."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(np.random.SeedSequence(
-            entropy=seed.entropy, spawn_key=tuple(seed.spawn_key) + tuple(path)))
+    """Deterministic RNG stream derived from (seed, *path) via SeedSequence;
+    `seed` is an integer or a sequence of integers."""
     entropy = list(seed) if isinstance(seed, (tuple, list)) else [seed]
     return np.random.default_rng(np.random.SeedSequence(entropy + list(path)))
 

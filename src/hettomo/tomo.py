@@ -171,8 +171,6 @@ def bootstrap_errors(signal_batches: list[RawMomentMatrix],
     Resamples both runs' batches with replacement (`resample_batches`),
     inverts every replica and reports the per-entry spread.
     """
-    if len(signal_batches) < 2 or len(vacuum_batches) < 2:
-        raise ValueError("need at least two batches on each side")
     _check_orders(*signal_batches, *vacuum_batches)
     replicas = resample_batches([signal_batches, vacuum_batches], n_boot,
                                 seed=[seed, 0xB007])

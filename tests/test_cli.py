@@ -43,6 +43,14 @@ class TestParseConfig:
         assert cfg.chain.gain == 1.0 and cfg.chain.noise.nbar == 0.0
         assert cfg.order == 4 and cfg.envelope is None and cfg.calibration is None
 
+    def test_largest_batch_numpy_can_index_parses(self):
+        # a batch draws 2 normals per shot; one more shot cannot be indexed
+        largest = np.iinfo(np.intp).max // 2
+        doc = {"seed": 1, "shots": largest, "batches": 1, "state": {"kind": "vacuum"}}
+        assert parse_config(doc).shots == largest
+        with pytest.raises(ConfigError, match="config: shots"):
+            parse_config({**doc, "shots": largest + 1})
+
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({"shots": 100, "state": {"kind": "vacuum"}})
@@ -184,6 +192,10 @@ class TestExitCodes:
         ("state", {"kind": "thermal", "nbar": "0.5"}),
         ("histogram", {"range": math.inf}),
         ("time_domain", {"enabled": True, "kappa": math.nan}),
+        # a batch's noise draw that numpy cannot index; at 2**54 shots only the
+        # time-domain record's 2 x 400 normals per shot are too many
+        ("config", {"shots": 10 ** 30, "batches": 1}),
+        ("config", {"shots": 2 ** 54, "batches": 1, "time_domain": {"enabled": True}}),
     ])
     def test_bad_config_block_is_2(self, tmp_path, capsys, block, value):
         # "config" names the top level: its keys are set directly
@@ -270,6 +282,23 @@ class TestExitCodes:
         assert run(["full-run", "--config", str(cfg),
                     "--out", str(tmp_path / "out")]) == 2
 
+    def test_full_run_needs_two_batches(self, tmp_path, capsys):
+        # one batch gives every bootstrap replica the same value
+        cfg = write_config(tmp_path, batches=1, calibration={})
+        out = tmp_path / "out"
+        assert run(["full-run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config: batches" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_on_one_batch_is_4(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, shots=2000, batches=1, calibration={})
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["calibrate", "--signal", str(out),
+                    "--out", str(tmp_path / "cal.json")]) == 4
+        assert "at least two batches" in capsys.readouterr().err
+        assert not (tmp_path / "cal.json").exists()
+
 
 class TestSimulateCommand:
     def test_artifacts_and_manifest(self, tmp_path, capsys):
@@ -336,8 +365,10 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, shots=1000, batches=1,
                            histogram={"bins": 128, "range": 75.0})
         out = tmp_path / "run"
-        assert run(["simulate", "--config", str(cfg), "--bins", "8",
-                    "--out", str(out)]) == 0
+        # 8 bins over +-7.5 sigma widen sigma_vac by about 15%
+        with pytest.warns(UserWarning, match="bins of width"):
+            assert run(["simulate", "--config", str(cfg), "--bins", "8",
+                        "--out", str(out)]) == 0
         header = json.loads((out / "hist_signal.json").read_text())
         assert header["bins"] == 8 and header["extent"] == 75.0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -539,6 +570,16 @@ def test_console_entry_point_help():
     installed = shutil.which("hettomo")
     if installed:
         _assert_help([installed])
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_constants():
+    probe = ("import sys, hettomo.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.optimize', 'scipy.constants'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_dash_m_help():

@@ -155,6 +155,12 @@ class TestNoiseModel:
         rj = NoiseModel.from_temperature(21.0, 6.77e9, rayleigh_jeans=True)
         assert rj.nbar == pytest.approx(be.nbar, rel=0.01)
 
+    def test_exact_si_constants_keep_occupations_bit_for_bit(self):
+        # h and k_B are exact in the SI; these are the values scipy.constants gave
+        assert NoiseModel.from_temperature(21.0, 6.77e9).nbar == 64.13481983080844
+        assert NoiseModel.from_temperature(
+            21.0, 6.77e9, rayleigh_jeans=True).nbar == 64.63353051549174
+
     def test_rejects_negative_nbar(self):
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
