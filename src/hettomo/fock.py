@@ -22,7 +22,6 @@ PLANCK = 6.62607015e-34     # J s
 BOLTZMANN = 1.380649e-23    # J / K
 
 _TRACE_TOL = 1e-12
-_HERM_TOL = 1e-12
 _EIG_TOL = -1e-10
 _THERMAL_TAIL_TOL = 1e-6
 
@@ -76,6 +75,11 @@ class FockState:
                          np.max(np.abs(self.rho), axis=1))
         occupied = np.nonzero(mag > 1e-14)[0]
         return int(occupied[-1]) if occupied.size else 0
+
+    def trimmed(self) -> "FockState":
+        """Same state on levels 0 .. support() only, renormalized."""
+        rho = self.rho[: self.support() + 1, : self.support() + 1]
+        return FockState(rho / np.trace(rho).real, profile=self.profile)
 
     def padded(self, extra: int) -> "FockState":
         """Same state embedded in a Fock space with `extra` more levels."""
@@ -236,20 +240,23 @@ def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
 def husimi_q(state: FockState, alpha) -> np.ndarray | float:
     """Husimi Q function <alpha|rho|alpha>/pi; non-negative, integrates to 1."""
     alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    flat = alpha_arr.ravel()
-    # v[k] = <k|alpha> e^{|alpha|^2/2} = alpha^k / sqrt(k!), by recurrence
-    v = np.empty((state.dim, flat.size), dtype=complex)
-    v[0] = 1.0
+    flat, rho = alpha_arr.ravel(), state.rho
+    # <alpha|rho|alpha> e^{|alpha|^2} = sum_k rho_kk |v_k|^2 + 2 Re sum_{j<k} rho_jk v_j* v_k
+    # without BLAS; v_0 = 1, v_k = <k|alpha> e^{|alpha|^2/2} = alpha^k/sqrt(k!) = a[k] + i b[k]
+    a, b = [None, flat.real.copy()], [None, flat.imag.copy()]
+    for k in range(2, state.dim):
+        a.append((a[-1] * a[1] - b[-1] * b[1]) / math.sqrt(k))
+        b.append((a[-2] * b[1] + b[-1] * a[1]) / math.sqrt(k))
+    q = np.full(flat.shape, rho[0, 0].real)
     for k in range(1, state.dim):
-        v[k] = v[k - 1] * flat / math.sqrt(k)
-    # one einsum loop, not `rho @ v`: a BLAS matmul this wide wakes OpenBLAS's
-    # worker threads, which keep spinning between calls and make timings erratic
-    q = np.einsum("in,ij,jn->n", v.conj(), state.rho, v).real
+        c = 2.0 * rho[0, k]
+        q += rho[k, k].real * (a[k] * a[k] + b[k] * b[k]) + c.real * a[k] - c.imag * b[k]
+        for j in range(1, k):
+            c = 2.0 * rho[j, k]
+            q += c.real * (a[j] * a[k] + b[j] * b[k]) - c.imag * (a[j] * b[k] - b[j] * a[k])
     q *= np.exp(-(flat.real ** 2 + flat.imag ** 2)) / np.pi
     q = np.maximum(q, 0.0).reshape(alpha_arr.shape)
-    if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
-        return float(q.reshape(-1)[0])
-    return q
+    return float(q.reshape(-1)[0]) if np.ndim(alpha) == 0 else q
 
 
 def wigner_oracle(state: FockState, alpha) -> np.ndarray | float:
@@ -270,9 +277,7 @@ def wigner_oracle(state: FockState, alpha) -> np.ndarray | float:
             # rho_nm (-1)^n <m|D|n> plus its conjugate, the (m, n) term
             w += (-1) ** n * (1 if m == n else 2) * (state.rho[n, m] * d).real
     w = ((2.0 / np.pi) * np.exp(-0.5 * x) * w).reshape(alpha_arr.shape)
-    if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
-        return float(w.reshape(-1)[0])
-    return w
+    return float(w.reshape(-1)[0]) if np.ndim(alpha) == 0 else w
 
 
 def loss_channel(state: FockState, eta: float) -> FockState:

@@ -5,6 +5,11 @@ the signal mode's Husimi Q function and nu is the complex Gaussian noise
 added by the amplifier chain (total variance nbar_h, i.e. nbar_h/2 per
 quadrature).  For vacuum input the per-quadrature variance of S is
 G (1 + nbar_h) / 2.
+
+The noise is a beam splitter with a thermal mode: alpha + nu has the law of
+sqrt(1 + nbar_h) beta, beta ~ Q of loss_channel(rho, 1 / (1 + nbar_h)) (Leonhardt,
+Measuring the Quantum State of Light, 1997).  States without an exact Q sampler
+are drawn so, in one rejection pass; exact samplers draw nu on stream (seed, stream, 1).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockState, NoiseModel, husimi_q
+from .fock import FockState, NoiseModel, husimi_q, loss_channel
 
 
 @dataclass(frozen=True)
@@ -93,29 +98,36 @@ def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np
     return arr.view(complex)
 
 
-def _envelope_candidates(rng: np.random.Generator, n: int, support: int,
-                         lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """n i.i.d. draws from the equal-weight mixture of the Fock Q functions j = 0..K
+def _envelope_weights(rho: np.ndarray) -> np.ndarray:
+    """Weights w_j of the smaller of two proved envelopes sum_j w_j |<j|alpha>|^2 / pi
+    >= Q(alpha): rho <= lambda_max 1, and rho <= D = diag(sum_k |rho_jk|) because
+    D - rho is Hermitian and diagonally dominant. Acceptance is 1 / sum_j w_j."""
+    lam = np.full(len(rho), np.linalg.eigvalsh(rho)[-1])
+    return min(lam, np.abs(rho).sum(axis=1), key=np.sum)
+
+
+def _envelope_candidates(rng: np.random.Generator, n: int,
+                         weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """n i.i.d. draws from the w-weighted mixture of the Fock Q functions j = 0..K
     (a vacuum draw stretched radially to |alpha|^2 ~ Gamma(j+1)), and at each the
-    envelope lam <alpha|P_K|alpha>/pi >= Q(alpha), lam (K+1) times that density."""
+    envelope sum_j w_j |<j|alpha>|^2 / pi, sum_j w_j times that density."""
     z = _complex_normal(rng, n, 0.5)
-    j = rng.integers(0, support + 1, n)
+    j = rng.choice(len(weights), n, p=weights / weights.sum())
     r2 = z2 = z.real ** 2 + z.imag ** 2
-    for k, extra in enumerate(rng.standard_exponential((support, n)), start=1):
+    for k, extra in enumerate(rng.standard_exponential((len(weights) - 1, n)), start=1):
         r2 = r2 + np.where(j >= k, extra, 0.0)
-    poly = sum(r2 ** k / math.factorial(k) for k in range(support + 1))
-    return z * np.sqrt(r2 / z2), (lam / np.pi) * np.exp(-r2) * poly
+    poly = sum(w * r2 ** k / math.factorial(k) for k, w in enumerate(weights))
+    return z * np.sqrt(r2 / z2), np.exp(-r2) * poly / np.pi
 
 
 def _sample_q_rejection(state: FockState, n: int, rng: np.random.Generator) -> np.ndarray:
-    dim = state.support() + 1
-    trimmed = FockState(state.rho[:dim, :dim] / np.trace(state.rho[:dim, :dim]).real)
-    lam = float(np.linalg.eigvalsh(trimmed.rho)[-1])
-    bound = lam * dim  # 1 / acceptance
-    parts, filled = [], 0
+    trimmed = state.trimmed()
+    weights = _envelope_weights(trimmed.rho)
+    parts, filled, accept = [], 0, 1.0 / weights.sum()
     while filled < n:
-        draw = max(1000, int((n - filled) * bound * 1.1))
-        cand, envelope = _envelope_candidates(rng, draw, dim - 1, lam)
+        need = n - filled   # candidates for the expected count plus four binomial sigmas
+        draw = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - accept))) / accept)
+        cand, envelope = _envelope_candidates(rng, draw, weights)
         parts.append(cand[rng.random(draw) * envelope < husimi_q(trimmed, cand)])
         filled += parts[-1].size
     # candidates stay in draw order, so the first n accepted are i.i.d.
@@ -147,15 +159,15 @@ def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
 
 def sample_detector(state: FockState, chain: AmplifierChain, n: int,
                     seed, stream: int = 0) -> ShotBatch:
-    """Detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    """Detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise; a state
+    without an exact sampler is drawn in one pass (see the module docstring)."""
+    nbar = chain.noise.nbar
+    if state.profile is None:
+        beta = sample_q(loss_channel(state.trimmed(), 1.0 / (1.0 + nbar)), n, seed, stream)
+        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta, seed=seed, stream=stream)
     alpha = sample_q(state, n, seed, stream=stream)
-    noise_rng = stream_rng(seed, stream, 1)
-    nu = _complex_normal(noise_rng, n, chain.noise.nbar / 2.0) \
-        if chain.noise.nbar > 0 else 0.0
-    s = math.sqrt(chain.gain) * (alpha + nu)
-    return ShotBatch(s, seed=seed, stream=stream)
+    nu = _complex_normal(stream_rng(seed, stream, 1), n, nbar / 2.0) if nbar > 0 else 0.0
+    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu), seed=seed, stream=stream)
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,
@@ -168,8 +180,6 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
     Valid for the matched filter only; model temporal-mode mismatch with
     fock.loss_channel(eta=overlap**2) instead.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     alpha = sample_q(state, n, seed, stream=stream)
     if chain.noise.nbar == 0:
         records = alpha[:, None] * env.f

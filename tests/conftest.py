@@ -19,6 +19,21 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> FockState:
     return FockState(rho / np.trace(rho).real)
 
 
+def husimi_q_einsum(state: FockState, alpha):
+    """Husimi Q as one complex einsum, sum_jk conj(v_j) rho_jk v_k e^{-|alpha|^2} / pi
+    with v_k = alpha^k / sqrt(k!): the form fock.husimi_q replaced."""
+    alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    flat = alpha_arr.ravel()
+    v = np.empty((state.dim, flat.size), dtype=complex)
+    v[0] = 1.0
+    for k in range(1, state.dim):
+        v[k] = v[k - 1] * flat / np.sqrt(k)
+    q = np.einsum("in,ij,jn->n", v.conj(), state.rho, v).real
+    q *= np.exp(-np.abs(flat) ** 2) / np.pi
+    q = np.maximum(q, 0.0).reshape(alpha_arr.shape)
+    return float(q.reshape(-1)[0]) if np.ndim(alpha) == 0 else q
+
+
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     c = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return c / np.linalg.norm(c)

@@ -9,8 +9,8 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           thermal_state, wigner_oracle)
 from hettomo.moments import moment_indices
 
-from conftest import random_density_matrix, random_pure_state, \
-    thermal_antinormal_oracle
+from conftest import husimi_q_einsum, random_density_matrix, \
+    random_pure_state, thermal_antinormal_oracle
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -221,6 +221,17 @@ class TestHusimiQ:
         assert np.all(q >= 0)
         d = x[1] - x[0]
         assert float(np.sum(q) * d * d) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("shape", [(), (257,), (33, 17)], ids=["scalar", "1d", "2d"])
+    def test_matches_complex_einsum_form(self, shape):
+        rng = np.random.default_rng(17)
+        for _ in range(3):
+            state = random_density_matrix(rng, 9)
+            assert np.max(np.abs(state.rho.imag)) > 0.01   # complex coherences
+            alpha = 2.5 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+            got, want = husimi_q(state, alpha), husimi_q_einsum(state, alpha)
+            assert np.shape(got) == shape and type(got) is type(want)
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 class TestWignerOracle:

@@ -1,17 +1,20 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from hettomo.fock import (FockState, NoiseModel, antinormal_moments,
-                          coherent_state, husimi_q, loss_channel,
-                          prepare_superposition, thermal_state)
+from hettomo.fock import (FockState, NoiseModel, analytic_moments,
+                          antinormal_moments, coherent_state, husimi_q,
+                          loss_channel, noise_moments, prepare_superposition,
+                          thermal_state)
 from hettomo.moments import moment_indices
 from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, ShotBatch,
                               TemporalEnvelope, _complex_normal,
-                              _envelope_candidates, matched_filter, overlap,
-                              sample_detector, sample_q, simulate_time_trace,
-                              stream_rng)
+                              _envelope_candidates, _envelope_weights,
+                              matched_filter, overlap, sample_detector,
+                              sample_q, simulate_time_trace, stream_rng)
+from hettomo.tomo import forward_moments
 
 from conftest import random_density_matrix
 
@@ -88,47 +91,97 @@ class TestSampleQ:
             sample_q(FockState.vacuum(), 0, seed=0)
 
 
+# off-diagonal phases that no vector of phases aligns, so sum |rho_jk| > lambda (K+1)
+_FRUSTRATED = np.array([[0, 1, -1], [1, 0, 1], [-1, 1, 0]]) / 8.0 + np.eye(3) / 3.0
+
 REJECTION_STATES = {
     "pure": lambda: prepare_superposition(1.0 / math.sqrt(2.0)),
     "vacuum-admixed": lambda: prepare_superposition(0.6j, 0.2),
     "lossy": lambda: loss_channel(prepare_superposition(-0.8), 0.7),
     "random-K3": lambda: random_density_matrix(np.random.default_rng(31), 4),
+    "frustrated": lambda: FockState(_FRUSTRATED),
 }
 
 
-def _trimmed(state):
-    k = state.support()
-    rho = state.rho[: k + 1, : k + 1]
-    trimmed = FockState(rho / np.trace(rho).real)
-    return trimmed, k, float(np.linalg.eigvalsh(trimmed.rho)[-1])
+def _smaller_bound(rho):
+    """min(Tr D, lambda (K+1)) with D = diag(sum_k |rho_jk|), from rho directly."""
+    return min(np.abs(rho).sum(), np.linalg.eigvalsh(rho)[-1] * len(rho))
+
+
+def _assert_moments_match(samples, truth, order):
+    """Raw moments E[conj(S)^n S^m] within 5 standard errors of `truth`."""
+    for n, m in moment_indices(order):
+        x = np.conj(samples) ** n * samples ** m
+        err = np.std(x.real) / math.sqrt(x.size), np.std(x.imag) / math.sqrt(x.size)
+        d = np.mean(x) - truth[n, m]
+        assert abs(d.real) <= 5.0 * err[0] + 1e-12, (n, m)
+        assert abs(d.imag) <= 5.0 * err[1] + 1e-12, (n, m)
+
+
+def test_states_exercise_both_envelopes():
+    rho = REJECTION_STATES["frustrated"]().rho
+    assert np.array_equal(_envelope_weights(rho), np.full(3, np.linalg.eigvalsh(rho)[-1]))
+    rho = REJECTION_STATES["vacuum-admixed"]().trimmed().rho
+    assert np.array_equal(_envelope_weights(rho), np.abs(rho).sum(axis=1))
 
 
 @pytest.mark.parametrize("name", sorted(REJECTION_STATES))
 class TestRejectionEnvelope:
     def test_envelope_bounds_q_on_every_candidate(self, name):
-        trimmed, k, lam = _trimmed(REJECTION_STATES[name]())
-        cand, envelope = _envelope_candidates(stream_rng(40), 200_000, k, lam)
+        trimmed = REJECTION_STATES[name]().trimmed()
+        weights = _envelope_weights(trimmed.rho)
+        cand, envelope = _envelope_candidates(stream_rng(40), 200_000, weights)
         assert np.all(husimi_q(trimmed, cand) / envelope <= 1.0 + 1e-12)
 
-    def test_acceptance_is_one_over_lambda_k_plus_one(self, name):
-        trimmed, k, lam = _trimmed(REJECTION_STATES[name]())
+    def test_acceptance_is_one_over_smaller_envelope_weight(self, name):
+        trimmed = REJECTION_STATES[name]().trimmed()
         rng = stream_rng(41)
         n = 400_000
-        cand, envelope = _envelope_candidates(rng, n, k, lam)
+        cand, envelope = _envelope_candidates(rng, n, _envelope_weights(trimmed.rho))
         accepted = rng.random(n) * envelope < husimi_q(trimmed, cand)
-        p = 1.0 / (lam * (k + 1))
+        p = 1.0 / _smaller_bound(trimmed.rho)
         assert abs(accepted.mean() - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
 
     def test_moments_to_order_four(self, name):
         state = REJECTION_STATES[name]()
         s = sample_q(state, 300_000, seed=42)
-        truth = antinormal_moments(state, 4)
-        for n, m in moment_indices(4):
-            x = s ** n * np.conj(s) ** m
-            err = np.std(x.real) / math.sqrt(s.size), np.std(x.imag) / math.sqrt(s.size)
-            d = np.mean(x) - truth.values[n, m]
-            assert abs(d.real) <= 5.0 * err[0] + 1e-12, (n, m)
-            assert abs(d.imag) <= 5.0 * err[1] + 1e-12, (n, m)
+        # E[alpha^n conj(alpha)^m] = <a^n (a^dag)^m>
+        _assert_moments_match(np.conj(s), antinormal_moments(state, 4), 4)
+
+
+@pytest.mark.parametrize("nbar", [0.0, 2.0, 64.0])
+@pytest.mark.parametrize("name", sorted(REJECTION_STATES))
+def test_detector_moments_match_forward_model(name, nbar):
+    """One-pass loss-channel draw has the law of sqrt(G) (alpha + nu)."""
+    state = REJECTION_STATES[name]()
+    noise = NoiseModel(nbar)
+    chain = AmplifierChain(gain=9.0e3, noise=noise)
+    s = sample_detector(state, chain, 300_000, seed=[43, int(nbar)], stream=2).samples
+    truth = forward_moments(analytic_moments(state, 4), noise_moments(noise, 4), chain.gain)
+    _assert_moments_match(s, truth, 4)
+
+
+# SHA-256 of sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+# before rejection-sampled states moved to the loss-channel draw; the exact
+# samplers keep their streams and bytes
+EXACT_PATH_SHA256 = {
+    "vacuum": "b619ceebc691d2ccf3233f48a992c414f3d2b13e791958a6704d9bb0f73b98c8",
+    "fock1": "29be14f55c31384a55c04998a3edb6be175239dd80597b7939c9f6313921dd1b",
+    "coherent": "430d505aa1cec51bde66ea1d145de1e5100d17f4acd874d34dcda5c612c5474b",
+    "thermal": "cd876b2d0f009f5fedf6bdfdee1dbadbaa71d71fad1d876161ba9f5c1164f4b2",
+    "vacuum-noiseless": "9614f2b39e8ef094a8d025df8bede07dfa8750ed3137e80d7ac5058b82bad01c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PATH_SHA256))
+def test_exact_samplers_keep_their_bytes(name):
+    state = {"vacuum": FockState.vacuum(), "fock1": FockState.fock(1),
+             "coherent": coherent_state(0.8 - 0.3j), "thermal": thermal_state(0.5),
+             "vacuum-noiseless": FockState.vacuum()}[name]
+    nbar = 0.0 if name.endswith("noiseless") else 2.0
+    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
+    s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+    assert hashlib.sha256(s.tobytes()).hexdigest() == EXACT_PATH_SHA256[name]
 
 
 class TestSampleDetector:
