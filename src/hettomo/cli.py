@@ -42,6 +42,7 @@ STAGE_CALIBRATION = 2
 STAGE_PILOT = 3
 
 PILOT_SHOTS = 100_000
+CALIBRATION_REPLICAS = 200    # bootstrap replicas of calibrate, on stream [0, 0xCA1]
 # calibration fails when more bootstrap replicas than this share have no gain
 MAX_FAILED_REPLICA_FRACTION = 0.1
 
@@ -248,7 +249,7 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
     a thread pool; each keeps its own stream, so the CPU count changes no output."""
     def make(b: int, size: int) -> ShotBatch:
         records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b)
-        return matched_filter(records, env, seed=seed, stream=b)
+        return matched_filter(records, env, seed=seed)
 
     workers = _available_cpus()
     with ThreadPoolExecutor(workers) as pool:
@@ -300,13 +301,12 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_manifest(out_dir: Path, cfg: ExperimentConfig | None,
-                   derived: dict, t0: float) -> Path:
+def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: float) -> Path:
     files = {p.name: _sha256(p) for p in sorted(out_dir.iterdir())
              if p.is_file() and p.name != "manifest.json"}
     manifest = {
-        "config": cfg.raw if cfg else None,
-        "config_sha256": cfg.digest() if cfg else None,
+        "config": cfg.raw,
+        "config_sha256": cfg.digest(),
         "versions": {"hettomo": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "timing_s": time.monotonic() - t0,
@@ -405,16 +405,15 @@ def format_moment_table(report: InversionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path,
-                  n_boot: int = 200, seed: int = 0) -> dict:
+def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path) -> dict:
     sup_batches = _load_run(super_dir, "calibration") \
         if (super_dir / "moments_calibration.json").exists() \
         else _load_run(super_dir, "signal")
     vac_batches = _load_run(vacuum_dir, "vacuum")
     estimates, failed = [], 0
     try:
-        replicas = resample_batches([sup_batches, vac_batches], n_boot,
-                                    seed=[seed, 0xCA1])
+        replicas = resample_batches([sup_batches, vac_batches], CALIBRATION_REPLICAS,
+                                    seed=[0, 0xCA1])
         for sup, vac in replicas:
             try:
                 estimates.append(estimate_gain(sup, vac))
@@ -425,11 +424,10 @@ def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path,
                              combine_batches(vac_batches), m1_error=m1_err)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
-    if failed > MAX_FAILED_REPLICA_FRACTION * n_boot:
-        raise NumericError(f"gain estimate failed on {failed} of {n_boot} "
-                           "bootstrap replicas")
-    unc = float(np.std(estimates)) if len(estimates) > 1 else float("nan")
-    result = {"gain": gain, "gain_stderr": unc, "m1_stderr": m1_err,
+    if failed > MAX_FAILED_REPLICA_FRACTION * CALIBRATION_REPLICAS:
+        raise NumericError(f"gain estimate failed on {failed} of "
+                           f"{CALIBRATION_REPLICAS} bootstrap replicas")
+    result = {"gain": gain, "gain_stderr": float(np.std(estimates)), "m1_stderr": m1_err,
               "n_bootstrap": len(estimates), "n_bootstrap_failed": failed}
     out_path.write_text(json.dumps(result, indent=2))
     return result
@@ -582,8 +580,7 @@ def run(argv=None) -> int:
             summary = cmd_full_run(cfg, Path(args.out))
             print(json.dumps(summary, indent=2))
     except (ConfigError, DataError, NumericError) as exc:
-        stage = args.command if hasattr(args, "command") else "cli"
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
+        print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return exc.exit_code
     return 0
 

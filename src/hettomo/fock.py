@@ -8,7 +8,7 @@ amplitude is ``alpha = X + iP`` and the vacuum Husimi Q function is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -31,18 +31,18 @@ def destroy(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # hashed by identity; rho is read-only
 class FockState:
     """Quantum state of a single mode in a truncated Fock basis.
 
     Always stored as a density matrix ``rho[j, k] = <j|rho|k>`` with
     ``0 <= j, k <= N``.  ``profile`` is an optional provenance hint
     (e.g. ``("coherent", alpha)``) that lets samplers pick an exact
-    special-case path; it never affects equality or physics.
+    special-case path; it never affects physics.
     """
 
     rho: np.ndarray
-    profile: tuple | None = field(default=None, compare=False)
+    profile: tuple | None = None
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)

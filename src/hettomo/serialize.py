@@ -36,8 +36,7 @@ def matrix_from_json(rows) -> np.ndarray:
 
 # -- shot batches ------------------------------------------------------------
 
-def save_shots(prefix, batch: ShotBatch, units: str = "detector",
-               gain: float | None = None) -> tuple[Path, Path]:
+def save_shots(prefix, batch: ShotBatch, gain: float | None = None) -> tuple[Path, Path]:
     prefix = Path(prefix)
     data = np.empty(2 * batch.count, dtype="<f8")
     data[0::2] = batch.samples.real
@@ -47,8 +46,7 @@ def save_shots(prefix, batch: ShotBatch, units: str = "detector",
     sidecar = {
         "count": batch.count,
         "seed": batch.seed if isinstance(batch.seed, int) else list(batch.seed),
-        "stream": batch.stream,
-        "units": units,
+        "units": "detector",
         "gain": gain,
         "dtype": "<f8 interleaved re,im",
     }
@@ -65,8 +63,7 @@ def load_shots(prefix) -> ShotBatch:
         raise ValueError(f"{prefix}: shot file length disagrees with sidecar")
     seed = sidecar["seed"]
     return ShotBatch(data[0::2] + 1j * data[1::2],
-                     seed=tuple(seed) if isinstance(seed, list) else seed,
-                     stream=sidecar["stream"])
+                     seed=tuple(seed) if isinstance(seed, list) else seed)
 
 
 # -- histograms --------------------------------------------------------------

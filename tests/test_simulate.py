@@ -1,9 +1,11 @@
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hettomo import simulate
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           antinormal_moments, coherent_state, husimi_q,
                           loss_channel, noise_moments, prepare_superposition,
@@ -11,7 +13,7 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
 from hettomo.moments import moment_indices
 from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, ShotBatch,
                               TemporalEnvelope, _complex_normal,
-                              _envelope_candidates, _envelope_weights,
+                              _envelope_candidates, _proposal,
                               matched_filter, overlap, sample_detector,
                               sample_q, simulate_time_trace, stream_rng)
 from hettomo.tomo import forward_moments
@@ -119,25 +121,24 @@ def _assert_moments_match(samples, truth, order):
 
 
 def test_states_exercise_both_envelopes():
-    rho = REJECTION_STATES["frustrated"]().rho
-    assert np.array_equal(_envelope_weights(rho), np.full(3, np.linalg.eigvalsh(rho)[-1]))
-    rho = REJECTION_STATES["vacuum-admixed"]().trimmed().rho
-    assert np.array_equal(_envelope_weights(rho), np.abs(rho).sum(axis=1))
+    target, weights = _proposal(REJECTION_STATES["frustrated"](), 1.0)
+    assert np.array_equal(weights, np.full(3, np.linalg.eigvalsh(target.rho)[-1]))
+    target, weights = _proposal(REJECTION_STATES["vacuum-admixed"](), 1.0)
+    assert np.array_equal(weights, np.abs(target.rho).sum(axis=1))
 
 
 @pytest.mark.parametrize("name", sorted(REJECTION_STATES))
 class TestRejectionEnvelope:
     def test_envelope_bounds_q_on_every_candidate(self, name):
-        trimmed = REJECTION_STATES[name]().trimmed()
-        weights = _envelope_weights(trimmed.rho)
+        trimmed, weights = _proposal(REJECTION_STATES[name](), 1.0)
         cand, envelope = _envelope_candidates(stream_rng(40), 200_000, weights)
         assert np.all(husimi_q(trimmed, cand) / envelope <= 1.0 + 1e-12)
 
     def test_acceptance_is_one_over_smaller_envelope_weight(self, name):
-        trimmed = REJECTION_STATES[name]().trimmed()
+        trimmed, weights = _proposal(REJECTION_STATES[name](), 1.0)
         rng = stream_rng(41)
         n = 400_000
-        cand, envelope = _envelope_candidates(rng, n, _envelope_weights(trimmed.rho))
+        cand, envelope = _envelope_candidates(rng, n, weights)
         accepted = rng.random(n) * envelope < husimi_q(trimmed, cand)
         p = 1.0 / _smaller_bound(trimmed.rho)
         assert abs(accepted.mean() - p) < 5.0 * math.sqrt(p * (1.0 - p) / n)
@@ -184,6 +185,65 @@ def test_exact_samplers_keep_their_bytes(name):
     assert hashlib.sha256(s.tobytes()).hexdigest() == EXACT_PATH_SHA256[name]
 
 
+# the same call through the rejection sampler for prepare_superposition(0.6j, 0.2),
+# taken before the proposal was built once per (state, eta); "q" is sample_q's
+# draw, the one simulate_time_trace makes
+REJECTION_PATH_SHA256 = {
+    "nbar2": "5ea3d23bd8eae4141ba00928d6e763efc95742a618278025fb2b9ad831114e60",
+    "nbar0": "cd8bbf4540eff8e47202556f10afd7d6b767c6da9e52b1bef095f5a41a56b3bc",
+    "q": "dada457b465d587ea182fa3c43239d2cdfd33776c768c60dc5385953f41b0371",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_PATH_SHA256))
+def test_rejection_sampler_keeps_its_bytes(name):
+    state = prepare_superposition(0.6j, 0.2)
+    if name == "q":
+        s = sample_q(state, 4099, [17, 2], stream=5)
+    else:
+        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(float(name[-1])))
+        s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+    assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_PATH_SHA256[name]
+
+
+@pytest.mark.parametrize("path", ["detector", "time-trace"])
+def test_proposal_is_built_once_per_state_and_eta(path, monkeypatch):
+    env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
+    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def set_up_cost(batches: int) -> Counter:
+        state = prepare_superposition(0.6j, 0.2)    # fresh, so nothing is cached yet
+        calls.clear()
+        for b in range(batches):
+            if path == "detector":
+                sample_detector(state, chain, 16, seed=[50, 0], stream=b)
+            else:
+                simulate_time_trace(state, env, chain, 16, seed=[50, 0], stream=b)
+        return Counter(calls)
+
+    monkeypatch.setattr(simulate, "loss_channel", counted("loss_channel", simulate.loss_channel))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    one = set_up_cost(1)
+    assert one["loss_channel"] == (path == "detector") and one["eigvalsh"] > 0
+    assert set_up_cost(5) == one
+
+
+def test_cached_proposal_follows_eta():
+    state = prepare_superposition(0.6j, 0.2)
+    for nbar in (2.0, 64.0, 0.0):
+        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
+        reused = sample_detector(state, chain, 64, seed=[51, 0]).samples
+        fresh = sample_detector(prepare_superposition(0.6j, 0.2), chain, 64, seed=[51, 0])
+        assert np.array_equal(reused, fresh.samples), nbar
+
+
 class TestSampleDetector:
     def test_vacuum_width(self):
         batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=7)
@@ -201,6 +261,12 @@ class TestSampleDetector:
         a = sample_detector(FockState.fock(1), QUIET, 1000, seed=9)
         b = sample_q(FockState.fock(1), 1000, seed=9)
         assert np.allclose(a.samples, b, atol=1e-12)
+
+    @pytest.mark.parametrize("state", [FockState.vacuum(), prepare_superposition(0.6)],
+                             ids=["exact", "rejection"])
+    def test_rejects_zero_shots(self, state):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            sample_detector(state, CHAIN, 0, seed=0)
 
     def test_signal_and_noise_streams_independent(self):
         # same seed, different stream: completely different outcomes
