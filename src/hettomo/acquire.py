@@ -3,8 +3,6 @@
 Digital counterpart of an on-the-fly hardware acquisition stage: 2D quadrature
 histograms, streaming (bin-free) moment accumulation, batch combination and
 bootstrap resampling, and vacuum-width extraction.
-Histograms and accumulators are mergeable, so concurrent workers can fill
-private partials and combine them.
 """
 
 from __future__ import annotations
@@ -63,9 +61,6 @@ class QuadratureHistogram:
         e = self.edges()
         return 0.5 * (e[:-1] + e[1:])
 
-    def same_binning(self, other: "QuadratureHistogram") -> bool:
-        return self.bins == other.bins and self.extent == other.extent
-
     def _bin_index(self, v: np.ndarray) -> np.ndarray:
         # bins as np.histogram2d assigns them: e[i] <= v < e[i+1], +extent in the last
         e, last = self.edges(), self.bins - 1
@@ -86,20 +81,6 @@ class QuadratureHistogram:
                           f"{self.overflow / self.total:.2e} exceeds "
                           f"{OVERFLOW_WARN_FRACTION:.0e}", stacklevel=2)
         return self
-
-    def merge(self, other: "QuadratureHistogram") -> "QuadratureHistogram":
-        if not self.same_binning(other):
-            raise ValueError("cannot merge histograms with different binning")
-        out = QuadratureHistogram(self.bins, self.extent)
-        out.counts = self.counts + other.counts
-        out.overflow = self.overflow + other.overflow
-        return out
-
-    def density(self) -> np.ndarray:
-        """Counts normalized to a probability density over the in-range area."""
-        if self.in_range == 0:
-            raise ValueError("empty histogram")
-        return self.counts / (self.in_range * self.bin_width ** 2)
 
 
 def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
@@ -135,7 +116,7 @@ def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
 
 
 class StreamingMoments:
-    """Single-pass, mergeable accumulator of sums of (S*)^n S^m."""
+    """Single-pass accumulator of sums of (S*)^n S^m."""
 
     def __init__(self, order: int = 4):
         self.order = order
@@ -155,14 +136,6 @@ class StreamingMoments:
                 self.sums[n, m] += np.sum(np.multiply(conj, low[m], out=buf[3]))
         self.count += s.size
         return self
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        if self.order != other.order:
-            raise ValueError("cannot merge accumulators of different order")
-        out = StreamingMoments(self.order)
-        out.sums = self.sums + other.sums
-        out.count = self.count + other.count
-        return out
 
     def result(self) -> RawMomentMatrix:
         if self.count == 0:

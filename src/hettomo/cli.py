@@ -21,14 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .acquire import (QuadratureHistogram, RawMomentMatrix, StreamingMoments,
-                      combine_batches, resample_batches, vacuum_sigma)
+from .acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
+                      resample_batches, vacuum_sigma)
 from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
                    prepare_superposition, thermal_state)
-from .moments import moment_indices
+from .moments import RawMomentMatrix, moment_indices
 from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, sample_detector, simulate_time_trace)
 from .tomo import (InversionReport, bootstrap_errors, estimate_gain,
@@ -307,8 +306,7 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: floa
     manifest = {
         "config": cfg.raw,
         "config_sha256": cfg.digest(),
-        "versions": {"hettomo": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__},
+        "versions": {"hettomo": __version__, "numpy": np.__version__},
         "timing_s": time.monotonic() - t0,
         "derived": derived,
         "files": files,

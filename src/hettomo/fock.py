@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
 
@@ -259,6 +258,15 @@ def husimi_q(state: FockState, alpha) -> np.ndarray | float:
     return float(q.reshape(-1)[0]) if np.ndim(alpha) == 0 else q
 
 
+def _laguerre(n_max: int, a: int, x: np.ndarray) -> list[np.ndarray]:
+    """Generalized Laguerre polynomials L_0^(a)(x) .. L_n_max^(a)(x) by the
+    recurrence (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}."""
+    lag = [np.ones_like(x), 1.0 + a - x]
+    for k in range(1, n_max):
+        lag.append(((2 * k + 1 + a - x) * lag[k] - (k + a) * lag[k - 1]) / (k + 1))
+    return lag[: n_max + 1]
+
+
 def wigner_oracle(state: FockState, alpha) -> np.ndarray | float:
     """Displaced-parity Wigner function, W(alpha) = (2/pi) Tr[rho D(alpha) Pi D(-alpha)].
 
@@ -269,11 +277,12 @@ def wigner_oracle(state: FockState, alpha) -> np.ndarray | float:
     alpha_arr = np.atleast_1d(np.asarray(alpha, dtype=complex))
     beta = 2.0 * alpha_arr.ravel()
     x = beta.real ** 2 + beta.imag ** 2
+    laguerre = [_laguerre(state.dim - 1 - a, a, x) for a in range(state.dim)]
     w = np.zeros(beta.shape)
     for m in range(state.dim):
         for n in range(m + 1):
             d = math.sqrt(math.factorial(n) / math.factorial(m)) * beta ** (m - n) \
-                * eval_genlaguerre(n, m - n, x)
+                * laguerre[m - n][n]
             # rho_nm (-1)^n <m|D|n> plus its conjugate, the (m, n) term
             w += (-1) ** n * (1 if m == n else 2) * (state.rho[n, m] * d).real
     w = ((2.0 / np.pi) * np.exp(-0.5 * x) * w).reshape(alpha_arr.shape)

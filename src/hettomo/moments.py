@@ -12,7 +12,7 @@ moments ``<h^n (h^dag)^m>`` and estimated detector moments
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,12 +84,6 @@ class MomentMatrix:
         if n + m > self.order:
             raise IndexError(f"moment ({n}, {m}) above order cap {self.order}")
         return complex(self.values[n, m])
-
-    def rotated(self, phi: float) -> "MomentMatrix":
-        """Phase rotation a -> a e^{i phi}: m(n, m) -> e^{i(m-n) phi} m(n, m)."""
-        k = self.order
-        n, m = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        return replace(self, values=hermitize(self.values * np.exp(1j * (m - n) * phi)))
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -204,7 +204,8 @@ def test_a5_wigner_correctness():
     # phase covariance: rotating the moments rotates the function
     phi = 0.7
     m0 = analytic_moments(states["super"], 4)
-    mr = m0.rotated(phi)
+    n, m = np.indices(m0.values.shape)
+    mr = MomentMatrix(m0.values * np.exp(1j * (m - n) * phi))
     pts = grid[mask]
     w_rot = wigner_from_moments(mr, pts, truncation=4)
     w_ref = wigner_from_moments(m0, pts * np.exp(-1j * phi), truncation=4)

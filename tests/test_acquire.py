@@ -35,33 +35,6 @@ class TestQuadratureHistogram:
         assert h.overflow == 2
         assert h.in_range == 1
 
-    def test_merge_adds_counts(self):
-        a = QuadratureHistogram(bins=32, extent=4.0).add(gaussian_shots(500, 2))
-        b = QuadratureHistogram(bins=32, extent=4.0).add(gaussian_shots(700, 3))
-        m = a.merge(b)
-        assert m.total == 1200
-        assert np.array_equal(m.counts, a.counts + b.counts)
-
-    def test_merge_order_independent(self):
-        a = QuadratureHistogram(bins=32, extent=4.0).add(gaussian_shots(500, 2))
-        b = QuadratureHistogram(bins=32, extent=4.0).add(gaussian_shots(700, 3))
-        assert np.array_equal(a.merge(b).counts, b.merge(a).counts)
-
-    def test_merge_equals_single_pass(self):
-        s = gaussian_shots(1000, seed=4)
-        one = QuadratureHistogram(bins=32, extent=5.0).add(s)
-        two = QuadratureHistogram(bins=32, extent=5.0).add(s[:400]).merge(
-            QuadratureHistogram(bins=32, extent=5.0).add(s[400:]))
-        assert np.array_equal(one.counts, two.counts)
-
-    def test_merge_rejects_different_binning(self):
-        with pytest.raises(ValueError):
-            QuadratureHistogram(32, 4.0).merge(QuadratureHistogram(64, 4.0))
-
-    def test_density_normalized(self):
-        h = QuadratureHistogram(bins=64, extent=5.0).add(gaussian_shots(20_000, 5))
-        assert float(h.density().sum() * h.bin_width ** 2) == pytest.approx(1.0)
-
     def test_add_is_in_place(self):
         h = QuadratureHistogram(bins=16, extent=4.0)
         out = h.add(gaussian_shots(100, 6))
@@ -89,19 +62,15 @@ class TestQuadratureHistogram:
         assert h.overflow == x.size - int(ref.sum())
         assert h.in_range == int(ref.sum())
 
-    def test_counts_survive_merge_and_reload(self, tmp_path):
-        a = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(900, 22))
-        b = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(600, 23))
-        m = a.merge(b)
-        assert (m.in_range, m.overflow) == (a.in_range + b.in_range,
-                                            a.overflow + b.overflow)
+    def test_counts_survive_reload(self, tmp_path):
+        m = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(900, 22))
         m.add(gaussian_shots(400, 24))
-        assert m.total == 1900 and m.in_range == int(m.counts.sum())
+        assert m.total == 1300 and m.in_range == int(m.counts.sum())
         save_histogram(tmp_path / "h", m)
         back = load_histogram(tmp_path / "h")
         assert (back.in_range, back.overflow) == (m.in_range, m.overflow)
         back.add(gaussian_shots(100, 25))
-        assert back.total == 2000 and back.in_range == int(back.counts.sum())
+        assert back.total == 1400 and back.in_range == int(back.counts.sum())
 
 
 class TestRawMomentMatrix:
@@ -152,19 +121,6 @@ class TestStreamingMoments:
                     expected[n, m] = np.sum(powers[n].conj() * powers[m])
             got = StreamingMoments(order).update(s).sums
             assert got.tobytes() == expected.tobytes(), (seed, order)
-
-    def test_merge_equals_single_pass(self):
-        s = gaussian_shots(4000, seed=8)
-        a = StreamingMoments(4).update(s[:1500])
-        b = StreamingMoments(4).update(s[1500:])
-        merged = a.merge(b).result()
-        single = streaming_moments(s, order=4)
-        assert np.allclose(merged.values, single.values, atol=1e-12)
-        assert merged.count == 4000
-
-    def test_merge_rejects_order_mismatch(self):
-        with pytest.raises(ValueError):
-            StreamingMoments(2).merge(StreamingMoments(4))
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):

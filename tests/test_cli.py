@@ -535,13 +535,13 @@ def test_readme_config_and_state_kinds_parse():
         assert parse_config({**example, "state": {"kind": kind}}).state is not None
 
 
-def _console_script_target() -> str:
+def _project() -> dict:
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     with open(REPO / "pyproject.toml", "rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"]["hettomo"]
+        return tomllib.load(fh)["project"]
 
 
 def _assert_help(cmd, env=None):
@@ -564,7 +564,7 @@ def test_console_entry_point_help():
     # console script does, so a bare checkout checks the same thing
     launcher = ("import sys; from importlib.metadata import EntryPoint; "
                 "sys.argv[0] = 'hettomo'; "
-                f"sys.exit(EntryPoint('hettomo', {_console_script_target()!r}, "
+                f"sys.exit(EntryPoint('hettomo', {_project()['scripts']['hettomo']!r}, "
                 "'console_scripts').load()())")
     _assert_help([sys.executable, "-c", launcher], _src_env())
     installed = shutil.which("hettomo")
@@ -573,13 +573,21 @@ def test_console_entry_point_help():
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_constants():
-    probe = ("import sys, hettomo.cli; "
-             "print(sorted(m for m in sys.modules "
-             "if m.startswith(('scipy.optimize', 'scipy.constants'))))")
+    # the package needs numpy alone: no scipy module at all, and every module
+    # the import adds from outside the standard library is a declared dependency
+    probe = ("import json, sys; before = set(sys.modules); "
+             "import hettomo, hettomo.cli; "
+             "print(json.dumps([sorted(m for m in sys.modules if m.startswith('scipy')), "
+             "sorted({m.split('.')[0] for m in set(sys.modules) - before})]))")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, imported = json.loads(proc.stdout)
+    assert scipy_modules == []
+    declared = {re.match(r"[\w.-]+", dep).group().lower().replace("-", "_")
+                for dep in _project()["dependencies"]}
+    outside = set(imported) - set(sys.stdlib_module_names) - {"hettomo"}
+    assert outside <= declared, outside - declared
 
 
 def test_python_dash_m_help():

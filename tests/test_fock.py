@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hettomo.fock import (FockState, NoiseModel, analytic_moments,
+from hettomo.fock import (FockState, NoiseModel, _laguerre, analytic_moments,
                           antinormal_moments, coherent_state, husimi_q,
                           loss_channel, noise_moments, prepare_superposition,
                           thermal_state, wigner_oracle)
@@ -254,6 +254,19 @@ class TestWignerOracle:
         w = wigner_oracle(state, grid)
         d = x[1] - x[0]
         assert float(np.sum(w) * d * d) == pytest.approx(1.0, abs=1e-3)
+
+    def test_laguerre_recurrence_matches_scipy(self):
+        eval_genlaguerre = pytest.importorskip("scipy.special").eval_genlaguerre
+        x = np.linspace(0.0, 128.0, 513)
+        for a in range(17):
+            laguerre = _laguerre(16, a, x)
+            for n in range(17):
+                # relative to the size of the terms C(n+a, n-k) x^k / k!, because
+                # L_n^(a) itself passes through zero
+                size = sum(math.comb(n + a, n - k) * x ** k / math.factorial(k)
+                           for k in range(n + 1))
+                error = np.abs(laguerre[n] - eval_genlaguerre(n, a, x)) / size
+                assert np.max(error) < 1e-12, (n, a)
 
     def test_truncation_converges_with_padding(self):
         # doubling the padding must not move the value at the grid edge

@@ -9,7 +9,8 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           prepare_superposition, wigner_oracle)
 from hettomo.moments import NORMAL, MomentMatrix, hermitize, moment_indices
 from hettomo.simulate import AmplifierChain, sample_detector
-from hettomo.tomo import (bootstrap_errors, estimate_gain, forward_moments,
+from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
+                          bootstrap_errors, estimate_gain, forward_moments,
                           invert_moments, reconstruct_wigner,
                           recover_noise_moments, truncation_order,
                           wigner_from_moments, wigner_kernel)
@@ -88,6 +89,22 @@ class TestInvertMoments:
             worst = max(worst, float(np.max(np.abs(
                 report.moments.values - signal.values))))
         assert worst < 1e-10
+
+    @pytest.mark.parametrize("order", [4, 8])
+    def test_solve_matches_lapack_bit_for_bit(self, order):
+        # stored moments keep their bytes only while the forward substitution
+        # rounds as LAPACK's unit lower-triangular solve does
+        solve_triangular = pytest.importorskip("scipy.linalg").solve_triangular
+        rng = np.random.default_rng(41 + order)
+        for _ in range(200):
+            op = _binomial_operator(random_moment_matrix(rng, order))
+            raw = random_moment_matrix(rng, order)
+            gain = rng.uniform(1.0, 1.0e4)
+            n, m, g = _gain_diagonal(order, gain)
+            want = np.zeros_like(raw)
+            want[n, m] = solve_triangular(op, raw[n, m] / g, lower=True,
+                                          unit_diagonal=True)
+            assert _solve(op, raw, gain).tobytes() == want.tobytes()
 
     def test_single_photon_from_simulated_shots(self):
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
