@@ -35,6 +35,7 @@ class QuadratureHistogram:
         self.extent = float(extent)
         self.counts = np.zeros((bins, bins), dtype=np.uint64)
         self.overflow = 0
+        self._warned = False
 
     @property
     def counts(self) -> np.ndarray:
@@ -76,36 +77,48 @@ class QuadratureHistogram:
         np.add.at(self._counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
         self.in_range += ix.size
         self.overflow += s.size - ix.size
-        if self.total and self.overflow > OVERFLOW_WARN_FRACTION * self.total:
+        # once: the running fraction in the text defeats Python's duplicate filter
+        if not self._warned and self.overflow > OVERFLOW_WARN_FRACTION * self.total:
+            self._warned = True
             warnings.warn(f"histogram overflow fraction "
                           f"{self.overflow / self.total:.2e} exceeds "
                           f"{OVERFLOW_WARN_FRACTION:.0e}", stacklevel=2)
         return self
 
 
+def _count_weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    mean = np.average(values, axis=0, weights=counts)
+    mean[0, 0] = 1.0
+    return mean
+
+
 def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
     counts = np.array([b.count for b in batches], dtype=float)
-    values = np.average([b.values for b in batches], axis=0, weights=counts)
-    values[0, 0] = 1.0
-    return RawMomentMatrix(values, count=int(counts.sum()),
-                           provenance=batches[0].provenance)
+    return RawMomentMatrix(_count_weighted_mean(np.array([b.values for b in batches]), counts),
+                           count=int(counts.sum()), provenance=batches[0].provenance)
 
 
 def resample_batches(runs: list[list[RawMomentMatrix]], n_boot: int,
-                     seed: list[int]) -> list[tuple[RawMomentMatrix, ...]]:
-    """`n_boot` bootstrap replicas of each run's combined moments.
+                     seed: list[int]) -> list[np.ndarray]:
+    """`n_boot` bootstrap replicas of each run's combined moments, stacked into
+    one (n_boot, K+1, K+1) array per run.
 
-    Each replica draws every run's batches with replacement, one run after
-    the other, from `default_rng(SeedSequence(seed))` and combines them with
-    `combine_batches`; replica b is a tuple with one entry per run. A run of
-    one batch would give every replica the same value, so it is refused.
+    Replica by replica, and within a replica one run after the other, each
+    run's batches are drawn with replacement from `default_rng(SeedSequence(seed))`
+    and averaged by count as `combine_batches` does. A run of one batch would
+    give every replica the same value, so it is refused.
     """
     if min(len(run) for run in runs) < 2:
         raise ValueError("bootstrap needs at least two batches in each run")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    return [tuple(combine_batches([run[k] for k in rng.integers(0, len(run), len(run))])
-                  for run in runs)
-            for _ in range(n_boot)]
+    stacks = [(np.array([b.values for b in run]), np.array([b.count for b in run], dtype=float))
+              for run in runs]
+    replicas = [np.empty((n_boot, *values.shape[1:]), dtype=complex) for values, _ in stacks]
+    for b in range(n_boot):
+        for (values, counts), out in zip(stacks, replicas):
+            drawn = rng.integers(0, len(counts), len(counts))
+            out[b] = _count_weighted_mean(values[drawn], counts[drawn])
+    return replicas
 
 
 def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
@@ -166,11 +179,10 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMat
     grid = c[:, None] + 1j * c[None, :]
     w = hist.counts / hist.in_range
     powers = _power_table(grid, order)
-    conj_powers = [p.conj() for p in powers]
     values = np.zeros((order + 1, order + 1), dtype=complex)
     for n, m in moment_indices(order):
         if n >= m:
-            values[n, m] = np.sum(w * conj_powers[n] * powers[m])
+            values[n, m] = np.sum(w * powers[n].conj() * powers[m])
             values[m, n] = np.conj(values[n, m])
     values[0, 0] = 1.0
     return RawMomentMatrix(values, count=hist.in_range, provenance="histogram")

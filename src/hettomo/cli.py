@@ -30,7 +30,7 @@ from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
 from .moments import RawMomentMatrix, moment_indices
 from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, sample_detector, simulate_time_trace)
-from .tomo import (InversionReport, bootstrap_errors, estimate_gain,
+from .tomo import (InversionReport, bootstrap_errors, estimate_gain, gain_terms,
                    invert_moments, reconstruct_wigner)
 from . import serialize
 
@@ -248,7 +248,7 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
     a thread pool; each keeps its own stream, so the CPU count changes no output."""
     def make(b: int, size: int) -> ShotBatch:
         records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b)
-        return matched_filter(records, env, seed=seed)
+        return matched_filter(records, env)
 
     workers = _available_cpus()
     with ThreadPoolExecutor(workers) as pool:
@@ -281,8 +281,7 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
             shots_kept.append(batch.samples)
     out = {"hist": hist, "batch_moments": batch_moments}
     if cfg.store_shots:
-        out["shots"] = ShotBatch(np.concatenate(shots_kept),
-                                 seed=(cfg.seed, stage))
+        out["shots"] = ShotBatch(np.concatenate(shots_kept))
     return out
 
 
@@ -339,7 +338,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                      result["batch_moments"])
         if cfg.store_shots:
             serialize.save_shots(out_dir / f"shots_{name}", result["shots"],
-                                 gain=cfg.chain.gain)
+                                 gain=cfg.chain.gain, seed=[cfg.seed, stage])
         if name == "vacuum":
             sigma = vacuum_sigma(result["hist"])
             derived["sigma_vac"] = sigma
@@ -378,13 +377,11 @@ def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
         raise DataError("signal and vacuum runs have different moment orders")
     if sig_batches[0].order < order:
         raise DataError(f"stored moments only go to order {sig_batches[0].order}")
-    sig_batches = _up_to_order(sig_batches, order)
-    vac_batches = _up_to_order(vac_batches, order)
-    raw_signal = combine_batches(sig_batches)
-    raw_vacuum = combine_batches(vac_batches)
+    sig_batches, vac_batches = (_up_to_order(b, order) for b in (sig_batches, vac_batches))
     try:
         errors = bootstrap_errors(sig_batches, vac_batches, gain)
-        report = invert_moments(raw_signal, raw_vacuum, gain, errors=errors)
+        report = invert_moments(combine_batches(sig_batches), combine_batches(vac_batches),
+                                gain, errors=errors)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
     serialize.save_report(out_path, report)
@@ -397,36 +394,31 @@ def format_moment_table(report: InversionReport) -> str:
     lines = [f"recovered |<(a^dag)^n a^m>| (gain G = {report.gain:.6g})",
              "  n  m  |moment|    stderr"]
     for n, m in moment_indices(report.moments.order):
-        err = report.errors[n, m] if report.errors is not None else float("nan")
         lines.append(f"  {n}  {m}  {abs(report.moments.values[n, m]):<10.4f} "
-                     f"{err:.2e}")
+                     f"{report.errors[n, m]:.2e}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path) -> dict:
-    sup_batches = _load_run(super_dir, "calibration") \
-        if (super_dir / "moments_calibration.json").exists() \
-        else _load_run(super_dir, "signal")
+    stored = "calibration" if (super_dir / "moments_calibration.json").exists() else "signal"
+    sup_batches = _load_run(super_dir, stored)
     vac_batches = _load_run(vacuum_dir, "vacuum")
-    estimates, failed = [], 0
     try:
-        replicas = resample_batches([sup_batches, vac_batches], CALIBRATION_REPLICAS,
+        sup, vac = resample_batches([sup_batches, vac_batches], CALIBRATION_REPLICAS,
                                     seed=[0, 0xCA1])
-        for sup, vac in replicas:
-            try:
-                estimates.append(estimate_gain(sup, vac))
-            except ValueError:
-                failed += 1
-        m1_err = float(np.std([abs(sup.values[0, 1]) for sup, _ in replicas]))
+        m1, m2, gains = gain_terms(sup, vac)
+        m1_err = float(np.std(m1))
         gain = estimate_gain(combine_batches(sup_batches),
                              combine_batches(vac_batches), m1_error=m1_err)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
+    ok = (m1 > 0) & (m2 > 0)    # where estimate_gain would return a gain
+    failed = CALIBRATION_REPLICAS - int(np.count_nonzero(ok))
     if failed > MAX_FAILED_REPLICA_FRACTION * CALIBRATION_REPLICAS:
         raise NumericError(f"gain estimate failed on {failed} of "
                            f"{CALIBRATION_REPLICAS} bootstrap replicas")
-    result = {"gain": gain, "gain_stderr": float(np.std(estimates)), "m1_stderr": m1_err,
-              "n_bootstrap": len(estimates), "n_bootstrap_failed": failed}
+    result = {"gain": gain, "gain_stderr": float(np.std(gains[ok])), "m1_stderr": m1_err,
+              "n_bootstrap": CALIBRATION_REPLICAS - failed, "n_bootstrap_failed": failed}
     out_path.write_text(json.dumps(result, indent=2))
     return result
 

@@ -229,10 +229,8 @@ def antinormal_moments(state: FockState, order: int = 4) -> MomentMatrix:
 def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
     """Antinormal thermal-noise moments <h^n (h^dag)^m> = delta_nm n! (nbar+1)^n."""
     values = np.zeros((order + 1, order + 1), dtype=complex)
-    for n in range(order + 1):
-        if 2 * n <= order:
-            values[n, n] = math.factorial(n) * (noise.nbar + 1.0) ** n
-    values[0, 0] = 1.0
+    for n in range(order // 2 + 1):
+        values[n, n] = math.factorial(n) * (noise.nbar + 1.0) ** n
     return MomentMatrix(values, ordering=ANTINORMAL)
 
 

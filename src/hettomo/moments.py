@@ -29,14 +29,13 @@ def moment_indices(order: int) -> list[tuple[int, int]]:
 
 
 def hermitize(values: np.ndarray) -> np.ndarray:
-    """Enforce exact Hermitian symmetry m(n, m) = conj(m(m, n))."""
-    values = np.asarray(values, dtype=complex)
-    out = values.copy()
-    k = values.shape[0]
-    for n in range(k):
-        out[n, n] = complex(values[n, n].real, 0.0)
-        for m in range(n + 1, k):
-            out[m, n] = np.conj(values[n, m])
+    """Enforce exact Hermitian symmetry m(n, m) = conj(m(m, n)) from the upper
+    triangle, over any leading axes."""
+    out = np.array(values, dtype=complex)
+    n, m = np.triu_indices(out.shape[-1], 1)
+    out[..., m, n] = out[..., n, m].conj()
+    d = np.arange(out.shape[-1])
+    out[..., d, d] = out[..., d, d].real
     return out
 
 
@@ -69,9 +68,8 @@ class MomentMatrix:
         if np.max(np.abs(values - np.conj(values.T))) > 1e-9 * scale:
             raise ValueError("moment matrix must be Hermitian-symmetric")
         # entries above the order cap are not part of the contract
-        k = values.shape[0] - 1
-        n, m = np.meshgrid(np.arange(k + 1), np.arange(k + 1), indexing="ij")
-        values = np.where(n + m <= k, values, 0.0)
+        r = np.arange(values.shape[0])
+        values = np.where(np.add.outer(r, r) <= r[-1], values, 0.0)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -18,25 +18,19 @@ from .simulate import ShotBatch
 from .tomo import InversionReport, WignerGrid
 
 
-def _c2j(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _j2c(pair) -> complex:
-    return complex(pair[0], pair[1])
-
-
 def matrix_to_json(values: np.ndarray) -> list:
-    return [[_c2j(z) for z in row] for row in np.asarray(values, dtype=complex)]
+    return [[[float(z.real), float(z.imag)] for z in row]
+            for row in np.asarray(values, dtype=complex)]
 
 
 def matrix_from_json(rows) -> np.ndarray:
-    return np.array([[_j2c(z) for z in row] for row in rows], dtype=complex)
+    return np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
 
 
 # -- shot batches ------------------------------------------------------------
 
-def save_shots(prefix, batch: ShotBatch, gain: float | None = None) -> tuple[Path, Path]:
+def save_shots(prefix, batch: ShotBatch, gain: float | None = None,
+               seed=None) -> tuple[Path, Path]:
     prefix = Path(prefix)
     data = np.empty(2 * batch.count, dtype="<f8")
     data[0::2] = batch.samples.real
@@ -45,7 +39,7 @@ def save_shots(prefix, batch: ShotBatch, gain: float | None = None) -> tuple[Pat
     data.tofile(bin_path)
     sidecar = {
         "count": batch.count,
-        "seed": batch.seed if isinstance(batch.seed, int) else list(batch.seed),
+        "seed": seed,
         "units": "detector",
         "gain": gain,
         "dtype": "<f8 interleaved re,im",
@@ -61,9 +55,7 @@ def load_shots(prefix) -> ShotBatch:
     data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
     if data.size != 2 * sidecar["count"]:
         raise ValueError(f"{prefix}: shot file length disagrees with sidecar")
-    seed = sidecar["seed"]
-    return ShotBatch(data[0::2] + 1j * data[1::2],
-                     seed=tuple(seed) if isinstance(seed, list) else seed)
+    return ShotBatch(data[0::2] + 1j * data[1::2])
 
 
 # -- histograms --------------------------------------------------------------

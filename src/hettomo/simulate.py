@@ -64,10 +64,9 @@ class TemporalEnvelope:
 
 @dataclass(frozen=True)
 class ShotBatch:
-    """A batch of complex detector outcomes with its RNG seed."""
+    """A batch of complex detector outcomes."""
 
     samples: np.ndarray
-    seed: int | tuple
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=complex)
@@ -171,10 +170,10 @@ def sample_detector(state: FockState, chain: AmplifierChain, n: int,
     if state.profile is None:
         beta = _sample_q_rejection(*_proposal(state, 1.0 / (1.0 + nbar)), n,
                                    stream_rng(seed, stream))
-        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta, seed=seed)
+        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta)
     alpha = sample_q(state, n, seed, stream=stream)
     nu = _complex_normal(stream_rng(seed, stream, 1), n, nbar / 2.0) if nbar > 0 else 0.0
-    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu), seed=seed)
+    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu))
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,
@@ -200,7 +199,7 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
 
 
 def matched_filter(records: np.ndarray, env: TemporalEnvelope,
-                   weights: np.ndarray | None = None, seed=0) -> ShotBatch:
+                   weights: np.ndarray | None = None) -> ShotBatch:
     """Project time-binned records onto a temporal mode: S_j = sum_i g_i* r_ji dt.
 
     `weights` overrides the envelope's filter values on the same time grid
@@ -214,7 +213,7 @@ def matched_filter(records: np.ndarray, env: TemporalEnvelope,
         raise ValueError("filter weights do not match the envelope time grid")
     # einsum, not `records @ g`: BLAS would leave OpenBLAS workers spinning between batches
     s = np.einsum("ij,j->i", records, g.conj()) * env.dt
-    return ShotBatch(s, seed=seed)
+    return ShotBatch(s)
 
 
 def overlap(f: TemporalEnvelope, g: TemporalEnvelope) -> float:

@@ -127,16 +127,20 @@ def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
     return RawMomentMatrix(hermitize(values), count=0, provenance="forward-model")
 
 
-def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float) -> MomentMatrix:
-    """Antinormal noise moments from a vacuum-reference run:
-    <h^n (h^dag)^m> = s_vac(n, m) / G^{(n+m)/2}."""
+def _noise_values(raw_vacuum: np.ndarray, gain: float) -> np.ndarray:
+    """<h^n (h^dag)^m> = s_vac(n, m) / G^{(n+m)/2}, over any leading axes of s_vac."""
     if gain <= 0:
         raise ValueError("gain must be > 0")
-    n, m, g = _gain_diagonal(raw_vacuum.order, gain)
-    values = np.zeros_like(raw_vacuum.values)
-    values[n, m] = raw_vacuum.values[n, m] / g
-    values[0, 0] = 1.0
-    return MomentMatrix(hermitize(values), ordering=ANTINORMAL)
+    n, m, g = _gain_diagonal(raw_vacuum.shape[-1] - 1, gain)
+    values = np.zeros_like(raw_vacuum)
+    values[..., n, m] = raw_vacuum[..., n, m] / g
+    values[..., 0, 0] = 1.0
+    return hermitize(values)
+
+
+def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float) -> MomentMatrix:
+    """Antinormal noise moments from a vacuum-reference run."""
+    return MomentMatrix(_noise_values(raw_vacuum.values, gain), ordering=ANTINORMAL)
 
 
 def _solve(op: np.ndarray, raw: np.ndarray, gain: float) -> np.ndarray:
@@ -177,13 +181,21 @@ def bootstrap_errors(signal_batches: list[RawMomentMatrix],
     inverts every replica and reports the per-entry spread.
     """
     _check_orders(*signal_batches, *vacuum_batches)
-    replicas = resample_batches([signal_batches, vacuum_batches], n_boot,
-                                seed=[seed, 0xB007])
-    ops = _binomial_operator(np.array([recover_noise_moments(vac, gain).values
-                                      for _, vac in replicas]))
-    moments = np.array([_solve(op, sig.values, gain)
-                        for op, (sig, _) in zip(ops, replicas)])
+    signal, vacuum = resample_batches([signal_batches, vacuum_batches], n_boot,
+                                      seed=[seed, 0xB007])
+    ops = _binomial_operator(_noise_values(vacuum, gain))
+    moments = np.array([_solve(op, sig, gain) for op, sig in zip(ops, signal)])
     return np.sqrt(np.mean(np.abs(moments - moments.mean(axis=0)) ** 2, axis=0))
+
+
+def gain_terms(raw_super: np.ndarray, raw_vacuum: np.ndarray) -> tuple[np.ndarray, ...]:
+    """M1 = |s(0, 1)|, M2 = s(1, 1) - s_vac(1, 1) and G = (M2 / M1)^2 over any leading
+    axes; hypot and float_power round as scalar abs() and ** do, np.abs and ** 2 may not."""
+    s01 = raw_super[..., 0, 1]
+    m1 = np.hypot(s01.real, s01.imag)
+    m2 = (raw_super[..., 1, 1] - raw_vacuum[..., 1, 1]).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return m1, m2, np.float_power(m2 / m1, 2)
 
 
 def estimate_gain(raw_super: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
@@ -192,19 +204,18 @@ def estimate_gain(raw_super: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
 
     For states with |<a>| = <a^dag a> = x the first moment scales as
     sqrt(G) x and the noise-subtracted second moment as G x, so
-    G = (M2 / M1)^2.
+    G = (M2 / M1)^2 (`gain_terms`).
     """
     _check_orders(raw_super, raw_vacuum)
-    m1 = abs(raw_super.values[0, 1])
+    m1, m2, gain = gain_terms(raw_super.values, raw_vacuum.values)
     if m1_error is not None and m1 < 5.0 * m1_error:
         raise ValueError("phase reference too weak: |<S>| below 5x its "
                          "standard error")
     if m1 <= 0:
         raise ValueError("degenerate phase reference: |<S>| = 0")
-    m2 = (raw_super.values[1, 1] - raw_vacuum.values[1, 1]).real
     if m2 <= 0:
         raise ValueError("noise-subtracted second moment is not positive")
-    return (m2 / m1) ** 2
+    return gain
 
 
 def truncation_order(moments: MomentMatrix,
@@ -247,9 +258,7 @@ def wigner_kernel(n: int, m: int, alpha) -> np.ndarray | complex:
         poly = poly + coeff * 2.0 ** (n + m - k) \
             * alpha_arr ** (n - k) * (-np.conj(alpha_arr)) ** (m - k)
     out = (-1.0) ** m * (2.0 / np.pi) * np.exp(-2.0 * np.abs(alpha_arr) ** 2) * poly
-    if np.isscalar(alpha) or np.asarray(alpha).ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if np.ndim(alpha) == 0 else out
 
 
 def wigner_from_moments(moments: MomentMatrix, alpha,
@@ -273,8 +282,7 @@ def reconstruct_wigner(moments: MomentMatrix, extent: float = 3.0,
     if moments.ordering != NORMAL:
         raise ValueError("reconstruction needs normally ordered moments")
     truncation = truncation_order(moments, threshold)
-    xs = np.linspace(-extent, extent, resolution)
-    ps = np.linspace(-extent, extent, resolution)
+    xs = ps = np.linspace(-extent, extent, resolution)
     grid = xs[:, None] + 1j * ps[None, :]
     values = wigner_from_moments(moments, grid, truncation)
     return WignerGrid(xs=xs, ps=ps, values=values, extent=extent,

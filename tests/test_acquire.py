@@ -5,12 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hettomo.acquire import (QuadratureHistogram, StreamingMoments,
-                             histogram_moments, streaming_moments, vacuum_sigma)
+from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
+                             histogram_moments, resample_batches, streaming_moments,
+                             vacuum_sigma)
 from hettomo.fock import FockState, NoiseModel, prepare_superposition
 from hettomo.moments import RawMomentMatrix, moment_indices
 from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
+
+from conftest import random_moment_matrix
 
 CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
 SIGMA_VAC = math.sqrt(1.0e4 * 65.0 / 2.0)
@@ -34,6 +37,17 @@ class TestQuadratureHistogram:
             h.add(np.array([0.0 + 0.0j, 5.0 + 0.0j, 0.0 + 5.0j]))
         assert h.overflow == 2
         assert h.in_range == 1
+
+    def test_overflow_warns_once(self):
+        # about 9% of these shots fall outside +-1 on one axis or the other
+        h = QuadratureHistogram(bins=16, extent=1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for b in range(50):
+                h.add(gaussian_shots(1000, seed=b, sigma=0.5))
+        assert 0.05 < h.overflow / h.total < 0.15
+        assert [w.category for w in caught] == [UserWarning]
+        assert "overflow" in str(caught[0].message)
 
     def test_add_is_in_place(self):
         h = QuadratureHistogram(bins=16, extent=4.0)
@@ -96,6 +110,31 @@ class TestRawMomentMatrix:
         assert r.values[2, 2] == 0.0 and r.values[1, 2] == 0.0
         assert r.values[1, 1] == 1.0
         assert r.order == 2
+
+
+class TestResampleBatches:
+    @staticmethod
+    def random_run(rng, batches: int) -> list[RawMomentMatrix]:
+        return [RawMomentMatrix(random_moment_matrix(rng, 4), count=int(rng.integers(100, 1000)))
+                for _ in range(batches)]
+
+    def test_each_replica_is_combine_batches_of_its_draw(self):
+        rng = np.random.default_rng(3)
+        runs = [self.random_run(rng, 7), self.random_run(rng, 5)]
+        replicas = resample_batches(runs, 30, seed=[5, 6])
+        assert [r.shape for r in replicas] == [(30, 5, 5), (30, 5, 5)]
+        draws = np.random.default_rng(np.random.SeedSequence([5, 6]))
+        for b in range(30):     # the documented order: replica by replica, run after run
+            for run, stack in zip(runs, replicas):
+                drawn = draws.integers(0, len(run), len(run))
+                expected = combine_batches([run[k] for k in drawn]).values
+                assert stack[b].tobytes() == expected.tobytes(), b
+
+    def test_refuses_a_one_batch_run(self):
+        rng = np.random.default_rng(4)
+        runs = [self.random_run(rng, 3), self.random_run(rng, 1)]
+        with pytest.raises(ValueError, match="at least two batches"):
+            resample_batches(runs, 10, seed=[0])
 
 
 class TestStreamingMoments:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -500,6 +501,26 @@ def test_calibrate_counts_failed_replicas(tmp_path, capsys, poison, code):
         assert doc["n_bootstrap_failed"] == expected
         assert doc["n_bootstrap"] == 200 - expected
         assert doc["gain"] == pytest.approx(((17.0 + poison) / 20.0) ** 2)
+
+
+# gain_stderr and m1_stderr of calibrate on the run below, taken while every
+# replica gain came from its own estimate_gain call
+CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b53cc7b"
+
+
+def test_calibrate_keeps_its_bytes(tmp_path):
+    rng = np.random.default_rng(20)
+    save_batch_moments(tmp_path / "moments_calibration.json",
+                       [_order2_batch(complex(*rng.normal(0.5, 0.05, 2)),
+                                      3.0 + 0.1 * rng.normal()) for _ in range(20)])
+    save_batch_moments(tmp_path / "moments_vacuum.json",
+                       [_order2_batch(complex(*rng.normal(0.0, 0.01, 2)),
+                                      2.0 + 0.1 * rng.normal()) for _ in range(20)])
+    out = tmp_path / "calibration.json"
+    assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pinned = np.array([doc["gain_stderr"], doc["m1_stderr"]])
+    assert hashlib.sha256(pinned.tobytes()).hexdigest() == CALIBRATION_SHA256
 
 
 def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):

@@ -27,10 +27,10 @@ def test_matrix_json_round_trip():
 def test_shots_round_trip(tmp_path):
     chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
     batch = sample_detector(FockState.fock(1), chain, 1000, seed=5, stream=3)
-    save_shots(tmp_path / "shots", batch, gain=chain.gain)
+    save_shots(tmp_path / "shots", batch, gain=chain.gain, seed=[5, 3])
     back = load_shots(tmp_path / "shots")
     assert np.array_equal(back.samples, batch.samples)
-    assert back.seed == 5
+    assert json.loads((tmp_path / "shots.json").read_text())["seed"] == [5, 3]
 
 
 def test_shots_length_mismatch_detected(tmp_path):

@@ -46,10 +46,10 @@ class TestStreamRng:
 class TestShotBatch:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            ShotBatch(np.array([1.0 + 0j, np.nan]), seed=0)
+            ShotBatch(np.array([1.0 + 0j, np.nan]))
 
     def test_count(self):
-        assert ShotBatch(np.zeros(7, dtype=complex), seed=0).count == 7
+        assert ShotBatch(np.zeros(7, dtype=complex)).count == 7
 
 
 class TestSampleQ:

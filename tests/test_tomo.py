@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
 from hettomo.moments import NORMAL, MomentMatrix, hermitize, moment_indices
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
-                          bootstrap_errors, estimate_gain, forward_moments,
+                          bootstrap_errors, estimate_gain, forward_moments, gain_terms,
                           invert_moments, reconstruct_wigner,
                           recover_noise_moments, truncation_order,
                           wigner_from_moments, wigner_kernel)
@@ -20,6 +21,21 @@ from conftest import (fock_power_moments, random_density_matrix,
                       wigner_kernel_quadrature)
 
 TWO_OVER_PI = 2.0 / math.pi
+
+
+def test_hermitize_over_a_stack_matches_the_matrix_loop():
+    # the per-matrix loop the stacked form replaced: a real diagonal, and the
+    # lower triangle conjugated from the upper
+    rng = np.random.default_rng(12)
+    stack = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+    expected = stack.copy()
+    for v, out in zip(stack, expected):
+        for n in range(5):
+            out[n, n] = complex(v[n, n].real, 0.0)
+            for m in range(n + 1, 5):
+                out[m, n] = np.conj(v[n, m])
+    assert hermitize(stack).tobytes() == expected.tobytes()
+    assert hermitize(stack[2]).tobytes() == expected[2].tobytes()
 
 
 class TestForwardMoments:
@@ -142,6 +158,19 @@ class TestEstimateGain:
                                   noise, 1.0e4)
         assert estimate_gain(raw, raw_vac) == pytest.approx(1.0e4, rel=1e-10)
 
+    def test_stacked_gains_round_as_scalar_estimates(self):
+        # G of each member of a stack, bit for bit as Python's complex abs()
+        # and float ** round it; np.abs or an array's ** 2 would differ
+        rng = np.random.default_rng(9)
+        n = 20_000
+        sup = np.zeros((n, 3, 3), dtype=complex)
+        sup[:, 0, 1] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        sup[:, 1, 1] = 2.0 + rng.exponential(size=n)
+        vac = np.zeros_like(sup)
+        vac[:, 1, 1] = 2.0
+        expected = [(float((s[1, 1] - 2.0).real) / abs(complex(s[0, 1]))) ** 2 for s in sup]
+        assert gain_terms(sup, vac)[2].tobytes() == np.array(expected).tobytes()
+
     def test_weak_phase_reference_raises(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
         noise = noise_moments(NoiseModel(64.0), 4)
@@ -152,7 +181,31 @@ class TestEstimateGain:
             estimate_gain(raw, raw_vac, m1_error=abs(raw[0, 1]))
 
 
+def _synthetic_runs(order: int) -> tuple[list, list]:
+    """A 7-batch signal and a 5-batch vacuum run of random moments, unequal counts."""
+    rng = np.random.default_rng(order)
+
+    def batch() -> RawMomentMatrix:
+        values = 0.1 * random_moment_matrix(rng, order)
+        values[0, 0] = 1.0
+        return RawMomentMatrix(values, count=int(rng.integers(500, 2000)))
+    return [batch() for _ in range(7)], [batch() for _ in range(5)]
+
+
+# bootstrap_errors(*_synthetic_runs(order), 3.0, n_boot=64, seed=11), taken
+# while every replica was still a validated RawMomentMatrix
+BOOTSTRAP_SHA256 = {
+    4: "dcd10b7031ad06bc70579a17c33e4b18739512ffe0ab871798497f7eca33bc15",
+    8: "e91d352032fecc1e605ae089863faff54bd93e15498ca4e147f8cd86ce00a200",
+}
+
+
 class TestBootstrapErrors:
+    @pytest.mark.parametrize("order", sorted(BOOTSTRAP_SHA256))
+    def test_keeps_its_bytes(self, order):
+        err = bootstrap_errors(*_synthetic_runs(order), 3.0, n_boot=64, seed=11)
+        assert hashlib.sha256(err.tobytes()).hexdigest() == BOOTSTRAP_SHA256[order]
+
     def test_tracks_batch_spread(self):
         chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
         sig = [streaming_moments(
