@@ -17,6 +17,7 @@ from .simulate import ShotBatch
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
+_BLOCK = 32768  # shots per block of StreamingMoments.update
 
 
 def _as_samples(data) -> np.ndarray:
@@ -128,6 +129,26 @@ def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
     return powers
 
 
+def _block_sums(s: np.ndarray, order: int) -> np.ndarray:
+    # above _BLOCK shots, cut s where numpy's complex pairwise sum cuts it (half,
+    # rounded down to a multiple of 4) and add the halves up its tree: each sum
+    # equals one np.sum over all of s bit for bit, from cache-sized rows
+    if s.size > _BLOCK:
+        half = s.size // 2 - s.size // 2 % 4
+        return _block_sums(s[:half], order) + _block_sums(s[half:], order)
+    # terms have n >= m and n + m <= order, so S^m is needed only to m = order // 2;
+    # S^n, its conjugate and the products reuse 4 rows, S^n two by turns because
+    # numpy's in-place complex multiply can round differently (sums stay bit-exact)
+    sums = np.zeros((order + 1, order + 1), dtype=complex)
+    low, buf = _power_table(s, order // 2), np.empty((4, s.size), dtype=complex)
+    for n in range(order + 1):
+        power = low[n] if n < len(low) else np.multiply(power, s, out=buf[n % 2])
+        conj = np.conjugate(power, out=buf[2])
+        for m in range(min(n, order - n) + 1):
+            sums[n, m] = np.sum(np.multiply(conj, low[m], out=buf[3]))
+    return sums
+
+
 class StreamingMoments:
     """Single-pass accumulator of sums of (S*)^n S^m."""
 
@@ -138,15 +159,7 @@ class StreamingMoments:
 
     def update(self, data) -> "StreamingMoments":
         s = _as_samples(data)
-        # terms have n >= m and n + m <= order, so S^m is needed only to m = order // 2;
-        # S^n, its conjugate and the products reuse 4 rows, S^n two by turns because
-        # numpy's in-place complex multiply can round differently (sums stay bit-exact)
-        low, buf = _power_table(s, self.order // 2), np.empty((4, s.size), dtype=complex)
-        for n in range(self.order + 1):
-            power = low[n] if n < len(low) else np.multiply(power, s, out=buf[n % 2])
-            conj = np.conjugate(power, out=buf[2])
-            for m in range(min(n, self.order - n) + 1):
-                self.sums[n, m] += np.sum(np.multiply(conj, low[m], out=buf[3]))
+        self.sums += _block_sums(s, self.order)
         self.count += s.size
         return self
 

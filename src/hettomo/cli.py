@@ -349,35 +349,37 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     return derived
 
 
-def _load_run(run_dir: Path, name: str) -> list[RawMomentMatrix]:
-    path = run_dir / f"moments_{name}.json"
-    if not path.exists():
-        raise DataError(f"missing {name} moments: {path}")
-    with _block(str(path), DataError):
-        batches = serialize.load_batch_moments(path)
-        if len({b.order for b in batches}) != 1:
-            raise ValueError("need one or more batches, all of one order")
-        for b in batches:
-            _typed(b.count, int, "count", lo=1)
-    return batches
-
-
-def _up_to_order(batches: list[RawMomentMatrix], order: int) -> list[RawMomentMatrix]:
-    return [RawMomentMatrix(b.values[: order + 1, : order + 1], count=b.count,
-                            provenance=b.provenance) for b in batches]
+def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
+               order: int | None = None) -> list[list[RawMomentMatrix]]:
+    """A signal run's and its vacuum run's batches, of one stored order, cut to
+    `order` where that is lower."""
+    pair = []
+    for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum")):
+        path = run_dir / f"moments_{name}.json"
+        if not path.exists():
+            raise DataError(f"missing {name} moments: {path}")
+        with _block(str(path), DataError):
+            pair.append(serialize.load_batch_moments(path))
+            if len({b.order for b in pair[-1]}) != 1:
+                raise ValueError("need one or more batches, all of one order")
+            for b in pair[-1]:
+                _typed(b.count, int, "count", lo=1)
+    stored = pair[0][0].order
+    if pair[1][0].order != stored:
+        raise DataError("signal and vacuum runs have different moment orders")
+    if order is None or order == stored:
+        return pair
+    if stored < order:
+        raise DataError(f"stored moments only go to order {stored}")
+    return [[RawMomentMatrix(b.values[: order + 1, : order + 1], count=b.count,
+                             provenance=b.provenance) for b in run] for run in pair]
 
 
 def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
                 order: int, out_path: Path) -> InversionReport:
     _require(math.isfinite(gain) and gain > 0, "gain", f"must be a number > 0, got {gain}")
     _require(order >= 1, "order", f"must be >= 1, got {order}")
-    sig_batches = _load_run(signal_dir, "signal")
-    vac_batches = _load_run(vacuum_dir, "vacuum")
-    if sig_batches[0].order != vac_batches[0].order:
-        raise DataError("signal and vacuum runs have different moment orders")
-    if sig_batches[0].order < order:
-        raise DataError(f"stored moments only go to order {sig_batches[0].order}")
-    sig_batches, vac_batches = (_up_to_order(b, order) for b in (sig_batches, vac_batches))
+    sig_batches, vac_batches = _load_pair(signal_dir, "signal", vacuum_dir, order)
     try:
         errors = bootstrap_errors(sig_batches, vac_batches, gain)
         report = invert_moments(combine_batches(sig_batches), combine_batches(vac_batches),
@@ -401,8 +403,7 @@ def format_moment_table(report: InversionReport) -> str:
 
 def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path) -> dict:
     stored = "calibration" if (super_dir / "moments_calibration.json").exists() else "signal"
-    sup_batches = _load_run(super_dir, stored)
-    vac_batches = _load_run(vacuum_dir, "vacuum")
+    sup_batches, vac_batches = _load_pair(super_dir, stored, vacuum_dir)
     try:
         sup, vac = resample_batches([sup_batches, vac_batches], CALIBRATION_REPLICAS,
                                     seed=[0, 0xCA1])

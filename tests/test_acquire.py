@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,10 +146,12 @@ class TestStreamingMoments:
             direct = np.mean(np.conj(s) ** n * s ** m)
             assert r[n, m] == pytest.approx(direct, abs=1e-10)
 
-    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1000])
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 1000, 32768, 32769, 65541,
+                                      3 * 32768 + 5, 400_000])
     def test_sums_bit_identical_to_fresh_power_table(self, size):
         # stored moments of exactly sampled states must not change by a rounding:
-        # the reused buffers must give the sums of a fresh S^n table, bit for bit
+        # the reused buffers must give the sums of a fresh S^n table, bit for bit,
+        # and batches summed in blocks must give one np.sum over the whole batch
         for seed, order in itertools.product(range(11, 15), range(10)):
             s = gaussian_shots(size, seed=seed, sigma=30.0, mean=5.0 - 2.0j)
             powers = [np.ones_like(s)]
@@ -160,6 +163,17 @@ class TestStreamingMoments:
                     expected[n, m] = np.sum(powers[n].conj() * powers[m])
             got = StreamingMoments(order).update(s).sums
             assert got.tobytes() == expected.tobytes(), (seed, order)
+
+    def test_large_batch_peaks_below_its_own_size(self):
+        # order 8 at 400 000 shots: cache-sized blocks, no batch-sized power rows
+        s = gaussian_shots(400_000, seed=3)
+        tracemalloc.start()
+        try:
+            StreamingMoments(8).update(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < s.nbytes, peak
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):

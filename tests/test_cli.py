@@ -269,6 +269,19 @@ class TestExitCodes:
         assert run(["analyze", "--signal", str(tmp_path / "empty"),
                     "--gain", "1.0", "--out", str(tmp_path / "r.json")]) == 3
 
+    @pytest.mark.parametrize("command", [["calibrate"], ["analyze", "--gain", "1.0"]])
+    def test_runs_of_different_orders_are_3(self, tmp_path, capsys, command):
+        for name, order in (("signal", 4), ("vacuum", 2)):
+            cfg = write_config(tmp_path, shots=2000, batches=4, order=order,
+                               calibration={})
+            assert run(["simulate", "--config", str(cfg),
+                        "--out", str(tmp_path / name)]) == 0
+        out = tmp_path / "out.json"
+        assert run([*command, "--signal", str(tmp_path / "signal"), "--vacuum",
+                    str(tmp_path / "vacuum"), "--out", str(out)]) == 3
+        assert "different moment orders" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numeric_error_is_4(self, tmp_path, capsys):
         # calibrating on a vacuum run has no phase reference at all
         cfg = write_config(tmp_path, shots=2000, batches=4,
