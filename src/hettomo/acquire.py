@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .moments import RawMomentMatrix, moment_indices
+from .moments import DETECTOR, BatchMoments, MomentMatrix, moment_indices
 from .simulate import ShotBatch
 
 DEFAULT_BINS = 1024
@@ -93,13 +93,11 @@ def _count_weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return mean
 
 
-def combine_batches(batches: list[RawMomentMatrix]) -> RawMomentMatrix:
-    counts = np.array([b.count for b in batches], dtype=float)
-    return RawMomentMatrix(_count_weighted_mean(np.array([b.values for b in batches]), counts),
-                           count=int(counts.sum()), provenance=batches[0].provenance)
+def combine_batches(batches: BatchMoments) -> MomentMatrix:
+    return MomentMatrix(_count_weighted_mean(batches.values, batches.counts), DETECTOR)
 
 
-def resample_batches(runs: list[list[RawMomentMatrix]], n_boot: int,
+def resample_batches(runs: list[BatchMoments], n_boot: int,
                      seed: list[int]) -> list[np.ndarray]:
     """`n_boot` bootstrap replicas of each run's combined moments, stacked into
     one (n_boot, K+1, K+1) array per run.
@@ -109,16 +107,14 @@ def resample_batches(runs: list[list[RawMomentMatrix]], n_boot: int,
     and averaged by count as `combine_batches` does. A run of one batch would
     give every replica the same value, so it is refused.
     """
-    if min(len(run) for run in runs) < 2:
+    if min(run.counts.size for run in runs) < 2:
         raise ValueError("bootstrap needs at least two batches in each run")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    stacks = [(np.array([b.values for b in run]), np.array([b.count for b in run], dtype=float))
-              for run in runs]
-    replicas = [np.empty((n_boot, *values.shape[1:]), dtype=complex) for values, _ in stacks]
+    replicas = [np.empty((n_boot, *run.values.shape[1:]), dtype=complex) for run in runs]
     for b in range(n_boot):
-        for (values, counts), out in zip(stacks, replicas):
-            drawn = rng.integers(0, len(counts), len(counts))
-            out[b] = _count_weighted_mean(values[drawn], counts[drawn])
+        for run, out in zip(runs, replicas):
+            drawn = rng.integers(0, run.counts.size, run.counts.size)
+            out[b] = _count_weighted_mean(run.values[drawn], run.counts[drawn])
     return replicas
 
 
@@ -150,40 +146,33 @@ def _block_sums(s: np.ndarray, order: int) -> np.ndarray:
 
 
 class StreamingMoments:
-    """Single-pass accumulator of sums of (S*)^n S^m."""
+    """Single-pass accumulator of each batch's sums of (S*)^n S^m."""
 
     def __init__(self, order: int = 4):
         self.order = order
-        self.sums = np.zeros((order + 1, order + 1), dtype=complex)
-        self.count = 0
+        self.sums: list[np.ndarray] = []
+        self.counts: list[int] = []
 
     def update(self, data) -> "StreamingMoments":
+        """Add one batch."""
         s = _as_samples(data)
-        self.sums += _block_sums(s, self.order)
-        self.count += s.size
+        self.sums.append(_block_sums(s, self.order))
+        self.counts.append(s.size)
         return self
 
-    def result(self) -> RawMomentMatrix:
-        if self.count == 0:
+    def result(self) -> BatchMoments:
+        """The batches' moments, in the order they were added."""
+        if not self.counts or min(self.counts) == 0:
             raise ValueError("no samples accumulated")
-        values = self.sums / self.count
+        counts = np.array(self.counts)
+        values = np.array(self.sums) / counts[:, None, None]
         n, m = np.tril_indices(self.order + 1, -1)  # update fills n >= m only
-        values[m, n] = values[n, m].conj()
-        values[0, 0] = 1.0
-        return RawMomentMatrix(values, count=self.count, provenance="streaming")
+        values[:, m, n] = values[:, n, m].conj()
+        values[:, 0, 0] = 1.0
+        return BatchMoments(values, counts)
 
 
-def streaming_moments(batches, order: int = 4) -> RawMomentMatrix:
-    """Exact sample averages of (S*)^n S^m over one or more batches."""
-    acc = StreamingMoments(order)
-    if isinstance(batches, (ShotBatch, np.ndarray)):
-        batches = [batches]
-    for batch in batches:
-        acc.update(batch)
-    return acc.result()
-
-
-def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMatrix:
+def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> MomentMatrix:
     """Moments from binned counts at bin centers (midpoint rule); mirrors
     a histogram-based hardware pathway and carries its quantization bias."""
     if hist.in_range == 0:
@@ -198,7 +187,7 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> RawMomentMat
             values[n, m] = np.sum(w * powers[n].conj() * powers[m])
             values[m, n] = np.conj(values[n, m])
     values[0, 0] = 1.0
-    return RawMomentMatrix(values, count=hist.in_range, provenance="histogram")
+    return MomentMatrix(values, DETECTOR)
 
 
 def vacuum_sigma(data) -> float:

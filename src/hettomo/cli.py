@@ -27,7 +27,7 @@ from .acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
                       resample_batches, vacuum_sigma)
 from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
                    prepare_superposition, thermal_state)
-from .moments import RawMomentMatrix, moment_indices
+from .moments import BatchMoments, moment_indices
 from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, sample_detector, simulate_time_trace)
 from .tomo import (InversionReport, bootstrap_errors, estimate_gain, gain_terms,
@@ -272,14 +272,14 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
         # sequential: a pool here costs more memory than it saves time
         batches = (sample_detector(state, cfg.chain, size, seed=seed, stream=b)
                    for b, size in enumerate(sizes))
-    batch_moments: list[RawMomentMatrix] = []
+    moments = StreamingMoments(cfg.order)
     shots_kept: list[np.ndarray] = []
     for batch in batches:
         hist.add(batch)
-        batch_moments.append(StreamingMoments(cfg.order).update(batch).result())
+        moments.update(batch)
         if cfg.store_shots:
             shots_kept.append(batch.samples)
-    out = {"hist": hist, "batch_moments": batch_moments}
+    out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
         out["shots"] = ShotBatch(np.concatenate(shots_kept))
     return out
@@ -350,7 +350,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
-               order: int | None = None) -> list[list[RawMomentMatrix]]:
+               order: int | None = None) -> list[BatchMoments]:
     """A signal run's and its vacuum run's batches, of one stored order, cut to
     `order` where that is lower."""
     pair = []
@@ -360,19 +360,14 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
             raise DataError(f"missing {name} moments: {path}")
         with _block(str(path), DataError):
             pair.append(serialize.load_batch_moments(path))
-            if len({b.order for b in pair[-1]}) != 1:
-                raise ValueError("need one or more batches, all of one order")
-            for b in pair[-1]:
-                _typed(b.count, int, "count", lo=1)
-    stored = pair[0][0].order
-    if pair[1][0].order != stored:
+    stored = pair[0].order
+    if pair[1].order != stored:
         raise DataError("signal and vacuum runs have different moment orders")
     if order is None or order == stored:
         return pair
     if stored < order:
         raise DataError(f"stored moments only go to order {stored}")
-    return [[RawMomentMatrix(b.values[: order + 1, : order + 1], count=b.count,
-                             provenance=b.provenance) for b in run] for run in pair]
+    return [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts) for run in pair]
 
 
 def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
@@ -540,7 +535,10 @@ def _manifest_gain(run_dir: Path) -> float:
     if not manifest.exists():
         raise DataError(f"no manifest in {run_dir}; pass --gain explicitly")
     with _block(str(manifest), DataError):
-        return _get(json.loads(manifest.read_text())["derived"], "gain_true", float)
+        gain = _get(json.loads(manifest.read_text())["derived"], "gain_true", float)
+        if gain <= 0:
+            raise ValueError(f"gain_true must be a number > 0, got {gain}")
+        return gain
 
 
 def run(argv=None) -> int:

@@ -7,12 +7,14 @@ all ``0 <= n + m <= K``.  Entries with ``n + m > K`` are kept at zero and
 are not part of the contract.  The ordering tag distinguishes normally
 ordered signal moments ``<(a^dag)^n a^m>``, antinormally ordered noise
 moments ``<h^n (h^dag)^m>`` and estimated detector moments
-``<(S*)^n S^m>``; all three pass the same checks on construction.
+``<(S*)^n S^m>``; all three pass the same checks on construction.  A run's
+per-batch detector moments travel as one `BatchMoments` stack, whose
+matrices pass those checks one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,39 +41,47 @@ def hermitize(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked(values, ndim: int) -> np.ndarray:
+    """`values` as read-only complex moment matrices over `ndim` - 2 leading axes,
+    each square and finite with m(0, 0) = 1, a real diagonal and Hermitian symmetry
+    within 1e-9 of its own largest entry; entries above the order cap are zeroed."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim != ndim or values.shape[-1] != values.shape[-2]:
+        raise ValueError("moment matrix must be square")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("moment matrix contains non-finite entries")
+    scale = 1e-9 * np.maximum(1.0, np.max(np.abs(values), axis=(-2, -1)))
+    if np.any(np.abs(values[..., 0, 0] - 1.0) > 1e-9):
+        raise ValueError("m(0, 0) must be 1")
+    diagonal = np.diagonal(values, axis1=-2, axis2=-1)
+    if np.any(np.max(np.abs(diagonal.imag), axis=-1) > scale):
+        raise ValueError("diagonal moments must be real")
+    asymmetry = np.abs(values - np.conj(np.swapaxes(values, -2, -1)))
+    if np.any(np.max(asymmetry, axis=(-2, -1)) > scale):
+        raise ValueError("moment matrix must be Hermitian-symmetric")
+    # entries above the order cap are not part of the contract
+    r = np.arange(values.shape[-1])
+    values = np.where(np.add.outer(r, r) <= r[-1], values, 0.0)
+    values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class MomentMatrix:
     """Moment matrix of a single bosonic mode.
 
     ``values[n, m]`` is ``<(a^dag)^n a^m>`` for normal ordering,
     ``<h^n (h^dag)^m>`` for antinormal ordering or ``<(S*)^n S^m>`` for
-    detector moments.  It must be square and finite with m(0, 0) = 1, a real
-    diagonal and Hermitian symmetry; entries above the order cap are zeroed.
+    detector moments, checked on construction as `_checked` describes.
     """
 
     values: np.ndarray
     ordering: str = NORMAL
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError("moment matrix must be square")
         if self.ordering not in _ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}")
-        if not np.all(np.isfinite(values.view(float))):
-            raise ValueError("moment matrix contains non-finite entries")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if abs(values[0, 0] - 1.0) > 1e-9:
-            raise ValueError("m(0, 0) must be 1")
-        if np.max(np.abs(np.diag(values).imag)) > 1e-9 * scale:
-            raise ValueError("diagonal moments must be real")
-        if np.max(np.abs(values - np.conj(values.T))) > 1e-9 * scale:
-            raise ValueError("moment matrix must be Hermitian-symmetric")
-        # entries above the order cap are not part of the contract
-        r = np.arange(values.shape[0])
-        values = np.where(np.add.outer(r, r) <= r[-1], values, 0.0)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _checked(self.values, 2))
 
     @property
     def order(self) -> int:
@@ -84,11 +94,30 @@ class MomentMatrix:
         return complex(self.values[n, m])
 
 
-@dataclass(frozen=True, kw_only=True)
-class RawMomentMatrix(MomentMatrix):
-    """Estimated detector moments s(n, m) = <(S*)^n S^m> of `count` shots."""
+@dataclass(frozen=True)
+class BatchMoments:
+    """A run's detector moments <(S*)^n S^m>, one (K+1, K+1) matrix per batch.
 
-    ordering: str = field(default=DETECTOR, init=False)
-    count: int
-    provenance: str = "streaming"
+    ``values`` has shape (B, K+1, K+1) and each matrix passes the checks of
+    `MomentMatrix`; ``counts`` holds each batch's shot count, an integer >= 1.
+    """
 
+    values: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        counts = np.array(self.counts)
+        if counts.ndim != 1 or counts.size == 0:
+            raise ValueError("holds no batches")
+        if counts.dtype.kind not in "iu" or np.any(counts < 1):
+            raise ValueError("batch counts must be integers >= 1")
+        values = _checked(self.values, 3)
+        if len(values) != counts.size:
+            raise ValueError(f"{counts.size} counts for {len(values)} batches")
+        counts.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "counts", counts)
+
+    @property
+    def order(self) -> int:
+        return self.values.shape[-1] - 1

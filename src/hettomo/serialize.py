@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquire import QuadratureHistogram
-from .moments import MomentMatrix, RawMomentMatrix
+from .moments import BatchMoments, MomentMatrix
 from .simulate import ShotBatch
 from .tomo import InversionReport, WignerGrid
 
@@ -94,16 +94,21 @@ def load_histogram(prefix) -> QuadratureHistogram:
 
 # -- moments and reports -----------------------------------------------------
 
-def save_batch_moments(path, batches: list[RawMomentMatrix]) -> None:
-    doc = [{"count": b.count, "provenance": b.provenance,
-            "values": matrix_to_json(b.values)} for b in batches]
+def save_batch_moments(path, batches: BatchMoments) -> None:
+    doc = [{"count": int(count), "provenance": "streaming", "values": matrix_to_json(values)}
+           for values, count in zip(batches.values, batches.counts)]
     Path(path).write_text(json.dumps(doc))
 
 
-def load_batch_moments(path) -> list[RawMomentMatrix]:
+def load_batch_moments(path) -> BatchMoments:
     doc = json.loads(Path(path).read_text())
-    return [RawMomentMatrix(matrix_from_json(b["values"]), count=b["count"],
-                            provenance=b["provenance"]) for b in doc]
+    counts = [b["count"] for b in doc]
+    if any(type(count) is not int for count in counts):
+        raise ValueError("batch counts must be integers >= 1")
+    values = [matrix_from_json(b["values"]) for b in doc]
+    if len({v.shape for v in values}) > 1:
+        raise ValueError("batches of different moment orders")
+    return BatchMoments(np.array(values), np.array(counts))
 
 
 def save_report(path, report: InversionReport) -> None:

@@ -198,21 +198,14 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
     return records
 
 
-def matched_filter(records: np.ndarray, env: TemporalEnvelope,
-                   weights: np.ndarray | None = None) -> ShotBatch:
-    """Project time-binned records onto a temporal mode: S_j = sum_i g_i* r_ji dt.
-
-    `weights` overrides the envelope's filter values on the same time grid
-    (e.g. for orthogonal-mode checks); the default is the matched filter.
-    """
+def matched_filter(records: np.ndarray, env: TemporalEnvelope) -> ShotBatch:
+    """Project time-binned records onto the envelope's temporal mode:
+    S_j = sum_i f_i* r_ji dt."""
     records = np.asarray(records, dtype=complex)
     if records.ndim != 2 or records.shape[1] != env.n_bins:
         raise ValueError("records do not match the envelope time grid")
-    g = env.f if weights is None else np.asarray(weights, dtype=complex)
-    if g.shape != (env.n_bins,):
-        raise ValueError("filter weights do not match the envelope time grid")
-    # einsum, not `records @ g`: BLAS would leave OpenBLAS workers spinning between batches
-    s = np.einsum("ij,j->i", records, g.conj()) * env.dt
+    # einsum, not `records @ f`: BLAS would leave OpenBLAS workers spinning between batches
+    s = np.einsum("ij,j->i", records, env.f.conj()) * env.dt
     return ShotBatch(s)
 
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquire import resample_batches
-from .moments import (ANTINORMAL, NORMAL, MomentMatrix, RawMomentMatrix, hermitize,
-                      moment_indices)
+from .moments import (ANTINORMAL, DETECTOR, NORMAL, BatchMoments, MomentMatrix,
+                      hermitize, moment_indices)
 
 WIGNER_KERNEL_MAX_ORDER = 8
 
@@ -110,7 +110,7 @@ def _gain_diagonal(order: int, gain: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
-                    gain: float) -> RawMomentMatrix:
+                    gain: float) -> MomentMatrix:
     """Detector moments from signal and noise moments, s = D_G B(h) m:
 
     s(n, m) = G^{(n+m)/2} sum_{i<=n, j<=m} C(n,i) C(m,j)
@@ -124,7 +124,7 @@ def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
     n, m, g = _gain_diagonal(order, gain)
     values = np.zeros((order + 1, order + 1), dtype=complex)
     values[n, m] = g * (_binomial_operator(noise.values) @ signal.values[n, m])
-    return RawMomentMatrix(hermitize(values), count=0, provenance="forward-model")
+    return MomentMatrix(hermitize(values), DETECTOR)
 
 
 def _noise_values(raw_vacuum: np.ndarray, gain: float) -> np.ndarray:
@@ -138,7 +138,7 @@ def _noise_values(raw_vacuum: np.ndarray, gain: float) -> np.ndarray:
     return hermitize(values)
 
 
-def recover_noise_moments(raw_vacuum: RawMomentMatrix, gain: float) -> MomentMatrix:
+def recover_noise_moments(raw_vacuum: MomentMatrix, gain: float) -> MomentMatrix:
     """Antinormal noise moments from a vacuum-reference run."""
     return MomentMatrix(_noise_values(raw_vacuum.values, gain), ordering=ANTINORMAL)
 
@@ -158,7 +158,7 @@ def _solve(op: np.ndarray, raw: np.ndarray, gain: float) -> np.ndarray:
     return signal
 
 
-def invert_moments(raw_signal: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
+def invert_moments(raw_signal: MomentMatrix, raw_vacuum: MomentMatrix,
                    gain: float, errors: np.ndarray | None = None) -> InversionReport:
     """Recover <(a^dag)^n a^m> from a signal run and its vacuum reference.
 
@@ -172,15 +172,14 @@ def invert_moments(raw_signal: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
                            gain=gain, noise=noise, errors=errors)
 
 
-def bootstrap_errors(signal_batches: list[RawMomentMatrix],
-                     vacuum_batches: list[RawMomentMatrix],
+def bootstrap_errors(signal_batches: BatchMoments, vacuum_batches: BatchMoments,
                      gain: float, n_boot: int = 200, seed: int = 0) -> np.ndarray:
     """Standard errors of the recovered moments by bootstrap over batches.
 
     Resamples both runs' batches with replacement (`resample_batches`),
     inverts every replica and reports the per-entry spread.
     """
-    _check_orders(*signal_batches, *vacuum_batches)
+    _check_orders(signal_batches, vacuum_batches)
     signal, vacuum = resample_batches([signal_batches, vacuum_batches], n_boot,
                                       seed=[seed, 0xB007])
     ops = _binomial_operator(_noise_values(vacuum, gain))
@@ -198,7 +197,7 @@ def gain_terms(raw_super: np.ndarray, raw_vacuum: np.ndarray) -> tuple[np.ndarra
         return m1, m2, np.float_power(m2 / m1, 2)
 
 
-def estimate_gain(raw_super: RawMomentMatrix, raw_vacuum: RawMomentMatrix,
+def estimate_gain(raw_super: MomentMatrix, raw_vacuum: MomentMatrix,
                   m1_error: float | None = None) -> float:
     """Self-calibrate the amplifier gain from a |0>/|1> superposition run.
 

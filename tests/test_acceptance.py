@@ -14,7 +14,7 @@ from hettomo.acquire import StreamingMoments, combine_batches, vacuum_sigma
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           coherent_state, loss_channel, noise_moments,
                           prepare_superposition, wigner_oracle)
-from hettomo.moments import MomentMatrix, moment_indices
+from hettomo.moments import DETECTOR, MomentMatrix, moment_indices
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope,
                               matched_filter, overlap, sample_detector,
                               simulate_time_trace)
@@ -36,11 +36,10 @@ def report(name: str, ok: bool, detail: str) -> bool:
 def batched_moments(state, chain, total, stage, n_batches=100, order=4):
     """Per-batch raw moment estimates with the documented stream layout."""
     size = total // n_batches
-    out = []
+    acc = StreamingMoments(order)
     for b in range(n_batches):
-        batch = sample_detector(state, chain, size, seed=[SEED, stage], stream=b)
-        out.append(StreamingMoments(order).update(batch).result())
-    return out
+        acc.update(sample_detector(state, chain, size, seed=[SEED, stage], stream=b))
+    return acc.result()
 
 
 def test_a1_vacuum_noise_floor():
@@ -109,8 +108,10 @@ def test_a3_error_scaling():
     sig = batched_moments(FockState.fock(1), chain, shots, 30, n_batches)
     vac = batched_moments(FockState.vacuum(), chain, shots, 31, n_batches)
     # paired per-batch inversions capture signal and reference fluctuations
-    recovered = np.array([invert_moments(s, v, chain.gain).moments.values
-                          for s, v in zip(sig, vac)])
+    recovered = np.array([
+        invert_moments(MomentMatrix(s, DETECTOR), MomentMatrix(v, DETECTOR),
+                       chain.gain).moments.values
+        for s, v in zip(sig.values, vac.values)])
     spread = np.sqrt(np.mean(np.abs(recovered - recovered.mean(axis=0)) ** 2,
                              axis=0))
     se = spread / math.sqrt(n_batches - 1)
@@ -250,18 +251,15 @@ def test_a7_mode_matching():
     shots, n_chunks = 1_000_000, 50
     size = shots // n_chunks
 
-    direct, filtered = [], []
+    direct, filtered = StreamingMoments(4), StreamingMoments(4)
     for b in range(n_chunks):
-        d = sample_detector(state, chain, size, seed=[SEED, 70], stream=b)
-        direct.append(StreamingMoments(4).update(d).result())
+        direct.update(sample_detector(state, chain, size, seed=[SEED, 70], stream=b))
         rec = simulate_time_trace(state, env, chain, size,
                                   seed=[SEED, 71], stream=b)
-        f = matched_filter(rec, env)
-        filtered.append(StreamingMoments(4).update(f).result())
-    md = combine_batches(direct)
-    mf = combine_batches(filtered)
-    sd = np.array([b.values for b in direct])
-    sf = np.array([b.values for b in filtered])
+        filtered.update(matched_filter(rec, env))
+    sd, sf = direct.result().values, filtered.result().values
+    md = combine_batches(direct.result())
+    mf = combine_batches(filtered.result())
     se = np.sqrt((np.mean(np.abs(sd - sd.mean(0)) ** 2, 0)
                   + np.mean(np.abs(sf - sf.mean(0)) ** 2, 0))
                  / (n_chunks - 1))

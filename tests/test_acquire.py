@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
-                             histogram_moments, resample_batches, streaming_moments,
-                             vacuum_sigma)
+                             histogram_moments, resample_batches, vacuum_sigma)
 from hettomo.fock import FockState, NoiseModel, prepare_superposition
-from hettomo.moments import RawMomentMatrix, moment_indices
+from hettomo.moments import BatchMoments, moment_indices
 from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
 
@@ -88,11 +87,17 @@ class TestQuadratureHistogram:
         assert back.total == 1400 and back.in_range == int(back.counts.sum())
 
 
+def one_batch(values) -> BatchMoments:
+    return BatchMoments(np.array([values]), [1])
+
+
 class TestRawMomentMatrix:
+    """The checks every raw (detector) moment matrix of a batch stack passes."""
+
     def test_rejects_unnormalized(self):
         v = np.eye(3, dtype=complex) * 2.0
         with pytest.raises(ValueError):
-            RawMomentMatrix(v, count=1)
+            one_batch(v)
 
     @pytest.mark.parametrize("n, m, value, message", [
         (1, 1, np.nan, "non-finite"),
@@ -103,21 +108,43 @@ class TestRawMomentMatrix:
         v = np.eye(3, dtype=complex)
         v[n, m], v[m, n] = value, np.conj(value)
         with pytest.raises(ValueError, match=message):
-            RawMomentMatrix(v, count=1)
+            one_batch(v)
 
     def test_zeros_above_order_cap(self):
         v = np.ones((3, 3), dtype=complex)
-        r = RawMomentMatrix(v, count=1)
-        assert r.values[2, 2] == 0.0 and r.values[1, 2] == 0.0
-        assert r.values[1, 1] == 1.0
+        r = one_batch(v)
+        assert r.values[0, 2, 2] == 0.0 and r.values[0, 1, 2] == 0.0
+        assert r.values[0, 1, 1] == 1.0
         assert r.order == 2
+
+
+class TestBatchMoments:
+    def test_tolerances_are_per_matrix(self):
+        # 1e-6 off Hermitian is far outside a unit-scale batch's 1e-9 tolerance,
+        # though inside the 1e-3 that a stack-wide scale of 1e6 would allow
+        large = np.eye(3, dtype=complex)
+        large[1, 1], large[2, 0], large[0, 2] = 1.0e6, 3.0e5, 3.0e5
+        skewed = np.eye(3, dtype=complex)
+        skewed[0, 1], skewed[1, 0] = 0.5, 0.5 + 1.0e-6
+        one_batch(large), one_batch(np.eye(3))
+        with pytest.raises(ValueError, match="Hermitian"):
+            BatchMoments(np.array([large, skewed]), [1, 1])
+        with pytest.raises(ValueError, match="2 counts for 1 batches"):
+            BatchMoments(np.array([large]), [1, 1])
+
+    @pytest.mark.parametrize("counts, message", [
+        ([], "no batches"), ([0], "integers >= 1"), ([1.5], "integers >= 1"),
+        ([True], "integers >= 1")])
+    def test_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            BatchMoments(np.eye(3)[None], counts)
 
 
 class TestResampleBatches:
     @staticmethod
-    def random_run(rng, batches: int) -> list[RawMomentMatrix]:
-        return [RawMomentMatrix(random_moment_matrix(rng, 4), count=int(rng.integers(100, 1000)))
-                for _ in range(batches)]
+    def random_run(rng, batches: int) -> BatchMoments:
+        values = [random_moment_matrix(rng, 4) for _ in range(batches)]
+        return BatchMoments(np.array(values), rng.integers(100, 1000, batches))
 
     def test_each_replica_is_combine_batches_of_its_draw(self):
         rng = np.random.default_rng(3)
@@ -127,8 +154,9 @@ class TestResampleBatches:
         draws = np.random.default_rng(np.random.SeedSequence([5, 6]))
         for b in range(30):     # the documented order: replica by replica, run after run
             for run, stack in zip(runs, replicas):
-                drawn = draws.integers(0, len(run), len(run))
-                expected = combine_batches([run[k] for k in drawn]).values
+                drawn = draws.integers(0, len(run.counts), len(run.counts))
+                expected = combine_batches(BatchMoments(run.values[drawn],
+                                                        run.counts[drawn])).values
                 assert stack[b].tobytes() == expected.tobytes(), b
 
     def test_refuses_a_one_batch_run(self):
@@ -141,7 +169,7 @@ class TestResampleBatches:
 class TestStreamingMoments:
     def test_matches_direct_averages(self):
         s = gaussian_shots(5000, seed=7, sigma=0.8, mean=0.3 + 0.1j)
-        r = streaming_moments(s, order=4)
+        r = combine_batches(StreamingMoments(4).update(s).result())
         for n, m in moment_indices(4):
             direct = np.mean(np.conj(s) ** n * s ** m)
             assert r[n, m] == pytest.approx(direct, abs=1e-10)
@@ -161,7 +189,7 @@ class TestStreamingMoments:
             for n, m in moment_indices(order):
                 if n >= m:
                     expected[n, m] = np.sum(powers[n].conj() * powers[m])
-            got = StreamingMoments(order).update(s).sums
+            got = StreamingMoments(order).update(s).sums[0]
             assert got.tobytes() == expected.tobytes(), (seed, order)
 
     def test_large_batch_peaks_below_its_own_size(self):
@@ -180,9 +208,20 @@ class TestStreamingMoments:
             StreamingMoments(4).result()
 
     def test_hermitian_fill(self):
-        r = streaming_moments(gaussian_shots(1000, 9, mean=0.5), order=4)
+        r = StreamingMoments(4).update(gaussian_shots(1000, 9, mean=0.5)).result()
         for n, m in moment_indices(4):
-            assert r[n, m] == pytest.approx(np.conj(r[m, n]), abs=1e-12)
+            assert r.values[0, n, m] == pytest.approx(np.conj(r.values[0, m, n]), abs=1e-12)
+
+    def test_one_row_per_batch(self):
+        acc = StreamingMoments(4)
+        batches = [gaussian_shots(size, seed=size) for size in (300, 5, 1200)]
+        for s in batches:
+            acc.update(s)
+        r = acc.result()
+        assert r.counts.tolist() == [300, 5, 1200]
+        for s, values in zip(batches, r.values):
+            alone = StreamingMoments(4).update(s).result().values[0]
+            assert values.tobytes() == alone.tobytes()
 
 
 class TestHistogramMoments:
@@ -192,7 +231,7 @@ class TestHistogramMoments:
         extent = 6.0 * SIGMA_VAC
         hist = QuadratureHistogram(bins=1024, extent=extent).add(batch)
         hm = histogram_moments(hist, order=4)
-        sm = streaming_moments(batch, order=4)
+        sm = combine_batches(StreamingMoments(4).update(batch).result())
         for n, m in moment_indices(4):
             scale = SIGMA_VAC ** (n + m)
             assert abs(hm[n, m] - sm[n, m]) / scale < 0.02

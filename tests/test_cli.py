@@ -15,7 +15,7 @@ from hettomo import cli
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
-from hettomo.moments import RawMomentMatrix
+from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
 from hettomo.tomo import InversionReport
@@ -215,7 +215,7 @@ class TestExitCodes:
         # valid inputs, so only the flag is at fault
         for name, s01, s11 in (("signal", 1.0, 3.0), ("vacuum", 0.0, 2.0)):
             save_batch_moments(tmp_path / f"moments_{name}.json",
-                               [_order2_batch(s01, s11)] * 4)
+                               _order2_run([_order2_batch(s01, s11)] * 4))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
             noise=noise_moments(NoiseModel(0.0), 4)))
@@ -246,13 +246,22 @@ class TestExitCodes:
          "moments_signal.json", lambda doc: doc[2].__setitem__("count", 0)),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
          "moments_signal.json", lambda doc: doc.clear()),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json", lambda doc: doc[2].__setitem__("count", True)),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json", lambda doc: doc[2].__setitem__("count", 999.5)),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json",   # an order-1 batch among order-2 ones
+         lambda doc: doc[4].__setitem__("values", [r[:2] for r in doc[4]["values"][:2]])),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_vacuum.json", lambda doc: doc[1].pop("values")),
     ])
     def test_corrupt_stored_file_is_3(self, tmp_path, capsys, monkeypatch, argv, name,
                                       corrupt):
         for run_name, s01, s11 in (("signal", 1.0, 3.0), ("calibration", 1.0, 3.0),
                                    ("vacuum", 0.0, 2.0)):
             save_batch_moments(tmp_path / f"moments_{run_name}.json",
-                               [_order2_batch(s01, s11)] * 20)
+                               _order2_run([_order2_batch(s01, s11)] * 20))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
             noise=noise_moments(NoiseModel(0.0), 4), errors=np.full((5, 5), 0.01)))
@@ -261,8 +270,24 @@ class TestExitCodes:
         (tmp_path / name).write_text(json.dumps(doc))
         monkeypatch.chdir(tmp_path)
         assert run([*argv, "--out", "out"]) == 3
-        assert f"{name}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{name}: " in err
+        if not doc:
+            assert "holds no batches" in err
         assert not any(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("gain", [0.0, -100.0])
+    def test_non_positive_manifest_gain_is_3(self, tmp_path, capsys, gain):
+        # the gain comes from the stored run, so no flag is at fault
+        for name, s01, s11 in (("signal", 1.0, 3.0), ("vacuum", 0.0, 2.0)):
+            save_batch_moments(tmp_path / f"moments_{name}.json",
+                               _order2_run([_order2_batch(s01, s11)] * 4))
+        (tmp_path / "manifest.json").write_text(json.dumps({"derived": {"gain_true": gain}}))
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--signal", str(tmp_path), "--order", "2",
+                    "--out", str(out)]) == 3
+        assert "manifest.json: gain_true must be a number > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_error_is_3(self, tmp_path, capsys):
         (tmp_path / "empty").mkdir()
@@ -341,8 +366,8 @@ class TestSimulateCommand:
         a = load_batch_moments(tmp_path / "a" / "moments_signal.json")
         b = load_batch_moments(tmp_path / "b" / "moments_signal.json")
         c = load_batch_moments(tmp_path / "c" / "moments_signal.json")
-        assert np.array_equal(a[0].values, b[0].values)
-        assert not np.array_equal(a[0].values, c[0].values)
+        assert np.array_equal(a.values[0], b.values[0])
+        assert not np.array_equal(a.values[0], c.values[0])
 
     def test_time_domain_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=2000, batches=2,
@@ -478,11 +503,16 @@ class TestPipelineCommands:
         assert "min_w" in doc and "truncation_order" in doc
 
 
-def _order2_batch(s01: complex, s11: float) -> RawMomentMatrix:
+def _order2_batch(s01: complex, s11: float) -> np.ndarray:
     values = np.zeros((3, 3), dtype=complex)
     values[0, 0], values[1, 1] = 1.0, s11
     values[0, 1], values[1, 0] = s01, np.conj(s01)
-    return RawMomentMatrix(values, count=1000)
+    return values
+
+
+def _order2_run(batches: list[np.ndarray]) -> BatchMoments:
+    """A run of order-2 batches of 1000 shots each."""
+    return BatchMoments(np.array(batches), [1000] * len(batches))
 
 
 @pytest.mark.parametrize("poison, code", [(-3.0, 0), (-16.0, 4)])
@@ -493,8 +523,10 @@ def test_calibrate_counts_failed_replicas(tmp_path, capsys, poison, code):
     # 20 - k (3 - poison) <= 0, i.e. k >= 4 at -3 and k >= 2 at -16; the
     # combined run keeps a positive (17 + poison) / 20 either way
     save_batch_moments(tmp_path / "moments_calibration.json",
-                       [_order2_batch(1.0, 3.0)] * 19 + [_order2_batch(1.0, poison)])
-    save_batch_moments(tmp_path / "moments_vacuum.json", [_order2_batch(0.0, 2.0)] * 20)
+                       _order2_run([_order2_batch(1.0, 3.0)] * 19
+                                   + [_order2_batch(1.0, poison)]))
+    save_batch_moments(tmp_path / "moments_vacuum.json",
+                       _order2_run([_order2_batch(0.0, 2.0)] * 20))
     rng = np.random.default_rng(np.random.SeedSequence([0, 0xCA1]))
     expected = 0
     for _ in range(200):   # the documented draw order: calibration, then vacuum
@@ -521,14 +553,29 @@ def test_calibrate_counts_failed_replicas(tmp_path, capsys, poison, code):
 CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b53cc7b"
 
 
+# moments_signal.json of the simulate below, taken while each batch's moments
+# were a validated matrix object of their own
+MOMENTS_SIGNAL_SHA256 = "adf85d0eebfbc77d0bd841cc8f45075a0eba43ae82781ba797140f163a310ae4"
+
+
+def test_stored_moments_keep_their_bytes(tmp_path):
+    # unequal batches: 2003 shots in 4 batches of 501, 501, 501 and 500
+    cfg = write_config(tmp_path, shots=2003, batches=4)
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    stored = (tmp_path / "run" / "moments_signal.json").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == MOMENTS_SIGNAL_SHA256
+
+
 def test_calibrate_keeps_its_bytes(tmp_path):
     rng = np.random.default_rng(20)
     save_batch_moments(tmp_path / "moments_calibration.json",
-                       [_order2_batch(complex(*rng.normal(0.5, 0.05, 2)),
-                                      3.0 + 0.1 * rng.normal()) for _ in range(20)])
+                       _order2_run([_order2_batch(complex(*rng.normal(0.5, 0.05, 2)),
+                                                  3.0 + 0.1 * rng.normal())
+                                    for _ in range(20)]))
     save_batch_moments(tmp_path / "moments_vacuum.json",
-                       [_order2_batch(complex(*rng.normal(0.0, 0.01, 2)),
-                                      2.0 + 0.1 * rng.normal()) for _ in range(20)])
+                       _order2_run([_order2_batch(complex(*rng.normal(0.0, 0.01, 2)),
+                                                  2.0 + 0.1 * rng.normal())
+                                    for _ in range(20)]))
     out = tmp_path / "calibration.json"
     assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hettomo.acquire import QuadratureHistogram, streaming_moments
+from hettomo.acquire import QuadratureHistogram, StreamingMoments
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           noise_moments, prepare_superposition)
 from hettomo.serialize import (load_batch_moments, load_histogram, load_report,
@@ -55,15 +55,14 @@ def test_histogram_round_trip(tmp_path):
 
 def test_batch_moments_round_trip(tmp_path):
     chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
-    batches = [streaming_moments(
-        sample_detector(FockState.vacuum(), chain, 500, seed=8, stream=i), 2)
-        for i in range(4)]
+    acc = StreamingMoments(2)
+    for i in range(4):
+        acc.update(sample_detector(FockState.vacuum(), chain, 500, seed=8, stream=i))
+    batches = acc.result()
     save_batch_moments(tmp_path / "b.json", batches)
     back = load_batch_moments(tmp_path / "b.json")
-    assert len(back) == 4
-    for orig, loaded in zip(batches, back):
-        assert np.array_equal(loaded.values, orig.values)
-        assert loaded.count == orig.count
+    assert np.array_equal(back.values, batches.values)
+    assert back.counts.tolist() == [500] * 4
 
 
 def test_report_round_trip(tmp_path):

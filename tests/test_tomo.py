@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hettomo.acquire import RawMomentMatrix, streaming_moments
+from hettomo.acquire import StreamingMoments, combine_batches
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           coherent_state, noise_moments,
                           prepare_superposition, wigner_oracle)
-from hettomo.moments import NORMAL, MomentMatrix, hermitize, moment_indices
+from hettomo.moments import NORMAL, BatchMoments, MomentMatrix, hermitize, moment_indices
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
                           bootstrap_errors, estimate_gain, forward_moments, gain_terms,
@@ -21,6 +21,18 @@ from conftest import (fock_power_moments, random_density_matrix,
                       wigner_kernel_quadrature)
 
 TWO_OVER_PI = 2.0 / math.pi
+
+
+def batch_moments(shot_batches, order: int) -> BatchMoments:
+    acc = StreamingMoments(order)
+    for batch in shot_batches:
+        acc.update(batch)
+    return acc.result()
+
+
+def combined_moments(shots, order: int):
+    """The moments of one batch of shots."""
+    return combine_batches(batch_moments([shots], order))
 
 
 def test_hermitize_over_a_stack_matches_the_matrix_loop():
@@ -126,8 +138,8 @@ class TestInvertMoments:
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=31)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=32)
-        report = invert_moments(streaming_moments(sig, 4),
-                                streaming_moments(vac, 4), chain.gain)
+        report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
+                                chain.gain)
         assert report.moments[1, 1].real == pytest.approx(1.0, abs=0.05)
         assert abs(report.moments[0, 1]) < 0.02
 
@@ -181,19 +193,22 @@ class TestEstimateGain:
             estimate_gain(raw, raw_vac, m1_error=abs(raw[0, 1]))
 
 
-def _synthetic_runs(order: int) -> tuple[list, list]:
+def _synthetic_runs(order: int) -> tuple[BatchMoments, BatchMoments]:
     """A 7-batch signal and a 5-batch vacuum run of random moments, unequal counts."""
     rng = np.random.default_rng(order)
 
-    def batch() -> RawMomentMatrix:
-        values = 0.1 * random_moment_matrix(rng, order)
-        values[0, 0] = 1.0
-        return RawMomentMatrix(values, count=int(rng.integers(500, 2000)))
-    return [batch() for _ in range(7)], [batch() for _ in range(5)]
+    def run(batches: int) -> BatchMoments:
+        values, counts = [], []
+        for _ in range(batches):    # the draw order of one matrix, then its count
+            values.append(0.1 * random_moment_matrix(rng, order))
+            values[-1][0, 0] = 1.0
+            counts.append(int(rng.integers(500, 2000)))
+        return BatchMoments(np.array(values), counts)
+    return run(7), run(5)
 
 
 # bootstrap_errors(*_synthetic_runs(order), 3.0, n_boot=64, seed=11), taken
-# while every replica was still a validated RawMomentMatrix
+# while every replica was still a validated per-batch moment matrix
 BOOTSTRAP_SHA256 = {
     4: "dcd10b7031ad06bc70579a17c33e4b18739512ffe0ab871798497f7eca33bc15",
     8: "e91d352032fecc1e605ae089863faff54bd93e15498ca4e147f8cd86ce00a200",
@@ -208,22 +223,16 @@ class TestBootstrapErrors:
 
     def test_tracks_batch_spread(self):
         chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
-        sig = [streaming_moments(
-            sample_detector(FockState.fock(1), chain, 20_000, seed=41, stream=i), 4)
-            for i in range(20)]
-        vac = [streaming_moments(
-            sample_detector(FockState.vacuum(), chain, 20_000, seed=42, stream=i), 4)
-            for i in range(20)]
+        sig = batch_moments((
+            sample_detector(FockState.fock(1), chain, 20_000, seed=41, stream=i)
+            for i in range(20)), 4)
+        vac = batch_moments((
+            sample_detector(FockState.vacuum(), chain, 20_000, seed=42, stream=i)
+            for i in range(20)), 4)
         err = bootstrap_errors(sig, vac, chain.gain, n_boot=100, seed=7)
         assert err[1, 1] > 0
         # recovered n=1 photon number should sit within a few sigma of truth
-        full_sig = streaming_moments(
-            [sample_detector(FockState.fock(1), chain, 20_000, seed=41, stream=i)
-             for i in range(20)], 4)
-        full_vac = streaming_moments(
-            [sample_detector(FockState.vacuum(), chain, 20_000, seed=42, stream=i)
-             for i in range(20)], 4)
-        report = invert_moments(full_sig, full_vac, chain.gain)
+        report = invert_moments(combine_batches(sig), combine_batches(vac), chain.gain)
         assert abs(report.moments[1, 1].real - 1.0) < 4.0 * err[1, 1]
 
     def test_matches_delta_method(self):
@@ -233,22 +242,22 @@ class TestBootstrapErrors:
         # C the batches' population covariance of s over the batch count
         order, gain, n_boot = 4, 100.0, 400
         chain = AmplifierChain(gain=gain, noise=NoiseModel(1.0))
-        sig = [streaming_moments(
-            sample_detector(FockState.fock(1), chain, 20_000, seed=44, stream=i),
-            order) for i in range(20)]
-        vac = [streaming_moments(
-            sample_detector(FockState.vacuum(), chain, 400_000, seed=45), order)] * 20
+        sig = batch_moments((
+            sample_detector(FockState.fock(1), chain, 20_000, seed=44, stream=i)
+            for i in range(20)), order)
+        vac = batch_moments([
+            sample_detector(FockState.vacuum(), chain, 400_000, seed=45)] * 20, order)
         err = bootstrap_errors(sig, vac, gain, n_boot=n_boot, seed=3)
 
         idx = moment_indices(order)
-        noise = {(n, m): vac[0][n, m] / gain ** ((n + m) / 2.0) for n, m in idx}
+        noise = {(n, m): vac.values[0, n, m] / gain ** ((n + m) / 2.0) for n, m in idx}
         noise[0, 0] = 1.0
         a = np.array([[gain ** ((n + m) / 2.0) * math.comb(n, i) * math.comb(m, j)
                        * noise[n - i, m - j] if i <= n and j <= m else 0.0
                        for i, j in idx] for n, m in idx])
-        s = np.array([[b[n, m] for n, m in idx] for b in sig])
+        s = np.array([[b[n, m] for n, m in idx] for b in sig.values])
         d = s - s.mean(axis=0)
-        c = d.T @ d.conj() / len(sig) ** 2
+        c = d.T @ d.conj() / len(s) ** 2
         a_inv = np.linalg.inv(a)
         delta = np.sqrt(np.diag(a_inv @ c @ a_inv.conj().T).real)
         for k, (n, m) in enumerate(idx[1:], start=1):
@@ -257,9 +266,9 @@ class TestBootstrapErrors:
 
     def test_deterministic_given_seed(self):
         chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
-        sig = [streaming_moments(
-            sample_detector(FockState.vacuum(), chain, 5000, seed=43, stream=i), 2)
-            for i in range(5)]
+        sig = batch_moments((
+            sample_detector(FockState.vacuum(), chain, 5000, seed=43, stream=i)
+            for i in range(5)), 2)
         a = bootstrap_errors(sig, sig, chain.gain, n_boot=50, seed=1)
         b = bootstrap_errors(sig, sig, chain.gain, n_boot=50, seed=1)
         assert np.array_equal(a, b)
@@ -360,8 +369,8 @@ class TestEndToEndMomentsToWigner:
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=51)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=52)
-        report = invert_moments(streaming_moments(sig, 4),
-                                streaming_moments(vac, 4), chain.gain)
+        report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
+                                chain.gain)
         grid = reconstruct_wigner(report.moments, extent=2.5, resolution=81)
         w_min, at = grid.minimum()
         assert w_min < -0.4
