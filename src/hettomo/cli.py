@@ -317,8 +317,10 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: floa
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    t0 = time.monotonic()
+def cmd_simulate(cfg: ExperimentConfig,
+                 out_dir: Path) -> tuple[dict, dict[str, BatchMoments]]:
+    """Simulate and store each run; returns the derived values and each run's
+    batch moments by run name. The histograms are not kept."""
     out_dir.mkdir(parents=True, exist_ok=True)
     extent = auto_extent(cfg)
     derived = {"extent": extent, "gain_true": cfg.chain.gain,
@@ -329,13 +331,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
     if cfg.calibration is not None:
         runs.append(("calibration", cfg.calibration, STAGE_CALIBRATION))
 
+    moments = {}
     for name, run_state, stage in runs:
         result = run_acquisition(run_state, cfg, stage, extent)
         serialize.save_histogram(out_dir / f"hist_{name}", result["hist"],
                                  meta={"seed": cfg.seed, "stage": stage,
                                        "units": "detector", "gain": cfg.chain.gain})
-        serialize.save_batch_moments(out_dir / f"moments_{name}.json",
-                                     result["batch_moments"])
+        moments[name] = result["batch_moments"]
+        serialize.save_batch_moments(out_dir / f"moments_{name}.json", moments[name])
         if cfg.store_shots:
             serialize.save_shots(out_dir / f"shots_{name}", result["shots"],
                                  gain=cfg.chain.gain, seed=[cfg.seed, stage])
@@ -345,21 +348,24 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
             # sigma standard error for pooled X/P Gaussian data
             derived["sigma_vac_stderr"] = sigma / math.sqrt(
                 4.0 * max(result["hist"].total, 1))
-    write_manifest(out_dir, cfg, derived, t0)
-    return derived
+    return derived, moments
+
+
+def _read(path: Path, what: str, reader):
+    """`reader(path)`, with a missing or refused file reported as a DataError."""
+    if not path.exists():
+        raise DataError(f"missing {what}: {path}")
+    with _block(str(path), DataError):
+        return reader(path)
 
 
 def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
                order: int | None = None) -> list[BatchMoments]:
     """A signal run's and its vacuum run's batches, of one stored order, cut to
     `order` where that is lower."""
-    pair = []
-    for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum")):
-        path = run_dir / f"moments_{name}.json"
-        if not path.exists():
-            raise DataError(f"missing {name} moments: {path}")
-        with _block(str(path), DataError):
-            pair.append(serialize.load_batch_moments(path))
+    pair = [_read(run_dir / f"moments_{name}.json", f"{name} moments",
+                  serialize.load_batch_moments)
+            for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum"))]
     stored = pair[0].order
     if pair[1].order != stored:
         raise DataError("signal and vacuum runs have different moment orders")
@@ -370,20 +376,16 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
     return [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts) for run in pair]
 
 
-def cmd_analyze(signal_dir: Path, vacuum_dir: Path, gain: float,
-                order: int, out_path: Path) -> InversionReport:
-    _require(math.isfinite(gain) and gain > 0, "gain", f"must be a number > 0, got {gain}")
-    _require(order >= 1, "order", f"must be >= 1, got {order}")
-    sig_batches, vac_batches = _load_pair(signal_dir, "signal", vacuum_dir, order)
+def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
+                out_path: Path) -> InversionReport:
     try:
-        errors = bootstrap_errors(sig_batches, vac_batches, gain)
-        report = invert_moments(combine_batches(sig_batches), combine_batches(vac_batches),
-                                gain, errors=errors)
+        errors = bootstrap_errors(sig, vac, gain)
+        report = invert_moments(combine_batches(sig), combine_batches(vac), gain,
+                                errors=errors)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
     serialize.save_report(out_path, report)
-    table_path = out_path.with_suffix(".txt")
-    table_path.write_text(format_moment_table(report))
+    out_path.with_suffix(".txt").write_text(format_moment_table(report))
     return report
 
 
@@ -396,16 +398,13 @@ def format_moment_table(report: InversionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path) -> dict:
-    stored = "calibration" if (super_dir / "moments_calibration.json").exists() else "signal"
-    sup_batches, vac_batches = _load_pair(super_dir, stored, vacuum_dir)
+def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
     try:
-        sup, vac = resample_batches([sup_batches, vac_batches], CALIBRATION_REPLICAS,
-                                    seed=[0, 0xCA1])
-        m1, m2, gains = gain_terms(sup, vac)
+        sup_boot, vac_boot = resample_batches([sup, vac], CALIBRATION_REPLICAS,
+                                              seed=[0, 0xCA1])
+        m1, m2, gains = gain_terms(sup_boot, vac_boot)
         m1_err = float(np.std(m1))
-        gain = estimate_gain(combine_batches(sup_batches),
-                             combine_batches(vac_batches), m1_error=m1_err)
+        gain = estimate_gain(combine_batches(sup), combine_batches(vac), m1_error=m1_err)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
     ok = (m1 > 0) & (m2 > 0)    # where estimate_gain would return a gain
@@ -419,15 +418,8 @@ def cmd_calibrate(super_dir: Path, vacuum_dir: Path, out_path: Path) -> dict:
     return result
 
 
-def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,
+def cmd_wigner(report: InversionReport, out_prefix: Path, extent: float,
                resolution: int) -> dict:
-    _require(math.isfinite(extent) and extent > 0, "extent",
-             f"must be a number > 0, got {extent}")
-    _require(resolution >= 1, "resolution", f"must be >= 1, got {resolution}")
-    if not Path(report_path).exists():
-        raise DataError(f"missing inversion report: {report_path}")
-    with _block(str(report_path), DataError):
-        report = serialize.load_report(report_path)
     threshold = 0.1
     if report.errors is not None:
         # each diagonal m(n, n) is tested against its own error
@@ -442,32 +434,30 @@ def cmd_wigner(report_path: Path, out_prefix: Path, extent: float,
 
 
 def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
+    """simulate -> calibrate -> analyze -> wigner, each stage handed the one
+    before's result in memory; the manifest is written once, also on failure."""
     t0 = time.monotonic()
     if cfg.calibration is None:
         raise ConfigError("calibration: block is required for full-run")
     _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
              f"bootstrap resamples batches, got {cfg.batches}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    derived = cmd_simulate(cfg, out_dir)
-    calib = cmd_calibrate(out_dir, out_dir, out_dir / "calibration.json")
-    report = cmd_analyze(out_dir, out_dir, calib["gain"], cfg.order,
-                         out_dir / "report.json")
-    wigner_summary = cmd_wigner(out_dir / "report.json", out_dir / "wigner",
-                                extent=3.0, resolution=121)
-    summary = {
-        "sigma_vac": derived.get("sigma_vac"),
-        "gain_true": cfg.chain.gain,
-        "gain_estimate": calib["gain"],
-        "gain_stderr": calib["gain_stderr"],
-        "m11": report.moments.values[1, 1].real,
-        "m01_abs": abs(report.moments.values[0, 1]),
-        "min_w": wigner_summary["min_w"],
-        "min_w_at": wigner_summary["at"],
-        "truncation_order": wigner_summary["truncation_order"],
-    }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
-    write_manifest(out_dir, cfg, {**derived, **summary}, t0)
-    return summary
+    derived, moments = cmd_simulate(cfg, out_dir)
+    try:
+        calib = cmd_calibrate(moments["calibration"], moments["vacuum"],
+                              out_dir / "calibration.json")
+        report = cmd_analyze(moments["signal"], moments["vacuum"], calib["gain"],
+                             out_dir / "report.json")
+        wigner = cmd_wigner(report, out_dir / "wigner", extent=3.0, resolution=121)
+        m = report.moments.values
+        summary = {"sigma_vac": derived.get("sigma_vac"), "gain_true": cfg.chain.gain,
+                   "gain_estimate": calib["gain"], "gain_stderr": calib["gain_stderr"],
+                   "m11": m[1, 1].real, "m01_abs": abs(m[0, 1]), "min_w": wigner["min_w"],
+                   "min_w_at": wigner["at"], "truncation_order": wigner["truncation_order"]}
+        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
+        derived.update(summary)
+        return summary
+    finally:
+        write_manifest(out_dir, cfg, derived, t0)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -544,30 +534,39 @@ def _manifest_gain(run_dir: Path) -> float:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
+        if args.command in ("simulate", "full-run"):
             cfg = load_config(args.config, _overrides(args))
-            derived = cmd_simulate(cfg, Path(args.out))
-            print(json.dumps(derived, indent=2))
-        elif args.command == "analyze":
-            signal_dir = Path(args.signal)
-            vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
-            gain = args.gain if args.gain is not None else _manifest_gain(signal_dir)
-            report = cmd_analyze(signal_dir, vacuum_dir, gain, args.order,
-                                 Path(args.out))
-            print(format_moment_table(report))
-        elif args.command == "calibrate":
-            signal_dir = Path(args.signal)
-            vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
-            result = cmd_calibrate(signal_dir, vacuum_dir, Path(args.out))
-            print(json.dumps(result, indent=2))
+            out_dir = Path(args.out)
+            if args.command == "full-run":
+                result = cmd_full_run(cfg, out_dir)
+            else:
+                t0 = time.monotonic()
+                result, _ = cmd_simulate(cfg, out_dir)
+                write_manifest(out_dir, cfg, result, t0)
         elif args.command == "wigner":
-            result = cmd_wigner(Path(args.report), Path(args.out),
-                                args.extent, args.resolution)
-            print(json.dumps(result, indent=2))
-        elif args.command == "full-run":
-            cfg = load_config(args.config, _overrides(args))
-            summary = cmd_full_run(cfg, Path(args.out))
-            print(json.dumps(summary, indent=2))
+            _require(math.isfinite(args.extent) and args.extent > 0, "extent",
+                     f"must be a number > 0, got {args.extent}")
+            _require(args.resolution >= 1, "resolution",
+                     f"must be >= 1, got {args.resolution}")
+            report = _read(Path(args.report), "inversion report", serialize.load_report)
+            result = cmd_wigner(report, Path(args.out), args.extent, args.resolution)
+        else:   # calibrate and analyze read a signal run and its vacuum run
+            signal_dir = Path(args.signal)
+            vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
+            if args.command == "calibrate":
+                stored = ("calibration" if (signal_dir / "moments_calibration.json").exists()
+                          else "signal")
+                result = cmd_calibrate(*_load_pair(signal_dir, stored, vacuum_dir),
+                                       Path(args.out))
+            else:
+                gain = args.gain if args.gain is not None else _manifest_gain(signal_dir)
+                _require(math.isfinite(gain) and gain > 0, "gain",
+                         f"must be a number > 0, got {gain}")
+                _require(args.order >= 1, "order", f"must be >= 1, got {args.order}")
+                pair = _load_pair(signal_dir, "signal", vacuum_dir, args.order)
+                result = cmd_analyze(*pair, gain, Path(args.out))
+        print(format_moment_table(result) if args.command == "analyze"
+              else json.dumps(result, indent=2))
     except (ConfigError, DataError, NumericError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return exc.exit_code

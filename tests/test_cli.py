@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hettomo import cli
+from hettomo import cli, serialize
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
@@ -502,6 +502,68 @@ class TestPipelineCommands:
         doc = json.loads(capsys.readouterr().out)
         assert "min_w" in doc and "truncation_order" in doc
 
+    def test_outputs_keep_their_bytes(self, full_run):
+        _, out = full_run
+        for name, digest in FULL_RUN_SHA256.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_full_run_equals_file_level_chain(self, full_run, tmp_path, capsys):
+        _, out = full_run
+        chain = tmp_path / "chain"
+        assert run(["simulate", "--config", str(out.parent / "config.json"),
+                    "--out", str(chain)]) == 0
+        cal = chain / "calibration.json"
+        assert run(["calibrate", "--signal", str(chain), "--out", str(cal)]) == 0
+        gain = json.loads(cal.read_text())["gain"]
+        assert run(["analyze", "--signal", str(chain), "--gain", repr(gain),
+                    "--order", "4", "--out", str(chain / "report.json")]) == 0
+        assert run(["wigner", "--report", str(chain / "report.json"),
+                    "--out", str(chain / "wigner")]) == 0
+        names = {p.name for p in out.iterdir()} - {"manifest.json", "summary.json"}
+        assert names == {p.name for p in chain.iterdir()} - {"manifest.json"}
+        for name in names:
+            assert (out / name).read_bytes() == (chain / name).read_bytes(), name
+
+    def test_full_run_reads_nothing_back(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-run read back a file it wrote")
+        monkeypatch.setattr(serialize, "load_batch_moments", refuse)
+        monkeypatch.setattr(serialize, "load_report", refuse)
+        manifests = []
+        write_manifest = cli.write_manifest
+        monkeypatch.setattr(cli, "write_manifest",
+                            lambda *a: manifests.append(write_manifest(*a)))
+        cfg = write_config(tmp_path, shots=4000, batches=4, state=SUPERPOSITION,
+                           calibration={"beta": 0.70710678, "phase": 3.14159265})
+        assert run(["full-run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert manifests == [tmp_path / "run" / "manifest.json"]
+
+    def test_failed_full_run_leaves_manifest(self, tmp_path, capsys):
+        # a calibration state with beta 0 is vacuum: no phase reference
+        cfg = write_config(tmp_path, shots=4000, batches=4, state=SUPERPOSITION,
+                           calibration={"beta": 0.0})
+        out = tmp_path / "run"
+        assert run(["full-run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "phase reference too weak" in capsys.readouterr().err
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+        assert len(files) == 9      # histogram header, counts and moments of 3 runs
+
+
+SUPERPOSITION = {"kind": "superposition", "beta": 0.70710678, "phase": 0.0}
+
+# outputs of the module's full-run, taken while full-run chained the file-level
+# commands through the run directory
+FULL_RUN_SHA256 = {
+    "report.json": "56703878c8925f316908650b17c58f52994d5799027b1e042647842532e1fb9c",
+    "report.txt": "55587fb7d84df6e558f77d0f097f466caefce47a86b9952baa68d725162c1c31",
+    "calibration.json": "be4abb35a84bffd624e73a17345cafdbe8b6b36df8516f355227240d83df2a52",
+    "wigner.csv": "8bd852e7791853095169c17a05935e57bebd2fb395694e4aba0397ba2188264a",
+    "wigner.json": "0b5fd2070bdcff937273e06a74ae3459224a37c6650e3187d37be1504692896d",
+    "summary.json": "48f27f8f8074b904381ec886f4612c9f4443db59334fdb7b8bb8f598b30afca3",
+}
+
 
 def _order2_batch(s01: complex, s11: float) -> np.ndarray:
     values = np.zeros((3, 3), dtype=complex)
@@ -592,9 +654,7 @@ def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):
     report = InversionReport(moments=analytic_moments(FockState.fock(1), 8),
                              gain=1.0, noise=noise_moments(NoiseModel(0.0), 8),
                              errors=errors)
-    save_report(tmp_path / "report.json", report)
-    result = cmd_wigner(tmp_path / "report.json", tmp_path / "w", extent=1.0,
-                        resolution=21)
+    result = cmd_wigner(report, tmp_path / "w", extent=1.0, resolution=21)
     assert result["truncation_order"] == 2
     assert result["min_w"] == pytest.approx(-2.0 / math.pi, abs=1e-12)
     assert result["at"] == [0.0, 0.0]
