@@ -23,15 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
-                      resample_batches, vacuum_sigma)
+from .acquire import QuadratureHistogram, StreamingMoments, combine_batches, vacuum_sigma
 from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
                    prepare_superposition, thermal_state)
 from .moments import BatchMoments, moment_indices
 from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
                        matched_filter, sample_detector, simulate_time_trace)
-from .tomo import (InversionReport, bootstrap_errors, estimate_gain, gain_terms,
-                   invert_moments, reconstruct_wigner)
+from .tomo import (WIGNER_KERNEL_MAX_ORDER, InversionReport, bootstrap_errors,
+                   estimate_gain, invert_moments, reconstruct_wigner)
 from . import serialize
 
 # stage indices for RNG stream derivation
@@ -41,9 +40,6 @@ STAGE_CALIBRATION = 2
 STAGE_PILOT = 3
 
 PILOT_SHOTS = 100_000
-CALIBRATION_REPLICAS = 200    # bootstrap replicas of calibrate, on stream [0, 0xCA1]
-# calibration fails when more bootstrap replicas than this share have no gain
-MAX_FAILED_REPLICA_FRACTION = 0.1
 
 
 class ConfigError(Exception):
@@ -156,7 +152,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         seed = _get(doc, "seed", int, lo=0)
         shots = _get(doc, "shots", int, lo=1)
         batches = _get(doc, "batches", int, 100, lo=1, hi=shots)
-        order = _get(doc, "order", int, 4, lo=1, hi=8)
+        order = _get(doc, "order", int, 4, lo=1, hi=WIGNER_KERNEL_MAX_ORDER)
         store_shots = _get(doc, "store_shots", bool, False)
     spec = _object(doc, "state", None)
     amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
@@ -343,6 +339,8 @@ def cmd_simulate(cfg: ExperimentConfig,
             serialize.save_shots(out_dir / f"shots_{name}", result["shots"],
                                  gain=cfg.chain.gain, seed=[cfg.seed, stage])
         if name == "vacuum":
+            if result["hist"].in_range == 0:
+                raise NumericError(f"histogram.range: no vacuum shot within +/-{extent:g}")
             sigma = vacuum_sigma(result["hist"])
             derived["sigma_vac"] = sigma
             # sigma standard error for pooled X/P Gaussian data
@@ -400,33 +398,17 @@ def format_moment_table(report: InversionReport) -> str:
 
 def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
     try:
-        sup_boot, vac_boot = resample_batches([sup, vac], CALIBRATION_REPLICAS,
-                                              seed=[0, 0xCA1])
-        m1, m2, gains = gain_terms(sup_boot, vac_boot)
-        m1_err = float(np.std(m1))
-        gain = estimate_gain(combine_batches(sup), combine_batches(vac), m1_error=m1_err)
+        result = estimate_gain(sup, vac)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
-    ok = (m1 > 0) & (m2 > 0)    # where estimate_gain would return a gain
-    failed = CALIBRATION_REPLICAS - int(np.count_nonzero(ok))
-    if failed > MAX_FAILED_REPLICA_FRACTION * CALIBRATION_REPLICAS:
-        raise NumericError(f"gain estimate failed on {failed} of "
-                           f"{CALIBRATION_REPLICAS} bootstrap replicas")
-    result = {"gain": gain, "gain_stderr": float(np.std(gains[ok])), "m1_stderr": m1_err,
-              "n_bootstrap": CALIBRATION_REPLICAS - failed, "n_bootstrap_failed": failed}
     out_path.write_text(json.dumps(result, indent=2))
     return result
 
 
 def cmd_wigner(report: InversionReport, out_prefix: Path, extent: float,
                resolution: int) -> dict:
-    threshold = 0.1
-    if report.errors is not None:
-        # each diagonal m(n, n) is tested against its own error
-        diag_err = np.diag(report.errors)[: report.moments.order // 2 + 1]
-        threshold = np.maximum(0.1, 3.0 * diag_err)
     grid = reconstruct_wigner(report.moments, extent=extent,
-                              resolution=resolution, threshold=threshold)
+                              resolution=resolution, errors=report.errors)
     serialize.save_wigner(out_prefix, grid)
     wmin, where = grid.minimum()
     return {"min_w": wmin, "at": [where.real, where.imag],

@@ -15,7 +15,7 @@ import numpy as np
 from .acquire import QuadratureHistogram
 from .moments import BatchMoments, MomentMatrix
 from .simulate import ShotBatch
-from .tomo import InversionReport, WignerGrid
+from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
 
 def matrix_to_json(values: np.ndarray) -> list:
@@ -64,7 +64,7 @@ def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
                    ) -> tuple[Path, Path]:
     prefix = Path(prefix)
     counts_path = prefix.with_suffix(".u64")
-    hist.counts.astype("<u8").tofile(counts_path)
+    np.asarray(hist.counts, dtype="<u8").tofile(counts_path)
     header = {
         "bins": hist.bins,
         "extent": hist.extent,
@@ -87,7 +87,7 @@ def load_histogram(prefix) -> QuadratureHistogram:
     hist = QuadratureHistogram(bins=header["bins"], extent=header["extent"])
     if counts.size != hist.bins ** 2:
         raise ValueError(f"{prefix}: counts file length disagrees with header")
-    hist.counts = counts.reshape(hist.bins, hist.bins).astype(np.uint64)
+    hist.counts = counts.reshape(hist.bins, hist.bins)
     hist.overflow = header["overflow"]
     return hist
 
@@ -125,8 +125,12 @@ def save_report(path, report: InversionReport) -> None:
 
 def load_report(path) -> InversionReport:
     doc = json.loads(Path(path).read_text())
+    moments = MomentMatrix(matrix_from_json(doc["moments"]), ordering="normal")
+    if moments.order > WIGNER_KERNEL_MAX_ORDER:
+        raise ValueError(f"order {moments.order} is above the Wigner kernels' "
+                         f"cap {WIGNER_KERNEL_MAX_ORDER}")
     return InversionReport(
-        moments=MomentMatrix(matrix_from_json(doc["moments"]), ordering="normal"),
+        moments=moments,
         gain=doc["gain"],
         noise=MomentMatrix(matrix_from_json(doc["noise_moments"]),
                            ordering="antinormal"),

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquire import resample_batches
+from .acquire import combine_batches, resample_batches
 from .moments import (ANTINORMAL, DETECTOR, NORMAL, BatchMoments, MomentMatrix,
                       hermitize, moment_indices)
 
 WIGNER_KERNEL_MAX_ORDER = 8
+BOOTSTRAP_REPLICAS = 200
+MAX_FAILED_REPLICA_FRACTION = 0.1   # calibration fails above this share of gainless replicas
 
 
 @dataclass(frozen=True)
@@ -173,7 +175,8 @@ def invert_moments(raw_signal: MomentMatrix, raw_vacuum: MomentMatrix,
 
 
 def bootstrap_errors(signal_batches: BatchMoments, vacuum_batches: BatchMoments,
-                     gain: float, n_boot: int = 200, seed: int = 0) -> np.ndarray:
+                     gain: float, n_boot: int = BOOTSTRAP_REPLICAS,
+                     seed: int = 0) -> np.ndarray:
     """Standard errors of the recovered moments by bootstrap over batches.
 
     Resamples both runs' batches with replacement (`resample_batches`),
@@ -197,40 +200,50 @@ def gain_terms(raw_super: np.ndarray, raw_vacuum: np.ndarray) -> tuple[np.ndarra
         return m1, m2, np.float_power(m2 / m1, 2)
 
 
-def estimate_gain(raw_super: MomentMatrix, raw_vacuum: MomentMatrix,
-                  m1_error: float | None = None) -> float:
-    """Self-calibrate the amplifier gain from a |0>/|1> superposition run.
+def estimate_gain(sup: BatchMoments, vac: BatchMoments) -> dict:
+    """Self-calibrate the amplifier gain from a |0>/|1> superposition run and a
+    vacuum run, with the errors of G and M1 over bootstrap replicas of their batches.
 
     For states with |<a>| = <a^dag a> = x the first moment scales as
     sqrt(G) x and the noise-subtracted second moment as G x, so
-    G = (M2 / M1)^2 (`gain_terms`).
+    G = (M2 / M1)^2 (`gain_terms`). Refuses an M1 below 5 times its error, and a
+    gain that more than `MAX_FAILED_REPLICA_FRACTION` of the replicas lack.
     """
-    _check_orders(raw_super, raw_vacuum)
-    m1, m2, gain = gain_terms(raw_super.values, raw_vacuum.values)
-    if m1_error is not None and m1 < 5.0 * m1_error:
+    _check_orders(sup, vac)
+    replicas = resample_batches([sup, vac], BOOTSTRAP_REPLICAS, seed=[0, 0xCA1])
+    # the combined runs lead their replicas, so one test finds where G is no gain
+    m1, m2, gains = gain_terms(*(np.concatenate([combine_batches(run).values[None], boot])
+                                 for run, boot in zip((sup, vac), replicas)))
+    ok = (m1 > 0) & (m2 > 0)
+    m1_err = float(np.std(m1[1:]))
+    if m1[0] < 5.0 * m1_err:
         raise ValueError("phase reference too weak: |<S>| below 5x its "
                          "standard error")
-    if m1 <= 0:
-        raise ValueError("degenerate phase reference: |<S>| = 0")
-    if m2 <= 0:
-        raise ValueError("noise-subtracted second moment is not positive")
-    return gain
+    if not ok[0]:
+        raise ValueError("degenerate phase reference: |<S>| = 0" if m1[0] <= 0
+                         else "noise-subtracted second moment is not positive")
+    failed = BOOTSTRAP_REPLICAS - int(np.count_nonzero(ok[1:]))
+    if failed > MAX_FAILED_REPLICA_FRACTION * BOOTSTRAP_REPLICAS:
+        raise ValueError(f"gain estimate failed on {failed} of "
+                         f"{BOOTSTRAP_REPLICAS} bootstrap replicas")
+    return {"gain": gains[0], "gain_stderr": float(np.std(gains[1:][ok[1:]])),
+            "m1_stderr": m1_err, "n_bootstrap": BOOTSTRAP_REPLICAS - failed,
+            "n_bootstrap_failed": failed}
 
 
-def truncation_order(moments: MomentMatrix,
-                     threshold: float | np.ndarray = 0.1) -> int:
+def truncation_order(moments: MomentMatrix, errors: np.ndarray | None = None) -> int:
     """Moment order retained in the Wigner sum.
 
-    If the smallest N with |m(N, N)| < threshold exists, all moments with
-    n+m >= 2N-1 vanish identically, so orders up to 2N-2 are kept;
-    otherwise the full order cap is used.  `threshold` is one number or one
-    per diagonal index n = 0 .. order // 2.
+    Each diagonal m(N, N) is tested against its own limit max(0.1, 3 err(N, N)),
+    or 0.1 without errors. If the smallest N with |m(N, N)| below its limit
+    exists, all moments with n+m >= 2N-1 vanish identically, so orders up to
+    2N-2 are kept; otherwise the full order cap is used.
     """
     if moments.ordering != NORMAL:
         raise ValueError("truncation rule applies to normally ordered moments")
-    limits = np.broadcast_to(threshold, (moments.order // 2 + 1,))
     for n in range(1, moments.order // 2 + 1):
-        if abs(moments.values[n, n]) < limits[n]:
+        limit = 0.1 if errors is None else max(0.1, 3.0 * errors[n, n])
+        if abs(moments.values[n, n]) < limit:
             return 2 * n - 2
     return moments.order
 
@@ -275,12 +288,12 @@ def wigner_from_moments(moments: MomentMatrix, alpha,
 
 def reconstruct_wigner(moments: MomentMatrix, extent: float = 3.0,
                        resolution: int = 121,
-                       threshold: float | np.ndarray = 0.1) -> WignerGrid:
-    """Wigner function from normally ordered moments on a square grid;
-    `threshold` is passed to `truncation_order`."""
+                       errors: np.ndarray | None = None) -> WignerGrid:
+    """Wigner function from normally ordered moments on a square grid, truncated
+    by `truncation_order` against the moments' `errors`."""
     if moments.ordering != NORMAL:
         raise ValueError("reconstruction needs normally ordered moments")
-    truncation = truncation_order(moments, threshold)
+    truncation = truncation_order(moments, errors)
     xs = ps = np.linspace(-extent, extent, resolution)
     grid = xs[:, None] + 1j * ps[None, :]
     values = wigner_from_moments(moments, grid, truncation)

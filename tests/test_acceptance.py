@@ -222,11 +222,11 @@ def test_a5_wigner_correctness():
 def test_a6_gain_calibration_pipeline():
     chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
     shots = 10_000_000
-    cal = combine_batches(batched_moments(
-        prepare_superposition(1.0 / math.sqrt(2.0)), chain, shots, 60))
+    cal_batches = batched_moments(
+        prepare_superposition(1.0 / math.sqrt(2.0)), chain, shots, 60)
     vac_batches = batched_moments(FockState.vacuum(), chain, shots, 61)
     vac = combine_batches(vac_batches)
-    gain = estimate_gain(cal, vac)
+    gain = estimate_gain(cal_batches, vac_batches)["gain"]
     gain_err = abs(gain - chain.gain) / chain.gain
 
     degraded = prepare_superposition(1.0, admixture_error=0.09)

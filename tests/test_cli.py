@@ -14,11 +14,12 @@ import pytest
 from hettomo import cli, serialize
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
-from hettomo.fock import FockState, NoiseModel, analytic_moments, noise_moments
+from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
+                          noise_moments)
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
-from hettomo.tomo import InversionReport
+from hettomo.tomo import InversionReport, estimate_gain
 
 
 def write_config(tmp_path, **extra):
@@ -315,6 +316,27 @@ class TestExitCodes:
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert run(["calibrate", "--signal", str(out),
                     "--out", str(tmp_path / "cal.json")]) == 4
+
+    @pytest.mark.parametrize("command", ["simulate", "full-run"])
+    def test_vacuum_histogram_without_shots_is_4(self, tmp_path, capsys, command):
+        # a range of 1e-12 catches no shot, so the vacuum run has no width
+        cfg = write_config(tmp_path, seed=1, shots=2000, batches=2, order=2,
+                           state={"kind": "vacuum"}, amplifier={"gain": 1.0, "nbar": 0.0},
+                           histogram={"bins": 4, "range": 1e-12}, calibration={})
+        with pytest.warns(UserWarning, match="overflow fraction"):
+            code = run([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 4
+        assert "histogram.range: no vacuum shot within +/-1e-12" in capsys.readouterr().err
+
+    def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        save_report(path, InversionReport(
+            moments=analytic_moments(coherent_state(1.5, cutoff=30), 10), gain=1.0,
+            noise=noise_moments(NoiseModel(0.0), 10), errors=np.zeros((11, 11))))
+        assert run(["wigner", "--report", str(path), "--out", str(tmp_path / "w")]) == 3
+        assert f"{path}: order 10 is above the Wigner kernels' cap 8" \
+            in capsys.readouterr().err
+        assert not any(tmp_path.glob("w*"))
 
     def test_full_run_requires_calibration_block(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -628,21 +650,34 @@ def test_stored_moments_keep_their_bytes(tmp_path):
     assert hashlib.sha256(stored).hexdigest() == MOMENTS_SIGNAL_SHA256
 
 
-def test_calibrate_keeps_its_bytes(tmp_path):
+def _save_calibration_pair(run_dir: Path) -> tuple[BatchMoments, BatchMoments]:
+    """20 noisy calibration batches and 20 noisy vacuum batches, saved as a run."""
     rng = np.random.default_rng(20)
-    save_batch_moments(tmp_path / "moments_calibration.json",
-                       _order2_run([_order2_batch(complex(*rng.normal(0.5, 0.05, 2)),
-                                                  3.0 + 0.1 * rng.normal())
-                                    for _ in range(20)]))
-    save_batch_moments(tmp_path / "moments_vacuum.json",
-                       _order2_run([_order2_batch(complex(*rng.normal(0.0, 0.01, 2)),
-                                                  2.0 + 0.1 * rng.normal())
-                                    for _ in range(20)]))
+    pair = (_order2_run([_order2_batch(complex(*rng.normal(0.5, 0.05, 2)),
+                                       3.0 + 0.1 * rng.normal()) for _ in range(20)]),
+            _order2_run([_order2_batch(complex(*rng.normal(0.0, 0.01, 2)),
+                                       2.0 + 0.1 * rng.normal()) for _ in range(20)]))
+    for name, batches in zip(("calibration", "vacuum"), pair):
+        save_batch_moments(run_dir / f"moments_{name}.json", batches)
+    return pair
+
+
+def test_calibrate_keeps_its_bytes(tmp_path):
+    _save_calibration_pair(tmp_path)
     out = tmp_path / "calibration.json"
     assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     pinned = np.array([doc["gain_stderr"], doc["m1_stderr"]])
     assert hashlib.sha256(pinned.tobytes()).hexdigest() == CALIBRATION_SHA256
+
+
+def test_estimate_gain_returns_what_calibrate_writes(tmp_path):
+    pair = _save_calibration_pair(tmp_path)
+    out = tmp_path / "calibration.json"
+    assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 0
+    result = estimate_gain(*pair)
+    assert json.loads(out.read_text()) == result
+    assert out.read_text() == json.dumps(result, indent=2)
 
 
 def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):

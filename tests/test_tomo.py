@@ -152,23 +152,30 @@ class TestInvertMoments:
             invert_moments(raw4, raw2, 1.0)
 
 
+def two_batches(first: np.ndarray, second: np.ndarray) -> BatchMoments:
+    """A run of two batches of 1000 shots each."""
+    return BatchMoments(np.array([first, second]), [1000, 1000])
+
+
 class TestEstimateGain:
     def test_exact_moments(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
         noise = noise_moments(NoiseModel(64.0), 4)
-        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4)
+        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
-                                  noise, 1.0e4)
-        assert estimate_gain(raw, raw_vac) == pytest.approx(1.0e4, rel=1e-10)
+                                  noise, 1.0e4).values
+        result = estimate_gain(two_batches(raw, raw), two_batches(raw_vac, raw_vac))
+        assert result["gain"] == pytest.approx(1.0e4, rel=1e-10)
 
     def test_insensitive_to_admixture(self):
         # vacuum admixture scales <a> and <a^dag a> alike, G is unchanged
         state = prepare_superposition(1.0 / math.sqrt(2.0), admixture_error=0.2)
         noise = noise_moments(NoiseModel(64.0), 4)
-        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4)
+        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
-                                  noise, 1.0e4)
-        assert estimate_gain(raw, raw_vac) == pytest.approx(1.0e4, rel=1e-10)
+                                  noise, 1.0e4).values
+        result = estimate_gain(two_batches(raw, raw), two_batches(raw_vac, raw_vac))
+        assert result["gain"] == pytest.approx(1.0e4, rel=1e-10)
 
     def test_stacked_gains_round_as_scalar_estimates(self):
         # G of each member of a stack, bit for bit as Python's complex abs()
@@ -184,13 +191,20 @@ class TestEstimateGain:
         assert gain_terms(sup, vac)[2].tobytes() == np.array(expected).tobytes()
 
     def test_weak_phase_reference_raises(self):
+        # two batches whose s(0, 1) are 10 and -9 times the exact one: the
+        # combined |s(0, 1)| is half the exact one, and the replicas, which
+        # draw the batches with replacement, spread it by about 4.5 times it
         state = prepare_superposition(1.0 / math.sqrt(2.0))
         noise = noise_moments(NoiseModel(64.0), 4)
-        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4)
+        raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
-                                  noise, 1.0e4)
-        with pytest.raises(ValueError, match="phase reference"):
-            estimate_gain(raw, raw_vac, m1_error=abs(raw[0, 1]))
+                                  noise, 1.0e4).values
+        high, low = raw.copy(), raw.copy()
+        for batch, scale in ((high, 10.0), (low, -9.0)):
+            batch[0, 1] = scale * raw[0, 1]
+            batch[1, 0] = np.conj(batch[0, 1])
+        with pytest.raises(ValueError, match="phase reference too weak"):
+            estimate_gain(two_batches(high, low), two_batches(raw_vac, raw_vac))
 
 
 def _synthetic_runs(order: int) -> tuple[BatchMoments, BatchMoments]:
@@ -278,11 +292,22 @@ class TestTruncationOrder:
     def test_single_photon_keeps_order_two(self):
         # |m(2,2)| = 0 < threshold at N = 2, so orders up to 2 are kept
         m = analytic_moments(FockState.fock(1), 4)
-        assert truncation_order(m, threshold=0.1) == 2
+        assert truncation_order(m) == 2
 
     def test_threshold_never_crossed_keeps_cap(self):
         m = analytic_moments(coherent_state(1.5, cutoff=20), 4)
-        assert truncation_order(m, threshold=0.1) == 4
+        assert truncation_order(m) == 4
+
+    def test_each_diagonal_against_its_own_error(self):
+        # order-8 |1> moments whose high diagonals carry large errors, as at a
+        # few 1e6 shots: m(1, 1) = 1 stands above max(0.1, 3 err(1, 1)), and
+        # m(2, 2) = 0 ends the sum at order 2
+        m = analytic_moments(FockState.fock(1), 8)
+        errors = np.full((9, 9), 0.01)
+        errors[3, 3], errors[4, 4] = 0.4, 2.08
+        assert truncation_order(m, errors) == 2
+        errors[1, 1] = 0.34     # 3 err(1, 1) = 1.02 > m(1, 1)
+        assert truncation_order(m, errors) == 0
 
     def test_rejects_antinormal(self):
         with pytest.raises(ValueError):
