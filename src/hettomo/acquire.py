@@ -34,6 +34,7 @@ class QuadratureHistogram:
             raise ValueError("need bins >= 1 and extent > 0")
         self.bins = bins
         self.extent = float(extent)
+        self._edges = np.linspace(-self.extent, self.extent, bins + 1)
         self.counts = np.zeros((bins, bins), dtype=np.uint64)
         self.overflow = 0
         self._warned = False
@@ -57,7 +58,7 @@ class QuadratureHistogram:
         return 2.0 * self.extent / self.bins
 
     def edges(self) -> np.ndarray:
-        return np.linspace(-self.extent, self.extent, self.bins + 1)
+        return self._edges.copy()
 
     def centers(self) -> np.ndarray:
         e = self.edges()
@@ -65,7 +66,7 @@ class QuadratureHistogram:
 
     def _bin_index(self, v: np.ndarray) -> np.ndarray:
         # bins as np.histogram2d assigns them: e[i] <= v < e[i+1], +extent in the last
-        e, last = self.edges(), self.bins - 1
+        e, last = self._edges, self.bins - 1
         i = np.minimum(((v + self.extent) / self.bin_width).astype(np.intp), last)
         i -= v < e[i]  # the scaled estimate can be one bin off at an exact edge
         return i + ((v >= e[i + 1]) & (i < last))

@@ -166,7 +166,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     with _block("amplifier"):
         chain = AmplifierChain(gain=_get(amp, "gain", float, 1.0), noise=_noise_model(amp))
     with _block("histogram"):
-        bins = _get(hist, "bins", int, 1024, lo=1)
+        bins = _get(hist, "bins", int, 1024, lo=1, hi=serialize.MAX_BINS)
         extent = _get(hist, "range", float, None)
         if extent is not None and extent <= 0:
             raise ValueError(f"range must be null (auto) or a number > 0, got {extent}")
@@ -295,6 +295,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@contextmanager
+def _run_dir(cfg: ExperimentConfig, out_dir: Path):
+    """Make the run directory and yield the dict of derived values; on leaving,
+    also by an error, write the manifest over every file present."""
+    t0 = time.monotonic()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    derived: dict = {}
+    try:
+        yield derived
+    finally:
+        write_manifest(out_dir, cfg, derived, t0)
+
+
 def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: float) -> Path:
     files = {p.name: _sha256(p) for p in sorted(out_dir.iterdir())
              if p.is_file() and p.name != "manifest.json"}
@@ -313,14 +326,13 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: floa
 
 # -- commands ----------------------------------------------------------------
 
-def cmd_simulate(cfg: ExperimentConfig,
-                 out_dir: Path) -> tuple[dict, dict[str, BatchMoments]]:
-    """Simulate and store each run; returns the derived values and each run's
-    batch moments by run name. The histograms are not kept."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
+                 derived: dict) -> dict[str, BatchMoments]:
+    """Simulate and store each run into `out_dir`; returns each run's batch
+    moments by run name, and enters each derived value into `derived` as soon
+    as it is known. The histograms are not kept."""
     extent = auto_extent(cfg)
-    derived = {"extent": extent, "gain_true": cfg.chain.gain,
-               "nbar": cfg.chain.noise.nbar}
+    derived.update(extent=extent, gain_true=cfg.chain.gain, nbar=cfg.chain.noise.nbar)
 
     runs = [("signal", cfg.state, STAGE_SIGNAL),
             ("vacuum", FockState.vacuum(), STAGE_VACUUM)]
@@ -346,7 +358,7 @@ def cmd_simulate(cfg: ExperimentConfig,
             # sigma standard error for pooled X/P Gaussian data
             derived["sigma_vac_stderr"] = sigma / math.sqrt(
                 4.0 * max(result["hist"].total, 1))
-    return derived, moments
+    return moments
 
 
 def _read(path: Path, what: str, reader):
@@ -418,13 +430,12 @@ def cmd_wigner(report: InversionReport, out_prefix: Path, extent: float,
 def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """simulate -> calibrate -> analyze -> wigner, each stage handed the one
     before's result in memory; the manifest is written once, also on failure."""
-    t0 = time.monotonic()
     if cfg.calibration is None:
         raise ConfigError("calibration: block is required for full-run")
     _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
              f"bootstrap resamples batches, got {cfg.batches}")
-    derived, moments = cmd_simulate(cfg, out_dir)
-    try:
+    with _run_dir(cfg, out_dir) as derived:
+        moments = cmd_simulate(cfg, out_dir, derived)
         calib = cmd_calibrate(moments["calibration"], moments["vacuum"],
                               out_dir / "calibration.json")
         report = cmd_analyze(moments["signal"], moments["vacuum"], calib["gain"],
@@ -438,8 +449,6 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
         derived.update(summary)
         return summary
-    finally:
-        write_manifest(out_dir, cfg, derived, t0)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -522,9 +531,8 @@ def run(argv=None) -> int:
             if args.command == "full-run":
                 result = cmd_full_run(cfg, out_dir)
             else:
-                t0 = time.monotonic()
-                result, _ = cmd_simulate(cfg, out_dir)
-                write_manifest(out_dir, cfg, result, t0)
+                with _run_dir(cfg, out_dir) as result:
+                    cmd_simulate(cfg, out_dir, result)
         elif args.command == "wigner":
             _require(math.isfinite(args.extent) and args.extent > 0, "extent",
                      f"must be a number > 0, got {args.extent}")

@@ -1,8 +1,9 @@
 """File formats for shots, histograms, moments, reports and Wigner grids.
 
 Complex numbers are stored as [re, im] pairs in JSON.  Bulk data uses flat
-little-endian binary: float64 (re, im) pairs for shots, uint64 row-major
-counts for histogram bins, each with a JSON sidecar/header.
+little-endian binary with a JSON sidecar/header: float64 (re, im) pairs for
+shots, and for a histogram its occupied bins alone, as packed 12-byte
+(index <u4, count <u8) records in ascending row-major flat index order.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .acquire import QuadratureHistogram
 from .moments import BatchMoments, MomentMatrix
 from .simulate import ShotBatch
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
+
+MAX_BINS = 1 << 16  # a <u4 record index holds every bin of a MAX_BINS^2 histogram
+HIST_RECORD = np.dtype([("index", "<u4"), ("count", "<u8")])  # packed, 12 bytes
 
 
 def matrix_to_json(values: np.ndarray) -> list:
@@ -63,15 +67,20 @@ def load_shots(prefix) -> ShotBatch:
 def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
                    ) -> tuple[Path, Path]:
     prefix = Path(prefix)
-    counts_path = prefix.with_suffix(".u64")
-    np.asarray(hist.counts, dtype="<u8").tofile(counts_path)
+    counts_path = prefix.with_suffix(".coo")
+    flat = hist.counts.reshape(-1)      # a view: counts are C-contiguous
+    index = np.flatnonzero(flat)
+    records = np.empty(index.size, dtype=HIST_RECORD)
+    records["index"], records["count"] = index, flat[index]
+    records.tofile(counts_path)
     header = {
         "bins": hist.bins,
         "extent": hist.extent,
         "total": hist.total,
         "overflow": hist.overflow,
         "counts_file": counts_path.name,
-        "dtype": "<u8 row-major",
+        "format": "<u4 index, <u8 count per occupied bin; row-major index ascending",
+        "occupied": int(index.size),
     }
     if meta:
         header.update(meta)
@@ -81,14 +90,30 @@ def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
 
 
 def load_histogram(prefix) -> QuadratureHistogram:
+    """The histogram `save_histogram` wrote, its records checked against the header."""
     prefix = Path(prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
-    counts = np.fromfile(prefix.parent / header["counts_file"], dtype="<u8")
+    path, cells = prefix.parent / header["counts_file"], header["bins"] ** 2
+    size = path.stat().st_size
+    if size % HIST_RECORD.itemsize:
+        raise ValueError(f"{path}: {size} bytes is not a whole number of "
+                         f"{HIST_RECORD.itemsize}-byte records")
+    records = np.fromfile(path, dtype=HIST_RECORD)
+    index, count = records["index"], records["count"]
+    if index.size != header["occupied"]:
+        raise ValueError(f"{path}: {index.size} records, header says "
+                         f"{header['occupied']} occupied bins")
+    if np.any(index[1:] <= index[:-1]) or np.any(index >= cells):
+        raise ValueError(f"{path}: bin indices must ascend strictly below bins^2 = {cells}")
+    if np.any(count == 0):
+        raise ValueError(f"{path}: a record has a zero count")
+    in_range, summed = header["total"] - header["overflow"], int(count.sum())
+    if summed != in_range:
+        raise ValueError(f"{path}: counts sum to {summed}, header says "
+                         f"total - overflow = {in_range}")
     hist = QuadratureHistogram(bins=header["bins"], extent=header["extent"])
-    if counts.size != hist.bins ** 2:
-        raise ValueError(f"{prefix}: counts file length disagrees with header")
-    hist.counts = counts.reshape(hist.bins, hist.bins)
-    hist.overflow = header["overflow"]
+    hist.counts.reshape(-1)[index] = count
+    hist.in_range, hist.overflow = summed, header["overflow"]
     return hist
 
 

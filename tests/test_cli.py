@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from hettomo import cli, serialize
+from hettomo.acquire import QuadratureHistogram
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
@@ -52,6 +53,11 @@ class TestParseConfig:
         assert parse_config(doc).shots == largest
         with pytest.raises(ConfigError, match="config: shots"):
             parse_config({**doc, "shots": largest + 1})
+
+    def test_largest_histogram_parses(self):
+        # 65536^2 = 2^32 bins: the most a file's <u4 bin index can address
+        doc = {"seed": 1, "shots": 100, "state": {"kind": "vacuum"}}
+        assert parse_config({**doc, "histogram": {"bins": 65536}}).bins == 65536
 
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -207,6 +213,19 @@ class TestExitCodes:
         assert f"{block}: " in capsys.readouterr().err
         assert not out.exists()     # refused before the pilot run
 
+    @pytest.mark.parametrize("command", ["simulate", "full-run"])
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_bins_above_65536_are_2(self, tmp_path, capsys, command, flag):
+        # refused at parse time, before a dense 65537^2 histogram is allocated
+        cfg = write_config(tmp_path, calibration={},
+                           histogram={"bins": 128 if flag else 65537})
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        assert run(argv + (["--bins", "65537"] if flag else [])) == 2
+        assert "histogram: bins must be an integer in [1, 65536], got 65537" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["analyze", "--gain", "-1", "--order", "2"], "gain"),
         (["wigner", "--resolution", "0"], "resolution"),
@@ -323,10 +342,18 @@ class TestExitCodes:
         cfg = write_config(tmp_path, seed=1, shots=2000, batches=2, order=2,
                            state={"kind": "vacuum"}, amplifier={"gain": 1.0, "nbar": 0.0},
                            histogram={"bins": 4, "range": 1e-12}, calibration={})
+        out = tmp_path / "run"
         with pytest.warns(UserWarning, match="overflow fraction"):
-            code = run([command, "--config", str(cfg), "--out", str(tmp_path / "run")])
+            code = run([command, "--config", str(cfg), "--out", str(out)])
         assert code == 4
         assert "histogram.range: no vacuum shot within +/-1e-12" in capsys.readouterr().err
+        # the manifest still lists and hashes what the failed run wrote
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+        assert {"hist_signal.coo", "hist_vacuum.coo", "moments_vacuum.json"} <= set(files)
+        assert (out / "hist_vacuum.coo").stat().st_size == 0
+        assert serialize.load_histogram(out / "hist_vacuum").overflow == 2000
 
     def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -366,13 +393,13 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, shots=5000, batches=5)
         out = tmp_path / "run"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        for name in ("hist_signal.json", "hist_signal.u64",
+        for name in ("hist_signal.json", "hist_signal.coo",
                      "moments_signal.json", "hist_vacuum.json",
                      "moments_vacuum.json", "manifest.json"):
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["gain_true"] == 100.0
-        assert set(manifest["files"]) >= {"hist_signal.u64",
+        assert set(manifest["files"]) >= {"hist_signal.coo",
                                           "moments_signal.json"}
         sigma = manifest["derived"]["sigma_vac"]
         assert sigma == pytest.approx(math.sqrt(100.0 * 2.0 / 2.0), rel=0.05)
@@ -416,7 +443,7 @@ class TestSimulateCommand:
         finally:
             sys.setswitchinterval(interval)
         names = [f"{kind}_{run_}.{ext}" for run_ in ("signal", "vacuum")
-                 for kind, ext in (("hist", "u64"), ("hist", "json"),
+                 for kind, ext in (("hist", "coo"), ("hist", "json"),
                                    ("moments", "json"))]
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
@@ -456,6 +483,22 @@ class TestSimulateCommand:
         out = tmp_path / "run"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "shots_signal.bin").exists()
+
+    def test_stored_histogram_equals_stored_shots_binned(self, tmp_path, capsys):
+        # the shots file and the histogram file are written apart: binning the
+        # stored shots afresh must give the loaded histogram exactly
+        cfg = write_config(tmp_path, shots=3001, batches=3, store_shots=True)
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        for name in ("signal", "vacuum"):
+            header = json.loads((out / f"hist_{name}.json").read_text())
+            fresh = QuadratureHistogram(header["bins"], header["extent"]).add(
+                serialize.load_shots(out / f"shots_{name}"))
+            stored = serialize.load_histogram(out / f"hist_{name}")
+            assert stored.counts.dtype == fresh.counts.dtype
+            assert np.array_equal(stored.counts, fresh.counts)
+            assert (stored.in_range, stored.overflow) == (fresh.in_range, fresh.overflow)
+            assert header["occupied"] == np.count_nonzero(fresh.counts)
 
 
 @pytest.fixture(scope="module")
@@ -641,6 +684,10 @@ CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b
 # were a validated matrix object of their own
 MOMENTS_SIGNAL_SHA256 = "adf85d0eebfbc77d0bd841cc8f45075a0eba43ae82781ba797140f163a310ae4"
 
+# hist_signal.coo of the same simulate, packed with struct from the occupied
+# bins of the dense uint64 counts file that histograms were stored as before
+HIST_SIGNAL_SHA256 = "8bd2cd84e49f58dee5aec87a0bc2a3cb37d32332b51803ca9ecf35fc70cad759"
+
 
 def test_stored_moments_keep_their_bytes(tmp_path):
     # unequal batches: 2003 shots in 4 batches of 501, 501, 501 and 500
@@ -648,6 +695,13 @@ def test_stored_moments_keep_their_bytes(tmp_path):
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     stored = (tmp_path / "run" / "moments_signal.json").read_bytes()
     assert hashlib.sha256(stored).hexdigest() == MOMENTS_SIGNAL_SHA256
+
+
+def test_stored_histogram_keeps_its_bytes(tmp_path):
+    cfg = write_config(tmp_path, shots=2003, batches=4)
+    assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    stored = (tmp_path / "run" / "hist_signal.coo").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == HIST_SIGNAL_SHA256
 
 
 def _save_calibration_pair(run_dir: Path) -> tuple[BatchMoments, BatchMoments]:

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ import pytest
 from hettomo.acquire import QuadratureHistogram, StreamingMoments
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           noise_moments, prepare_superposition)
-from hettomo.serialize import (load_batch_moments, load_histogram, load_report,
-                               load_shots, matrix_from_json, matrix_to_json,
-                               save_batch_moments, save_histogram, save_report,
-                               save_shots, save_wigner)
+from hettomo.serialize import (HIST_RECORD, load_batch_moments, load_histogram,
+                               load_report, load_shots, matrix_from_json,
+                               matrix_to_json, save_batch_moments, save_histogram,
+                               save_report, save_shots, save_wigner)
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (InversionReport, forward_moments, invert_moments,
                           reconstruct_wigner)
@@ -51,6 +53,97 @@ def test_histogram_round_trip(tmp_path):
     back = load_histogram(tmp_path / "hist")
     assert np.array_equal(back.counts, hist.counts)
     assert back.extent == hist.extent and back.overflow == hist.overflow
+
+
+def test_histogram_file_holds_occupied_bins_in_index_order(tmp_path):
+    rng = np.random.default_rng(4)
+    hist = QuadratureHistogram(bins=8, extent=2.0).add(
+        0.4 * (rng.normal(size=400) + 1j * rng.normal(size=400)))
+    counts_path, json_path = save_histogram(tmp_path / "hist", hist)
+    header = json.loads(json_path.read_text())
+    assert counts_path.name == header["counts_file"] == "hist.coo"
+    assert "dtype" not in header
+    flat = hist.counts.reshape(-1)
+    occupied = [(i, int(c)) for i, c in enumerate(flat) if c]
+    assert header["occupied"] == len(occupied)
+    # packed little-endian (uint32 index, uint64 count), read without numpy
+    raw = counts_path.read_bytes()
+    assert len(raw) == 12 * len(occupied)
+    records = [(int.from_bytes(raw[k:k + 4], "little"),
+                int.from_bytes(raw[k + 4:k + 12], "little"))
+               for k in range(0, len(raw), 12)]
+    assert records == occupied
+
+
+def test_histogram_save_copies_no_dense_array(tmp_path):
+    # 1024^2 uint64 bins are 8 MB; a few thousand occupied ones need ~100 kB
+    rng = np.random.default_rng(5)
+    hist = QuadratureHistogram(bins=1024, extent=4.0).add(
+        rng.normal(size=5000) + 1j * rng.normal(size=5000))
+    tracemalloc.start()
+    try:
+        save_histogram(tmp_path / "hist", hist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < hist.counts.nbytes / 8
+
+
+def test_empty_histogram_round_trip(tmp_path):
+    # every shot outside +/-1e-12: no record, a 0-byte file
+    with pytest.warns(UserWarning, match="overflow fraction"):
+        hist = QuadratureHistogram(bins=4, extent=1e-12).add(np.ones(50) + 1j)
+    counts_path, _ = save_histogram(tmp_path / "hist", hist)
+    assert counts_path.stat().st_size == 0
+    back = load_histogram(tmp_path / "hist")
+    assert np.array_equal(back.counts, np.zeros((4, 4), dtype=np.uint64))
+    assert (back.in_range, back.overflow, back.total) == (0, 50, 50)
+
+
+def _corrupt_records(edit):
+    def corrupt(counts_path, header):
+        records = np.fromfile(counts_path, dtype=HIST_RECORD)
+        edit(records)
+        records.tofile(counts_path)
+    return corrupt
+
+
+def _set_header(key, change):
+    def corrupt(counts_path, header):
+        header[key] = change(header[key])
+    return corrupt
+
+
+def _swap_first_two(records):
+    records[[0, 1]] = records[[1, 0]]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda path, header: path.write_bytes(path.read_bytes()[:-1]),
+     "is not a whole number of 12-byte records"),
+    (_set_header("occupied", lambda n: n + 1), "records, header says"),
+    (_corrupt_records(_swap_first_two), "must ascend strictly"),
+    (_corrupt_records(lambda r: r["index"].__setitem__(1, r["index"][0])),
+     "must ascend strictly"),
+    (_corrupt_records(lambda r: r["index"].__setitem__(-1, 16 * 16)),
+     "below bins^2 = 256"),
+    (_corrupt_records(lambda r: r["count"].__setitem__(2, 0)), "a zero count"),
+    (_corrupt_records(lambda r: r["count"].__setitem__(2, r["count"][2] + 1)),
+     "counts sum to"),
+    (_set_header("overflow", lambda n: n + 1), "counts sum to"),
+], ids=["partial-record", "occupied", "descending", "repeated", "out-of-range",
+        "zero-count", "sum-records", "sum-header"])
+def test_histogram_loader_refuses(tmp_path, corrupt, message):
+    rng = np.random.default_rng(6)
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(
+        rng.normal(size=300) + 1j * rng.normal(size=300))
+    counts_path, json_path = save_histogram(tmp_path / "hist", hist)
+    header = json.loads(json_path.read_text())
+    corrupt(counts_path, header)
+    json_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=re.escape(str(counts_path))) as info:
+        load_histogram(tmp_path / "hist")
+    assert message in str(info.value)
 
 
 def test_batch_moments_round_trip(tmp_path):
