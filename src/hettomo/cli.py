@@ -241,12 +241,18 @@ def _available_cpus() -> int:
 def _time_domain_batches(state: FockState, env: TemporalEnvelope,
                          chain: AmplifierChain, sizes: list[int], seed):
     """Matched-filtered batches in batch order, at most one per CPU in flight on
-    a thread pool; each keeps its own stream, so the CPU count changes no output."""
+    a thread pool; each keeps its own stream, so the CPU count changes no output.
+    Batch b writes its records into buffer b % workers, free again once batch
+    b - workers is handed on, so the run holds `workers` records arrays from
+    start to end, whatever the allocator would keep of arrays freed per batch."""
+    workers = min(_available_cpus(), len(sizes))
+    buffers = [np.empty((max(sizes), env.n_bins), dtype=complex) for _ in range(workers)]
+
     def make(b: int, size: int) -> ShotBatch:
-        records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b)
+        records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b,
+                                      out=buffers[b % workers][:size])
         return matched_filter(records, env)
 
-    workers = _available_cpus()
     with ThreadPoolExecutor(workers) as pool:
         window = []
         for b, size in enumerate(sizes):

@@ -343,6 +343,26 @@ class TestTimeTrace:
         expected = math.sqrt(chain.gain) * expected
         assert rec.dtype == expected.dtype and rec.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("nbar", [2.0, 0.0])
+    def test_out_buffer_receives_the_same_records(self, nbar):
+        env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
+        chain = AmplifierChain(gain=9.0e3, noise=NoiseModel(nbar))
+        n = _TRACE_ROW_BLOCK + 5
+        fresh = simulate_time_trace(FockState.fock(1), env, chain, n, seed=[22, 0], stream=3)
+        buffer = np.full((n + 7, env.n_bins), np.nan, dtype=complex)   # stale rows
+        got = simulate_time_trace(FockState.fock(1), env, chain, n, seed=[22, 0],
+                                  stream=3, out=buffer[:n])
+        assert np.shares_memory(got, buffer) and got.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("out", [np.empty((10, 301), dtype=complex),
+                                     np.empty((10, 300)),
+                                     np.empty((10, 600), dtype=complex)[:, ::2]],
+                             ids=["shape", "dtype", "strided"])
+    def test_out_buffer_must_fit(self, out):
+        env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
+        with pytest.raises(ValueError, match="out must be"):
+            simulate_time_trace(FockState.fock(1), env, CHAIN, 10, seed=1, out=out)
+
     def test_matched_filter_matches_plain_sum(self):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=800)
         rec = simulate_time_trace(FockState.fock(1), env, CHAIN, 300, seed=5)
