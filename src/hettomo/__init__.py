@@ -7,9 +7,8 @@ from .moments import (ANTINORMAL, DETECTOR, NORMAL, BatchMoments, MomentMatrix,
 from .fock import (FockState, NoiseModel, analytic_moments, antinormal_moments,
                    coherent_state, husimi_q, loss_channel, noise_moments,
                    prepare_superposition, thermal_state, wigner_oracle)
-from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
-                       matched_filter, overlap, sample_detector, sample_q,
-                       simulate_time_trace)
+from .simulate import (AmplifierChain, TemporalEnvelope, matched_filter, overlap,
+                       sample_detector, sample_q, simulate_time_trace)
 from .acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
                       histogram_moments, vacuum_sigma)
 from .tomo import (InversionReport, WignerGrid, bootstrap_errors, estimate_gain,

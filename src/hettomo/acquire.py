@@ -13,7 +13,6 @@ import warnings
 import numpy as np
 
 from .moments import DETECTOR, BatchMoments, MomentMatrix, moment_indices
-from .simulate import ShotBatch
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
@@ -21,8 +20,6 @@ _BLOCK = 32768  # shots per block of StreamingMoments.update
 
 
 def _as_samples(data) -> np.ndarray:
-    if isinstance(data, ShotBatch):
-        return data.samples
     return np.asarray(data, dtype=complex).ravel()
 
 
@@ -35,19 +32,9 @@ class QuadratureHistogram:
         self.bins = bins
         self.extent = float(extent)
         self._edges = np.linspace(-self.extent, self.extent, bins + 1)
-        self.counts = np.zeros((bins, bins), dtype=np.uint64)
-        self.overflow = 0
+        self.counts = np.zeros((bins, bins), dtype=np.uint64)   # add() fills a flat view
+        self.in_range = self.overflow = 0
         self._warned = False
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._counts
-
-    @counts.setter
-    def counts(self, value: np.ndarray) -> None:
-        # add() fills a flat view and keeps in_range current from here on
-        self._counts = np.ascontiguousarray(value, dtype=np.uint64)
-        self.in_range = int(self._counts.sum())
 
     @property
     def total(self) -> int:
@@ -76,7 +63,7 @@ class QuadratureHistogram:
         s = _as_samples(data)
         inside = (np.abs(s.real) <= self.extent) & (np.abs(s.imag) <= self.extent)
         ix, iy = (self._bin_index(v[inside]) for v in (s.real, s.imag))
-        np.add.at(self._counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
+        np.add.at(self.counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
         self.in_range += ix.size
         self.overflow += s.size - ix.size
         # once: the running fraction in the text defeats Python's duplicate filter

@@ -23,14 +23,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquire import QuadratureHistogram, StreamingMoments, combine_batches, vacuum_sigma
+from .acquire import (DEFAULT_BINS, QuadratureHistogram, StreamingMoments,
+                      combine_batches, vacuum_sigma)
 from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
                    prepare_superposition, thermal_state)
 from .moments import BatchMoments, moment_indices
-from .simulate import (AmplifierChain, ShotBatch, TemporalEnvelope,
-                       matched_filter, sample_detector, simulate_time_trace)
-from .tomo import (WIGNER_KERNEL_MAX_ORDER, InversionReport, bootstrap_errors,
-                   estimate_gain, invert_moments, reconstruct_wigner)
+from .simulate import (AmplifierChain, TemporalEnvelope, matched_filter,
+                       sample_detector, simulate_time_trace)
+from .tomo import (WIGNER_EXTENT, WIGNER_KERNEL_MAX_ORDER, WIGNER_RESOLUTION,
+                   InversionReport, bootstrap_errors, estimate_gain, invert_moments,
+                   reconstruct_wigner)
 from . import serialize
 
 # stage indices for RNG stream derivation
@@ -166,7 +168,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     with _block("amplifier"):
         chain = AmplifierChain(gain=_get(amp, "gain", float, 1.0), noise=_noise_model(amp))
     with _block("histogram"):
-        bins = _get(hist, "bins", int, 1024, lo=1, hi=serialize.MAX_BINS)
+        bins = _get(hist, "bins", int, DEFAULT_BINS, lo=1, hi=serialize.MAX_BINS)
         extent = _get(hist, "range", float, None)
         if extent is not None and extent <= 0:
             raise ValueError(f"range must be null (auto) or a number > 0, got {extent}")
@@ -248,7 +250,7 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
     workers = min(_available_cpus(), len(sizes))
     buffers = [np.empty((max(sizes), env.n_bins), dtype=complex) for _ in range(workers)]
 
-    def make(b: int, size: int) -> ShotBatch:
+    def make(b: int, size: int) -> np.ndarray:
         records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b,
                                       out=buffers[b % workers][:size])
         return matched_filter(records, env)
@@ -280,10 +282,10 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
         hist.add(batch)
         moments.update(batch)
         if cfg.store_shots:
-            shots_kept.append(batch.samples)
+            shots_kept.append(batch)
     out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
-        out["shots"] = ShotBatch(np.concatenate(shots_kept))
+        out["shots"] = np.concatenate(shots_kept)
     return out
 
 
@@ -294,7 +296,10 @@ def auto_extent(cfg: ExperimentConfig) -> float:
     pilot = sample_detector(FockState.vacuum(), cfg.chain,
                             min(PILOT_SHOTS, max(cfg.shots, 1000)),
                             seed=[cfg.seed, STAGE_PILOT])
-    return 6.0 * vacuum_sigma(pilot)
+    extent = 6.0 * vacuum_sigma(pilot)
+    if not math.isfinite(extent):
+        raise NumericError(f"histogram.range: pilot vacuum width {extent / 6:g} is not finite")
+    return extent
 
 
 def _sha256(path: Path) -> str:
@@ -347,7 +352,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
 
     moments = {}
     for name, run_state, stage in runs:
-        result = run_acquisition(run_state, cfg, stage, extent)
+        try:
+            result = run_acquisition(run_state, cfg, stage, extent)
+        except ValueError as exc:
+            raise NumericError(f"{name} run: {exc}") from exc
         serialize.save_histogram(out_dir / f"hist_{name}", result["hist"],
                                  meta={"seed": cfg.seed, "stage": stage,
                                        "units": "detector", "gain": cfg.chain.gain})
@@ -446,7 +454,7 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
                               out_dir / "calibration.json")
         report = cmd_analyze(moments["signal"], moments["vacuum"], calib["gain"],
                              out_dir / "report.json")
-        wigner = cmd_wigner(report, out_dir / "wigner", extent=3.0, resolution=121)
+        wigner = cmd_wigner(report, out_dir / "wigner", WIGNER_EXTENT, WIGNER_RESOLUTION)
         m = report.moments.values
         summary = {"sigma_vac": derived.get("sigma_vac"), "gain_true": cfg.chain.gain,
                    "gain_estimate": calib["gain"], "gain_stderr": calib["gain_stderr"],
@@ -507,8 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_w = sub.add_parser("wigner", help="reconstruct the Wigner function")
     p_w.add_argument("--report", required=True, help="inversion report JSON")
-    p_w.add_argument("--extent", type=float, default=3.0)
-    p_w.add_argument("--resolution", type=int, default=121)
+    p_w.add_argument("--extent", type=float, default=WIGNER_EXTENT)
+    p_w.add_argument("--resolution", type=int, default=WIGNER_RESOLUTION)
     p_w.add_argument("--out", required=True, help="output path prefix")
 
     p_full = sub.add_parser("full-run",

@@ -15,7 +15,6 @@ import numpy as np
 
 from .acquire import QuadratureHistogram
 from .moments import BatchMoments, MomentMatrix
-from .simulate import ShotBatch
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
 MAX_BINS = 1 << 16  # a <u4 record index holds every bin of a MAX_BINS^2 histogram
@@ -31,18 +30,16 @@ def matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
 
 
-# -- shot batches ------------------------------------------------------------
+# -- shots -------------------------------------------------------------------
 
-def save_shots(prefix, batch: ShotBatch, gain: float | None = None,
+def save_shots(prefix, samples: np.ndarray, gain: float | None = None,
                seed=None) -> tuple[Path, Path]:
     prefix = Path(prefix)
-    data = np.empty(2 * batch.count, dtype="<f8")
-    data[0::2] = batch.samples.real
-    data[1::2] = batch.samples.imag
+    samples = np.asarray(samples, dtype="<c16")     # (re, im) <f8 pairs in memory
     bin_path = prefix.with_suffix(".bin")
-    data.tofile(bin_path)
+    samples.tofile(bin_path)
     sidecar = {
-        "count": batch.count,
+        "count": samples.size,
         "seed": seed,
         "units": "detector",
         "gain": gain,
@@ -53,13 +50,17 @@ def save_shots(prefix, batch: ShotBatch, gain: float | None = None,
     return bin_path, json_path
 
 
-def load_shots(prefix) -> ShotBatch:
+def load_shots(prefix) -> np.ndarray:
+    """The complex shots `save_shots` wrote; a non-finite sample is refused."""
     prefix = Path(prefix)
     sidecar = json.loads(prefix.with_suffix(".json").read_text())
-    data = np.fromfile(prefix.with_suffix(".bin"), dtype="<f8")
+    path = prefix.with_suffix(".bin")
+    data = np.fromfile(path, dtype="<f8")
     if data.size != 2 * sidecar["count"]:
         raise ValueError(f"{prefix}: shot file length disagrees with sidecar")
-    return ShotBatch(data[0::2] + 1j * data[1::2])
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: shot file contains non-finite samples")
+    return data.view("<c16")
 
 
 # -- histograms --------------------------------------------------------------
@@ -168,11 +169,9 @@ def load_report(path) -> InversionReport:
 def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
-    with open(csv_path, "w") as fh:
-        fh.write("x,p,w\n")
-        for i, x in enumerate(grid.xs):
-            for j, p in enumerate(grid.ps):
-                fh.write(f"{x:.9g},{p:.9g},{grid.values[i, j]:.12g}\n")
+    x, p = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+    np.savetxt(csv_path, np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()]),
+               fmt="%.9g,%.9g,%.12g", header="x,p,w", comments="")
     header = {
         "extent": grid.extent,
         "resolution": len(grid.xs),

@@ -62,24 +62,6 @@ class TemporalEnvelope:
         return self.dt == other.dt and self.n_bins == other.n_bins
 
 
-@dataclass(frozen=True)
-class ShotBatch:
-    """A batch of complex detector outcomes."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=complex)
-        if not np.all(np.isfinite(samples.view(float))):
-            raise ValueError("shot batch contains non-finite samples")
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def count(self) -> int:
-        return self.samples.size
-
-
 def stream_rng(seed, *path: int) -> np.random.Generator:
     """Deterministic RNG stream derived from (seed, *path) via SeedSequence;
     `seed` is an integer or a sequence of integers."""
@@ -163,19 +145,19 @@ def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
 
 
 def sample_detector(state: FockState, chain: AmplifierChain, n: int,
-                    seed, stream: int = 0) -> ShotBatch:
-    """Detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise; a state
-    without an exact sampler is drawn in one pass (see the module docstring)."""
+                    seed, stream: int = 0) -> np.ndarray:
+    """n complex detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise;
+    a state without an exact sampler is drawn in one pass (see the module docstring)."""
     if n < 1:
         raise ValueError("need n >= 1")
     nbar = chain.noise.nbar
     if state.profile is None:
         beta = _sample_q_rejection(*_proposal(state, 1.0 / (1.0 + nbar)), n,
                                    stream_rng(seed, stream))
-        return ShotBatch(math.sqrt(chain.gain * (1.0 + nbar)) * beta)
+        return math.sqrt(chain.gain * (1.0 + nbar)) * beta
     alpha = sample_q(state, n, seed, stream=stream)
     nu = _complex_normal(stream_rng(seed, stream, 1), n, nbar / 2.0) if nbar > 0 else 0.0
-    return ShotBatch(math.sqrt(chain.gain) * (alpha + nu))
+    return math.sqrt(chain.gain) * (alpha + nu)
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,
@@ -207,15 +189,14 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
     return records
 
 
-def matched_filter(records: np.ndarray, env: TemporalEnvelope) -> ShotBatch:
+def matched_filter(records: np.ndarray, env: TemporalEnvelope) -> np.ndarray:
     """Project time-binned records onto the envelope's temporal mode:
-    S_j = sum_i f_i* r_ji dt."""
+    S_j = sum_i f_i* r_ji dt, in a new array."""
     records = np.asarray(records, dtype=complex)
     if records.ndim != 2 or records.shape[1] != env.n_bins:
         raise ValueError("records do not match the envelope time grid")
     # einsum, not `records @ f`: BLAS would leave OpenBLAS workers spinning between batches
-    s = np.einsum("ij,j->i", records, env.f.conj()) * env.dt
-    return ShotBatch(s)
+    return np.einsum("ij,j->i", records, env.f.conj()) * env.dt
 
 
 def overlap(f: TemporalEnvelope, g: TemporalEnvelope) -> float:

@@ -22,6 +22,7 @@ from .moments import (ANTINORMAL, DETECTOR, NORMAL, BatchMoments, MomentMatrix,
                       hermitize, moment_indices)
 
 WIGNER_KERNEL_MAX_ORDER = 8
+WIGNER_EXTENT, WIGNER_RESOLUTION = 3.0, 121   # default grid |X|, |P| <= 3, 121 points a side
 BOOTSTRAP_REPLICAS = 200
 MAX_FAILED_REPLICA_FRACTION = 0.1   # calibration fails above this share of gainless replicas
 
@@ -286,8 +287,8 @@ def wigner_from_moments(moments: MomentMatrix, alpha,
     return w
 
 
-def reconstruct_wigner(moments: MomentMatrix, extent: float = 3.0,
-                       resolution: int = 121,
+def reconstruct_wigner(moments: MomentMatrix, extent: float = WIGNER_EXTENT,
+                       resolution: int = WIGNER_RESOLUTION,
                        errors: np.ndarray | None = None) -> WignerGrid:
     """Wigner function from normally ordered moments on a square grid, truncated
     by `truncation_order` against the moments' `errors`."""

@@ -20,6 +20,7 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_stat
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
+from hettomo.simulate import matched_filter, simulate_time_trace
 from hettomo.tomo import InversionReport, estimate_gain
 
 
@@ -355,6 +356,28 @@ class TestExitCodes:
         assert (out / "hist_vacuum.coo").stat().st_size == 0
         assert serialize.load_histogram(out / "hist_vacuum").overflow == 2000
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["simulate", "full-run"])
+    @pytest.mark.parametrize("amplifier, message", [
+        ({"gain": 1e300, "nbar": 1.0}, "signal run: moment matrix contains non-finite"),
+        ({"gain": 1e308, "nbar": 1e308}, "histogram.range: pilot vacuum width nan is "
+                                         "not finite")], ids=["moments", "pilot"])
+    def test_detector_data_overflowing_float64_is_4(self, tmp_path, capsys, command,
+                                                    amplifier, message):
+        # finite shots whose order-4 moments overflow, and shots that overflow
+        cfg = write_config(tmp_path, shots=2000, batches=2, amplifier=amplifier,
+                           calibration={})
+        out = tmp_path / "run"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert message in capsys.readouterr().err
+        # the manifest is strict JSON (no NaN) and lists what the failed run wrote
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=lambda c: pytest.fail(f"manifest holds {c}"))
+        assert manifest["files"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                     for p in sorted(out.iterdir())
+                                     if p.name != "manifest.json"}
+
     def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
         save_report(path, InversionReport(
@@ -429,7 +452,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("workers", [1, 3])
     def test_time_domain_output_independent_of_cpu_count(self, tmp_path, capsys,
                                                          monkeypatch, workers):
-        cfg = write_config(tmp_path, shots=6000, batches=7,
+        cfg = write_config(tmp_path, shots=6000, batches=7, store_shots=True,
                            time_domain={"enabled": True, "kappa": 0.05,
                                         "dt": 1.0, "bins": 200})
         assert run(["simulate", "--config", str(cfg),
@@ -443,11 +466,23 @@ class TestSimulateCommand:
         finally:
             sys.setswitchinterval(interval)
         names = [f"{kind}_{run_}.{ext}" for run_ in ("signal", "vacuum")
-                 for kind, ext in (("hist", "coo"), ("hist", "json"),
-                                   ("moments", "json"))]
+                 for kind, ext in (("hist", "coo"), ("hist", "json"), ("moments", "json"),
+                                   ("shots", "bin"), ("shots", "json"))]
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "forced" / name).read_bytes(), name
+        # the pool reuses its records buffers: every stored shot must still be
+        # its own batch's, as drawn one batch after another on [seed, stage]
+        config = load_config(cfg)
+        env, sizes = config.envelope, [858] + [857] * 6
+        for name, state, stage in (("signal", config.state, cli.STAGE_SIGNAL),
+                                   ("vacuum", FockState.vacuum(), cli.STAGE_VACUUM)):
+            redrawn = np.concatenate([
+                matched_filter(simulate_time_trace(state, env, config.chain, size,
+                                                   seed=[config.seed, stage], stream=b), env)
+                for b, size in enumerate(sizes)])
+            stored = serialize.load_shots(tmp_path / "forced" / f"shots_{name}")
+            assert stored.tobytes() == redrawn.tobytes(), name
 
     def test_bins_flag_keeps_histogram_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=1000, batches=1,

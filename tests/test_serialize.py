@@ -28,20 +28,32 @@ def test_matrix_json_round_trip():
 
 def test_shots_round_trip(tmp_path):
     chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
-    batch = sample_detector(FockState.fock(1), chain, 1000, seed=5, stream=3)
-    save_shots(tmp_path / "shots", batch, gain=chain.gain, seed=[5, 3])
+    shots = sample_detector(FockState.fock(1), chain, 1000, seed=5, stream=3)
+    bin_path, _ = save_shots(tmp_path / "shots", shots, gain=chain.gain, seed=[5, 3])
     back = load_shots(tmp_path / "shots")
-    assert np.array_equal(back.samples, batch.samples)
-    assert json.loads((tmp_path / "shots.json").read_text())["seed"] == [5, 3]
+    assert back.dtype == complex and np.array_equal(back, shots)
+    data = np.fromfile(bin_path, dtype="<f8")     # interleaved (re, im)
+    assert np.array_equal(data[0::2], shots.real) and np.array_equal(data[1::2], shots.imag)
+    sidecar = json.loads((tmp_path / "shots.json").read_text())
+    assert sidecar["seed"] == [5, 3] and sidecar["count"] == 1000
 
 
 def test_shots_length_mismatch_detected(tmp_path):
-    batch = sample_detector(FockState.vacuum(),
+    shots = sample_detector(FockState.vacuum(),
                             AmplifierChain(1.0, NoiseModel(0.0)), 100, seed=1)
-    bin_path, _ = save_shots(tmp_path / "shots", batch)
+    bin_path, _ = save_shots(tmp_path / "shots", shots)
     data = np.fromfile(bin_path, dtype="<f8")
     data[:-2].tofile(bin_path)
     with pytest.raises(ValueError, match="disagrees"):
+        load_shots(tmp_path / "shots")
+
+
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf)])
+def test_shots_loader_refuses_non_finite_samples(tmp_path, bad):
+    shots = np.arange(5, dtype=complex)
+    shots[3] = bad
+    bin_path, _ = save_shots(tmp_path / "shots", shots)
+    with pytest.raises(ValueError, match=f"{re.escape(str(bin_path))}: .*non-finite"):
         load_shots(tmp_path / "shots")
 
 
@@ -190,3 +202,7 @@ def test_wigner_files(tmp_path):
               if float(r["x"]) == 0.0 and float(r["p"]) == 0.0]
     assert len(center) == 1
     assert float(center[0]["w"]) == pytest.approx(-2.0 / math.pi, abs=1e-9)
+    # the text equals the row-by-row Python formatting it replaced
+    assert csv_path.read_text() == "x,p,w\n" + "".join(
+        f"{x:.9g},{p:.9g},{w:.12g}\n"
+        for x, row in zip(grid.xs, grid.values) for p, w in zip(grid.ps, row))

@@ -11,9 +11,8 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           loss_channel, noise_moments, prepare_superposition,
                           thermal_state)
 from hettomo.moments import moment_indices
-from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, ShotBatch,
-                              TemporalEnvelope, _complex_normal,
-                              _envelope_candidates, _proposal,
+from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope,
+                              _complex_normal, _envelope_candidates, _proposal,
                               matched_filter, overlap, sample_detector,
                               sample_q, simulate_time_trace, stream_rng)
 from hettomo.tomo import forward_moments
@@ -41,15 +40,6 @@ class TestStreamRng:
         a = stream_rng([42, 7], 3).standard_normal(5)
         b = stream_rng(42, 7, 3).standard_normal(5)
         assert np.array_equal(a, b)
-
-
-class TestShotBatch:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            ShotBatch(np.array([1.0 + 0j, np.nan]))
-
-    def test_count(self):
-        assert ShotBatch(np.zeros(7, dtype=complex)).count == 7
 
 
 class TestSampleQ:
@@ -157,12 +147,12 @@ def test_detector_moments_match_forward_model(name, nbar):
     state = REJECTION_STATES[name]()
     noise = NoiseModel(nbar)
     chain = AmplifierChain(gain=9.0e3, noise=noise)
-    s = sample_detector(state, chain, 300_000, seed=[43, int(nbar)], stream=2).samples
+    s = sample_detector(state, chain, 300_000, seed=[43, int(nbar)], stream=2)
     truth = forward_moments(analytic_moments(state, 4), noise_moments(noise, 4), chain.gain)
     _assert_moments_match(s, truth, 4)
 
 
-# SHA-256 of sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+# SHA-256 of sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
 # before rejection-sampled states moved to the loss-channel draw; the exact
 # samplers keep their streams and bytes
 EXACT_PATH_SHA256 = {
@@ -181,7 +171,7 @@ def test_exact_samplers_keep_their_bytes(name):
              "vacuum-noiseless": FockState.vacuum()}[name]
     nbar = 0.0 if name.endswith("noiseless") else 2.0
     chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
-    s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+    s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
     assert hashlib.sha256(s.tobytes()).hexdigest() == EXACT_PATH_SHA256[name]
 
 
@@ -202,7 +192,7 @@ def test_rejection_sampler_keeps_its_bytes(name):
         s = sample_q(state, 4099, [17, 2], stream=5)
     else:
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(float(name[-1])))
-        s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5).samples
+        s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
     assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_PATH_SHA256[name]
 
 
@@ -239,28 +229,28 @@ def test_cached_proposal_follows_eta():
     state = prepare_superposition(0.6j, 0.2)
     for nbar in (2.0, 64.0, 0.0):
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
-        reused = sample_detector(state, chain, 64, seed=[51, 0]).samples
+        reused = sample_detector(state, chain, 64, seed=[51, 0])
         fresh = sample_detector(prepare_superposition(0.6j, 0.2), chain, 64, seed=[51, 0])
-        assert np.array_equal(reused, fresh.samples), nbar
+        assert np.array_equal(reused, fresh), nbar
 
 
 class TestSampleDetector:
     def test_vacuum_width(self):
         batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=7)
         expected = math.sqrt(CHAIN.gain * (1.0 + 64.0) / 2.0)
-        assert np.std(batch.samples.real) == pytest.approx(expected, rel=0.01)
-        assert np.std(batch.samples.imag) == pytest.approx(expected, rel=0.01)
+        assert np.std(batch.real) == pytest.approx(expected, rel=0.01)
+        assert np.std(batch.imag) == pytest.approx(expected, rel=0.01)
 
     def test_mean_scales_with_root_gain(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
         batch = sample_detector(state, CHAIN, 400_000, seed=8)
-        assert np.mean(batch.samples) == pytest.approx(
+        assert np.mean(batch) == pytest.approx(
             math.sqrt(CHAIN.gain) * 0.5, abs=0.5 * math.sqrt(CHAIN.gain) * 0.05)
 
     def test_noiseless_unit_gain_reduces_to_q_samples(self):
         a = sample_detector(FockState.fock(1), QUIET, 1000, seed=9)
         b = sample_q(FockState.fock(1), 1000, seed=9)
-        assert np.allclose(a.samples, b, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     @pytest.mark.parametrize("state", [FockState.vacuum(), prepare_superposition(0.6)],
                              ids=["exact", "rejection"])
@@ -272,7 +262,7 @@ class TestSampleDetector:
         # same seed, different stream: completely different outcomes
         a = sample_detector(FockState.vacuum(), CHAIN, 100, seed=10, stream=0)
         b = sample_detector(FockState.vacuum(), CHAIN, 100, seed=10, stream=1)
-        assert not np.allclose(a.samples, b.samples)
+        assert not np.allclose(a, b)
 
 
 class TestTemporalEnvelope:
@@ -306,9 +296,9 @@ class TestTimeTrace:
         rec = simulate_time_trace(state, env, CHAIN, 50_000, seed=12)
         batch = matched_filter(rec, env)
         g = math.sqrt(CHAIN.gain)
-        assert np.mean(batch.samples) == pytest.approx(0.5 * g, abs=0.05 * g)
+        assert np.mean(batch) == pytest.approx(0.5 * g, abs=0.05 * g)
         # <|S|^2> = G (<a^dag a> + 1 + nbar) = G (0.5 + 65)
-        assert np.mean(np.abs(batch.samples) ** 2) == pytest.approx(
+        assert np.mean(np.abs(batch) ** 2) == pytest.approx(
             CHAIN.gain * 65.5, rel=0.02)
 
     def test_orthogonal_filter_sees_noise_only(self):
@@ -366,7 +356,7 @@ class TestTimeTrace:
     def test_matched_filter_matches_plain_sum(self):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=800)
         rec = simulate_time_trace(FockState.fock(1), env, CHAIN, 300, seed=5)
-        got = matched_filter(rec, env).samples
+        got = matched_filter(rec, env)
         ref = np.sum(rec * env.f.conj(), axis=1) * env.dt
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
