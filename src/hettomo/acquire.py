@@ -144,7 +144,10 @@ class StreamingMoments:
     def update(self, data) -> "StreamingMoments":
         """Add one batch."""
         s = _as_samples(data)
-        self.sums.append(_block_sums(s, self.order))
+        sums = _block_sums(s, self.order)
+        if not np.isfinite(sums).all():     # refused here, before the next batch
+            raise ValueError("moment matrix contains non-finite entries")
+        self.sums.append(sums)
         self.counts.append(s.size)
         return self
 
@@ -200,11 +203,4 @@ def vacuum_sigma(data) -> float:
     s = _as_samples(data)
     if s.size < 2:
         raise ValueError("need at least two samples")
-    vx = float(np.var(s.real))
-    vp = float(np.var(s.imag))
-    # variance standard error ~ var * sqrt(2/n) for Gaussian data
-    se = math.sqrt(2.0 / s.size) * math.hypot(vx, vp)
-    if abs(vx - vp) > 3.0 * se:
-        warnings.warn("X and P variances differ by more than 3 standard "
-                      "errors; input may not be a vacuum run", stacklevel=2)
-    return math.sqrt(0.5 * (vx + vp))
+    return math.sqrt(0.5 * (float(np.var(s.real)) + float(np.var(s.imag))))

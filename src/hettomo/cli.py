@@ -2,8 +2,10 @@
 
 Subcommands: simulate, analyze, calibrate, wigner, full-run.
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric/consistency failure.
-All randomness derives from the single config seed through documented
-SeedSequence paths ([seed, stage, batch]), so runs are reproducible.
+Simulation randomness derives from the config seed through documented
+SeedSequence paths ([seed, stage, batch]); the bootstrap replicas of analyze
+and calibrate use the fixed streams [0, 0xB007] and [0, 0xCA1]. So runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -244,16 +246,13 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
                          chain: AmplifierChain, sizes: list[int], seed):
     """Matched-filtered batches in batch order, at most one per CPU in flight on
     a thread pool; each keeps its own stream, so the CPU count changes no output.
-    Batch b writes its records into buffer b % workers, free again once batch
-    b - workers is handed on, so the run holds `workers` records arrays from
-    start to end, whatever the allocator would keep of arrays freed per batch."""
+    A batch's records are made and filtered one row block at a time."""
     workers = min(_available_cpus(), len(sizes))
-    buffers = [np.empty((max(sizes), env.n_bins), dtype=complex) for _ in range(workers)]
 
+    @np.errstate(over="ignore", invalid="ignore")   # per thread, as on cmd_simulate
     def make(b: int, size: int) -> np.ndarray:
-        records = simulate_time_trace(state, env, chain, size, seed=seed, stream=b,
-                                      out=buffers[b % workers][:size])
-        return matched_filter(records, env)
+        return np.concatenate([matched_filter(block, env) for block in simulate_time_trace(
+            state, env, chain, size, seed=seed, stream=b)])
 
     with ThreadPoolExecutor(workers) as pool:
         window = []
@@ -337,6 +336,7 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: floa
 
 # -- commands ----------------------------------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")   # the finiteness checks decide
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
                  derived: dict) -> dict[str, BatchMoments]:
     """Simulate and store each run into `out_dir`; returns each run's batch
@@ -448,6 +448,8 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError("calibration: block is required for full-run")
     _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
              f"bootstrap resamples batches, got {cfg.batches}")
+    _require(cfg.order >= 2, "config", "order must be >= 2 for full-run, whose gain "
+             f"calibration reads s(1,1), got {cfg.order}")
     with _run_dir(cfg, out_dir) as derived:
         moments = cmd_simulate(cfg, out_dir, derived)
         calib = cmd_calibrate(moments["calibration"], moments["vacuum"],
@@ -560,8 +562,11 @@ def run(argv=None) -> int:
             if args.command == "calibrate":
                 stored = ("calibration" if (signal_dir / "moments_calibration.json").exists()
                           else "signal")
-                result = cmd_calibrate(*_load_pair(signal_dir, stored, vacuum_dir),
-                                       Path(args.out))
+                pair = _load_pair(signal_dir, stored, vacuum_dir)
+                if pair[0].order < 2:
+                    raise DataError(f"stored moments only go to order {pair[0].order}; "
+                                    "calibrate reads s(1,1)")
+                result = cmd_calibrate(*pair, Path(args.out))
             else:
                 gain = args.gain if args.gain is not None else _manifest_gain(signal_dir)
                 _require(math.isfinite(gain) and gain > 0, "gain",

@@ -69,14 +69,12 @@ def stream_rng(seed, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + list(path)))
 
 
-_TRACE_ROW_BLOCK = 256   # rows that take alpha f in one in-place step (1.6 MB at 400 bins)
+_TRACE_ROW_BLOCK = 256   # records rows made at once (1.6 MB at 400 bins)
 
 
-def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    # interleaved (re, im) view keeps this a single draw + single scale pass;
-    # `out`, 2n contiguous float64, takes the same draw in place
-    arr = rng.standard_normal(2 * n) if out is None else rng.standard_normal(out=out)
+def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np.ndarray:
+    # interleaved (re, im) view keeps this a single draw + single scale pass
+    arr = rng.standard_normal(2 * n)
     arr *= math.sqrt(var_per_quad)
     return arr.view(complex)
 
@@ -161,32 +159,25 @@ def sample_detector(state: FockState, chain: AmplifierChain, n: int,
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,
-                        chain: AmplifierChain, n: int, seed,
-                        stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Time-binned records r_j(t_i) = sqrt(G) (alpha_j f_i + xi_ji).
+                        chain: AmplifierChain, n: int, seed, stream: int = 0):
+    """Time-binned records r_j(t_i) = sqrt(G) (alpha_j f_i + xi_ji), yielded in
+    row order in blocks of at most `_TRACE_ROW_BLOCK` rows.
 
     xi is white complex Gaussian with per-bin total variance nbar_h/dt so
     that matched filtering reproduces sample_detector statistics exactly.
-    Valid for the matched filter only; model temporal-mode mismatch with
-    fock.loss_channel(eta=overlap**2) instead. `out`, a C-contiguous complex
-    (n, n_bins) array, receives the same records in place and is returned.
+    Each block draws its share of the noise stream, so the blocks joined are
+    the records of one whole draw. Valid for the matched filter only; model
+    temporal-mode mismatch with fock.loss_channel(eta=overlap**2) instead.
     """
     alpha = sample_q(state, n, seed, stream=stream)
-    if out is None:
-        records = np.empty((n, env.n_bins), dtype=complex)
-    elif out.shape == (n, env.n_bins) and out.dtype == complex and out.flags.c_contiguous:
-        records = out
-    else:
-        raise ValueError(f"out must be a C-contiguous complex ({n}, {env.n_bins}) array")
-    if chain.noise.nbar == 0:
-        np.multiply(alpha[:, None], env.f, out=records)
-    else:
-        _complex_normal(stream_rng(seed, stream, 1), n * env.n_bins,
-                        chain.noise.nbar / (2.0 * env.dt), out=records.view(float).reshape(-1))
-        for i in range(0, n, _TRACE_ROW_BLOCK):
-            records[i:i + _TRACE_ROW_BLOCK] += alpha[i:i + _TRACE_ROW_BLOCK, None] * env.f
-    records *= math.sqrt(chain.gain)
-    return records
+    noise = stream_rng(seed, stream, 1)
+    for i in range(0, n, _TRACE_ROW_BLOCK):
+        block = alpha[i:i + _TRACE_ROW_BLOCK, None] * env.f
+        if chain.noise.nbar > 0:
+            block += _complex_normal(noise, block.size, chain.noise.nbar /
+                                     (2.0 * env.dt)).reshape(block.shape)
+        block *= math.sqrt(chain.gain)
+        yield block
 
 
 def matched_filter(records: np.ndarray, env: TemporalEnvelope) -> np.ndarray:

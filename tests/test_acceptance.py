@@ -254,8 +254,8 @@ def test_a7_mode_matching():
     direct, filtered = StreamingMoments(4), StreamingMoments(4)
     for b in range(n_chunks):
         direct.update(sample_detector(state, chain, size, seed=[SEED, 70], stream=b))
-        rec = simulate_time_trace(state, env, chain, size,
-                                  seed=[SEED, 71], stream=b)
+        rec = np.concatenate(list(simulate_time_trace(state, env, chain, size,
+                                                      seed=[SEED, 71], stream=b)))
         filtered.update(matched_filter(rec, env))
     sd, sf = direct.result().values, filtered.result().values
     md = combine_batches(direct.result())

@@ -265,9 +265,3 @@ class TestVacuumSigma:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vacuum_sigma(QuadratureHistogram(bins=1024, extent=6.0 * SIGMA_VAC).add(batch))
-
-    def test_warns_on_quadrature_imbalance(self):
-        rng = stream_rng(16)
-        s = 2.0 * rng.standard_normal(50_000) + 1j * rng.standard_normal(50_000)
-        with pytest.warns(UserWarning, match="variances differ"):
-            vacuum_sigma(s)

@@ -6,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,8 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_stat
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
-from hettomo.simulate import matched_filter, simulate_time_trace
+from hettomo.simulate import (AmplifierChain, TemporalEnvelope, matched_filter,
+                              sample_detector, simulate_time_trace)
 from hettomo.tomo import InversionReport, estimate_gain
 
 
@@ -356,8 +359,6 @@ class TestExitCodes:
         assert (out / "hist_vacuum.coo").stat().st_size == 0
         assert serialize.load_histogram(out / "hist_vacuum").overflow == 2000
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
     @pytest.mark.parametrize("amplifier, message", [
         ({"gain": 1e300, "nbar": 1.0}, "signal run: moment matrix contains non-finite"),
@@ -369,7 +370,10 @@ class TestExitCodes:
         cfg = write_config(tmp_path, shots=2000, batches=2, amplifier=amplifier,
                            calibration={})
         out = tmp_path / "run"
-        assert run([command, "--config", str(cfg), "--out", str(out)]) == 4
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert message in capsys.readouterr().err
         # the manifest is strict JSON (no NaN) and lists what the failed run wrote
         manifest = json.loads((out / "manifest.json").read_text(),
@@ -377,6 +381,21 @@ class TestExitCodes:
         assert manifest["files"] == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                      for p in sorted(out.iterdir())
                                      if p.name != "manifest.json"}
+
+    def test_overflowing_moments_are_refused_on_the_first_batch(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_detector(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_detector", counted)
+        cfg = write_config(tmp_path, shots=200_000, batches=20,
+                           amplifier={"gain": 1e300, "nbar": 1.0})
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert "signal run: moment matrix contains non-finite" in capsys.readouterr().err
+        assert len(calls) == 2      # the pilot and the signal run's first batch
 
     def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -400,6 +419,23 @@ class TestExitCodes:
         assert run(["full-run", "--config", str(cfg), "--out", str(out)]) == 2
         assert "config: batches" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_full_run_needs_order_two(self, tmp_path, capsys):
+        # the gain calibration reads s(1,1), which an order-1 run does not hold
+        cfg = write_config(tmp_path, order=1, calibration={})
+        out = tmp_path / "out"
+        assert run(["full-run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config: order must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrate_on_order_one_is_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, shots=2000, batches=2, order=1, calibration={})
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert run(["calibrate", "--signal", str(out),
+                    "--out", str(tmp_path / "cal.json")]) == 3
+        assert "stored moments only go to order 1" in capsys.readouterr().err
+        assert not (tmp_path / "cal.json").exists()
 
     def test_calibrate_on_one_batch_is_4(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=2000, batches=1, calibration={})
@@ -471,18 +507,32 @@ class TestSimulateCommand:
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
                 (tmp_path / "forced" / name).read_bytes(), name
-        # the pool reuses its records buffers: every stored shot must still be
-        # its own batch's, as drawn one batch after another on [seed, stage]
+        # every stored shot must be its own batch's, as drawn one batch after
+        # another on [seed, stage] and filtered as one records array
         config = load_config(cfg)
         env, sizes = config.envelope, [858] + [857] * 6
         for name, state, stage in (("signal", config.state, cli.STAGE_SIGNAL),
                                    ("vacuum", FockState.vacuum(), cli.STAGE_VACUUM)):
             redrawn = np.concatenate([
-                matched_filter(simulate_time_trace(state, env, config.chain, size,
-                                                   seed=[config.seed, stage], stream=b), env)
+                matched_filter(np.concatenate(list(simulate_time_trace(
+                    state, env, config.chain, size, seed=[config.seed, stage], stream=b))), env)
                 for b, size in enumerate(sizes)])
             stored = serialize.load_shots(tmp_path / "forced" / f"shots_{name}")
             assert stored.tobytes() == redrawn.tobytes(), name
+
+    def test_time_domain_batch_holds_records_one_row_block_at_a_time(self, monkeypatch):
+        # one 2000 x 400 batch: its whole records would take 12.8 MB
+        monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
+        env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
+        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        tracemalloc.start()
+        try:
+            shots, = cli._time_domain_batches(FockState.fock(1), env, chain, [2000], [7, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shots.shape == (2000,)
+        assert peak < 2000 * 400 * 16 / 2
 
     def test_bins_flag_keeps_histogram_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=1000, batches=1,
@@ -787,17 +837,30 @@ def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):
 REPO = Path(__file__).resolve().parents[1]
 
 
+def _readme_cli_section() -> tuple[str, dict]:
+    section = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    return section, json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+
+
 def test_readme_config_and_state_kinds_parse():
     # the README's example config and every state.kind it lists must pass the
     # config reader, so a README edit that the reader would refuse fails here
-    section = (REPO / "README.md").read_text().split("\n## CLI\n", 1)[1]
-    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    section, example = _readme_cli_section()
     assert parse_config(example).calibration is not None
     kinds = re.search(r"`state\.kind` is one of `([^`]*)`", section).group(1)
     kinds = re.split(r"[\s|]+", kinds.strip())
     assert "superposition" in kinds
     for kind in kinds:
         assert parse_config({**example, "state": {"kind": kind}}).state is not None
+
+
+def test_pilot_warns_nothing():
+    # the pilot is a vacuum draw the program makes itself; at this seed its X and
+    # P variances happen to differ by more than 3 standard errors
+    cfg = parse_config({**_readme_cli_section()[1], "seed": 95, "shots": 100_000})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.auto_extent(cfg) > 0
 
 
 def _project() -> dict:

@@ -215,7 +215,7 @@ def test_proposal_is_built_once_per_state_and_eta(path, monkeypatch):
             if path == "detector":
                 sample_detector(state, chain, 16, seed=[50, 0], stream=b)
             else:
-                simulate_time_trace(state, env, chain, 16, seed=[50, 0], stream=b)
+                list(simulate_time_trace(state, env, chain, 16, seed=[50, 0], stream=b))
         return Counter(calls)
 
     monkeypatch.setattr(simulate, "loss_channel", counted("loss_channel", simulate.loss_channel))
@@ -287,13 +287,14 @@ class TestTemporalEnvelope:
 class TestTimeTrace:
     def test_shape(self):
         env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
-        rec = simulate_time_trace(FockState.vacuum(), env, CHAIN, 10, seed=11)
+        rec = np.concatenate(list(simulate_time_trace(FockState.vacuum(), env, CHAIN, 10,
+                                                      seed=11)))
         assert rec.shape == (10, 400)
 
     def test_matched_filter_recovers_detector_statistics(self):
         env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
         state = prepare_superposition(1.0 / math.sqrt(2.0))
-        rec = simulate_time_trace(state, env, CHAIN, 50_000, seed=12)
+        rec = np.concatenate(list(simulate_time_trace(state, env, CHAIN, 50_000, seed=12)))
         batch = matched_filter(rec, env)
         g = math.sqrt(CHAIN.gain)
         assert np.mean(batch) == pytest.approx(0.5 * g, abs=0.05 * g)
@@ -304,7 +305,7 @@ class TestTimeTrace:
     def test_orthogonal_filter_sees_noise_only(self):
         env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
         state = FockState.fock(1)
-        rec = simulate_time_trace(state, env, CHAIN, 50_000, seed=13)
+        rec = np.concatenate(list(simulate_time_trace(state, env, CHAIN, 50_000, seed=13)))
         # Gram-Schmidt a second exponential against the signal mode
         other = TemporalEnvelope(kappa=0.1, dt=1.0, n_bins=400)
         c = overlap(other, env)
@@ -323,7 +324,8 @@ class TestTimeTrace:
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
         chain = AmplifierChain(gain=9.0e3, noise=NoiseModel(nbar))
         n = 2 * _TRACE_ROW_BLOCK + 3    # last row block is partial
-        rec = simulate_time_trace(state, env, chain, n, seed=[21, 0], stream=4)
+        rec = np.concatenate(list(simulate_time_trace(state, env, chain, n, seed=[21, 0],
+                                                      stream=4)))
         # sqrt(G) (alpha f + xi), rebuilt from the same streams
         expected = sample_q(state, n, [21, 0], stream=4)[:, None] * env.f
         if nbar > 0:
@@ -333,29 +335,17 @@ class TestTimeTrace:
         expected = math.sqrt(chain.gain) * expected
         assert rec.dtype == expected.dtype and rec.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("nbar", [2.0, 0.0])
-    def test_out_buffer_receives_the_same_records(self, nbar):
+    def test_yields_blocks_of_at_most_the_row_block(self):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
-        chain = AmplifierChain(gain=9.0e3, noise=NoiseModel(nbar))
-        n = _TRACE_ROW_BLOCK + 5
-        fresh = simulate_time_trace(FockState.fock(1), env, chain, n, seed=[22, 0], stream=3)
-        buffer = np.full((n + 7, env.n_bins), np.nan, dtype=complex)   # stale rows
-        got = simulate_time_trace(FockState.fock(1), env, chain, n, seed=[22, 0],
-                                  stream=3, out=buffer[:n])
-        assert np.shares_memory(got, buffer) and got.tobytes() == fresh.tobytes()
-
-    @pytest.mark.parametrize("out", [np.empty((10, 301), dtype=complex),
-                                     np.empty((10, 300)),
-                                     np.empty((10, 600), dtype=complex)[:, ::2]],
-                             ids=["shape", "dtype", "strided"])
-    def test_out_buffer_must_fit(self, out):
-        env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
-        with pytest.raises(ValueError, match="out must be"):
-            simulate_time_trace(FockState.fock(1), env, CHAIN, 10, seed=1, out=out)
+        blocks = simulate_time_trace(FockState.fock(1), env, CHAIN, 2 * _TRACE_ROW_BLOCK + 3,
+                                     seed=[22, 0], stream=3)
+        assert [block.shape for block in blocks] == [
+            (_TRACE_ROW_BLOCK, 300), (_TRACE_ROW_BLOCK, 300), (3, 300)]
 
     def test_matched_filter_matches_plain_sum(self):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=800)
-        rec = simulate_time_trace(FockState.fock(1), env, CHAIN, 300, seed=5)
+        rec = np.concatenate(list(simulate_time_trace(FockState.fock(1), env, CHAIN, 300,
+                                                      seed=5)))
         got = matched_filter(rec, env)
         ref = np.sum(rec * env.f.conj(), axis=1) * env.dt
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
