@@ -182,24 +182,7 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> MomentMatrix
 
 
 def vacuum_sigma(data) -> float:
-    """Per-quadrature width of a vacuum-reference run (X and P pooled)."""
-    if isinstance(data, QuadratureHistogram):
-        if data.in_range == 0:
-            raise ValueError("empty histogram")
-        c = data.centers()
-        marg_x = data.counts.sum(axis=1).astype(float)
-        marg_p = data.counts.sum(axis=0).astype(float)
-        quad_values = np.concatenate([c, c])
-        quad_weights = np.concatenate([marg_x, marg_p])
-        mean = np.average(quad_values, weights=quad_weights)
-        sigma = math.sqrt(np.average((quad_values - mean) ** 2, weights=quad_weights))
-        # bins of width w add w^2/12 to each variance, so sigma reads high by
-        # about w^2/(24 sigma^2) (Sheppard's correction); warn above 1%
-        if data.bin_width ** 2 > 0.24 * sigma ** 2:
-            warnings.warn(f"histogram bins of width {data.bin_width:.3g} widen "
-                          f"sigma {sigma:.3g} by w^2/(24 sigma^2) > 1%; "
-                          "use more bins", stacklevel=2)
-        return sigma
+    """Per-quadrature width of vacuum-reference samples (X and P pooled)."""
     s = _as_samples(data)
     if s.size < 2:
         raise ValueError("need at least two samples")

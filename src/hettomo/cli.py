@@ -156,7 +156,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         seed = _get(doc, "seed", int, lo=0)
         shots = _get(doc, "shots", int, lo=1)
         batches = _get(doc, "batches", int, 100, lo=1, hi=shots)
-        order = _get(doc, "order", int, 4, lo=1, hi=WIGNER_KERNEL_MAX_ORDER)
+        order = _get(doc, "order", int, 4, lo=2, hi=WIGNER_KERNEL_MAX_ORDER)
         store_shots = _get(doc, "store_shots", bool, False)
     spec = _object(doc, "state", None)
     amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
@@ -272,7 +272,8 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
     if cfg.envelope is not None:
         batches = _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed)
     else:
-        # sequential: a pool here costs more memory than it saves time
+        # sequential: a pool saves time here, but its whole batches in flight cost
+        # more memory than it is worth
         batches = (sample_detector(state, cfg.chain, size, seed=seed, stream=b)
                    for b, size in enumerate(sizes))
     moments = StreamingMoments(cfg.order)
@@ -367,11 +368,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
         if name == "vacuum":
             if result["hist"].in_range == 0:
                 raise NumericError(f"histogram.range: no vacuum shot within +/-{extent:g}")
-            sigma = vacuum_sigma(result["hist"])
-            derived["sigma_vac"] = sigma
-            # sigma standard error for pooled X/P Gaussian data
-            derived["sigma_vac_stderr"] = sigma / math.sqrt(
-                4.0 * max(result["hist"].total, 1))
+            # per-quadrature width, 2 sigma^2 = s(1,1) - |s(0,1)|^2 (which rounding can
+            # take below 0 on one shot), and its standard error for pooled X/P data
+            s = combine_batches(moments[name]).values
+            sigma = math.sqrt(max(s[1, 1].real - abs(s[0, 1]) ** 2, 0.0) / 2.0)
+            derived.update(sigma_vac=sigma,
+                           sigma_vac_stderr=sigma / math.sqrt(4.0 * cfg.shots))
     return moments
 
 
@@ -404,8 +406,7 @@ def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
                 out_path: Path) -> InversionReport:
     try:
         errors = bootstrap_errors(sig, vac, gain)
-        report = invert_moments(combine_batches(sig), combine_batches(vac), gain,
-                                errors=errors)
+        report = invert_moments(combine_batches(sig), combine_batches(vac), gain, errors)
     except ValueError as exc:
         raise NumericError(str(exc)) from exc
     serialize.save_report(out_path, report)
@@ -433,8 +434,8 @@ def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
 
 def cmd_wigner(report: InversionReport, out_prefix: Path, extent: float,
                resolution: int) -> dict:
-    grid = reconstruct_wigner(report.moments, extent=extent,
-                              resolution=resolution, errors=report.errors)
+    grid = reconstruct_wigner(report.moments, report.errors, extent=extent,
+                              resolution=resolution)
     serialize.save_wigner(out_prefix, grid)
     wmin, where = grid.minimum()
     return {"min_w": wmin, "at": [where.real, where.imag],
@@ -448,8 +449,6 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
         raise ConfigError("calibration: block is required for full-run")
     _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
              f"bootstrap resamples batches, got {cfg.batches}")
-    _require(cfg.order >= 2, "config", "order must be >= 2 for full-run, whose gain "
-             f"calibration reads s(1,1), got {cfg.order}")
     with _run_dir(cfg, out_dir) as derived:
         moments = cmd_simulate(cfg, out_dir, derived)
         calib = cmd_calibrate(moments["calibration"], moments["vacuum"],

@@ -143,8 +143,7 @@ def save_report(path, report: InversionReport) -> None:
         "gain": report.gain,
         "moments": matrix_to_json(report.moments.values),
         "noise_moments": matrix_to_json(report.noise.values),
-        "errors": (np.asarray(report.errors, dtype=float).tolist()
-                   if report.errors is not None else None),
+        "errors": report.errors.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=2))
 
@@ -160,7 +159,7 @@ def load_report(path) -> InversionReport:
         gain=doc["gain"],
         noise=MomentMatrix(matrix_from_json(doc["noise_moments"]),
                            ordering="antinormal"),
-        errors=np.array(doc["errors"]) if doc.get("errors") is not None else None,
+        errors=np.asarray(doc["errors"], dtype=float),
     )
 
 

@@ -34,7 +34,7 @@ class InversionReport:
     moments: MomentMatrix
     gain: float
     noise: MomentMatrix
-    errors: np.ndarray | None = None
+    errors: np.ndarray
 
     def __post_init__(self):
         if self.moments.ordering != NORMAL:
@@ -43,13 +43,12 @@ class InversionReport:
             raise ValueError("noise moments must be antinormally ordered")
         if not 0 < self.gain < math.inf:
             raise ValueError("gain must be finite and > 0")
-        if self.errors is not None:
-            errors = np.asarray(self.errors, dtype=float)
-            if errors.shape != self.moments.values.shape \
-                    or np.any(errors < 0) or not np.all(np.isfinite(errors)):
-                raise ValueError("errors must be finite, >= 0 and one per moment")
-            errors.setflags(write=False)
-            object.__setattr__(self, "errors", errors)
+        errors = np.asarray(self.errors, dtype=float)
+        if errors.shape != self.moments.values.shape \
+                or np.any(errors < 0) or not np.all(np.isfinite(errors)):
+            raise ValueError("errors must be finite, >= 0 and one per moment")
+        errors.setflags(write=False)
+        object.__setattr__(self, "errors", errors)
 
 
 @dataclass(frozen=True)
@@ -162,7 +161,7 @@ def _solve(op: np.ndarray, raw: np.ndarray, gain: float) -> np.ndarray:
 
 
 def invert_moments(raw_signal: MomentMatrix, raw_vacuum: MomentMatrix,
-                   gain: float, errors: np.ndarray | None = None) -> InversionReport:
+                   gain: float, errors: np.ndarray) -> InversionReport:
     """Recover <(a^dag)^n a^m> from a signal run and its vacuum reference.
 
     Solves the unit lower-triangular binomial relation; exact algebraic
@@ -232,19 +231,18 @@ def estimate_gain(sup: BatchMoments, vac: BatchMoments) -> dict:
             "n_bootstrap_failed": failed}
 
 
-def truncation_order(moments: MomentMatrix, errors: np.ndarray | None = None) -> int:
+def truncation_order(moments: MomentMatrix, errors: np.ndarray) -> int:
     """Moment order retained in the Wigner sum.
 
-    Each diagonal m(N, N) is tested against its own limit max(0.1, 3 err(N, N)),
-    or 0.1 without errors. If the smallest N with |m(N, N)| below its limit
-    exists, all moments with n+m >= 2N-1 vanish identically, so orders up to
-    2N-2 are kept; otherwise the full order cap is used.
+    Each diagonal m(N, N) is tested against its own limit max(0.1, 3 err(N, N)).
+    If the smallest N with |m(N, N)| below its limit exists, all moments with
+    n+m >= 2N-1 vanish identically, so orders up to 2N-2 are kept; otherwise
+    the full order cap is used.
     """
     if moments.ordering != NORMAL:
         raise ValueError("truncation rule applies to normally ordered moments")
     for n in range(1, moments.order // 2 + 1):
-        limit = 0.1 if errors is None else max(0.1, 3.0 * errors[n, n])
-        if abs(moments.values[n, n]) < limit:
+        if abs(moments.values[n, n]) < max(0.1, 3.0 * errors[n, n]):
             return 2 * n - 2
     return moments.order
 
@@ -287,9 +285,9 @@ def wigner_from_moments(moments: MomentMatrix, alpha,
     return w
 
 
-def reconstruct_wigner(moments: MomentMatrix, extent: float = WIGNER_EXTENT,
-                       resolution: int = WIGNER_RESOLUTION,
-                       errors: np.ndarray | None = None) -> WignerGrid:
+def reconstruct_wigner(moments: MomentMatrix, errors: np.ndarray,
+                       extent: float = WIGNER_EXTENT,
+                       resolution: int = WIGNER_RESOLUTION) -> WignerGrid:
     """Wigner function from normally ordered moments on a square grid, truncated
     by `truncation_order` against the moments' `errors`."""
     if moments.ordering != NORMAL:

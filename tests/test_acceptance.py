@@ -63,7 +63,7 @@ def test_a2_moment_recovery():
 
     def recover(state, stage):
         raw = combine_batches(batched_moments(state, chain, shots, stage))
-        return invert_moments(raw, vac, chain.gain).moments
+        return invert_moments(raw, vac, chain.gain, np.zeros((5, 5))).moments
 
     failures = []
 
@@ -110,7 +110,7 @@ def test_a3_error_scaling():
     # paired per-batch inversions capture signal and reference fluctuations
     recovered = np.array([
         invert_moments(MomentMatrix(s, DETECTOR), MomentMatrix(v, DETECTOR),
-                       chain.gain).moments.values
+                       chain.gain, np.zeros((5, 5))).moments.values
         for s, v in zip(sig.values, vac.values)])
     spread = np.sqrt(np.mean(np.abs(recovered - recovered.mean(axis=0)) ** 2,
                              axis=0))
@@ -162,7 +162,7 @@ def test_a4_inversion_exactness():
     for _ in range(100):
         signal = MomentMatrix(random_moment_matrix(rng, 4))
         raw = forward_moments(signal, noise, 1.0e4)
-        back = invert_moments(raw, vac, 1.0e4).moments.values
+        back = invert_moments(raw, vac, 1.0e4, np.zeros((5, 5))).moments.values
         scale = np.maximum(1.0, np.abs(signal.values))
         worst = max(worst, float(np.max(np.abs(back - signal.values) / scale)))
     elapsed = time.monotonic() - t0
@@ -184,19 +184,19 @@ def test_a5_wigner_correctness():
     for name, state in states.items():
         moments = analytic_moments(state, 4)
         w = wigner_from_moments(moments, grid,
-                                truncation=truncation_order(moments))
+                                truncation=truncation_order(moments, np.zeros((5, 5))))
         oracle = wigner_oracle(state, grid)
         sup = float(np.max(np.abs((w - oracle)[mask])))
         if sup > 1e-9:
             failures.append(f"{name} sup-norm {sup:.2e}")
 
-    g1 = reconstruct_wigner(analytic_moments(FockState.fock(1), 4),
+    g1 = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)),
                             extent=3.0, resolution=121)
     wmin, at = g1.minimum()
     if abs(wmin + TWO_OVER_PI) > 1e-9 or abs(at) > 1e-9:
         failures.append(f"fock1 min {wmin:.6f} at {at}")
 
-    gm = reconstruct_wigner(analytic_moments(states["mixture"], 4),
+    gm = reconstruct_wigner(analytic_moments(states["mixture"], 4), np.zeros((5, 5)),
                             extent=3.0, resolution=121)
     target = TWO_OVER_PI * (1.0 - 2.0 * 0.91)   # -0.522 to three decimals
     if abs(gm.minimum()[0] - target) > 1e-9:
@@ -231,7 +231,7 @@ def test_a6_gain_calibration_pipeline():
 
     degraded = prepare_superposition(1.0, admixture_error=0.09)
     sig = combine_batches(batched_moments(degraded, chain, shots, 62))
-    m11 = invert_moments(sig, vac, gain).moments[1, 1].real
+    m11 = invert_moments(sig, vac, gain, np.zeros((5, 5))).moments[1, 1].real
 
     failures = []
     if gain_err > 0.02:
@@ -279,7 +279,7 @@ def test_a7_mode_matching():
     sig = combine_batches(batched_moments(mismatched, chain, shots, 72, 50))
     vac = combine_batches(batched_moments(FockState.vacuum(), chain, shots,
                                           73, 50))
-    m11 = invert_moments(sig, vac, chain.gain).moments[1, 1].real
+    m11 = invert_moments(sig, vac, chain.gain, np.zeros((5, 5))).moments[1, 1].real
     if abs(m11 - 8.0 / 9.0) > 0.02:
         failures.append(f"mismatch m(1,1) = {m11:.4f} (target 8/9 +/- 0.02)")
 

@@ -245,23 +245,3 @@ class TestVacuumSigma:
     def test_array_path(self):
         batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=14)
         assert vacuum_sigma(batch) == pytest.approx(SIGMA_VAC, rel=0.01)
-
-    def test_histogram_path(self):
-        batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=15)
-        hist = QuadratureHistogram(bins=1024, extent=6.0 * SIGMA_VAC).add(batch)
-        assert vacuum_sigma(hist) == pytest.approx(SIGMA_VAC, rel=0.01)
-
-    @pytest.mark.parametrize("bins, extent", [(8, 6.0), (4, 4.0)])
-    def test_warns_when_bins_widen_histogram_width(self, bins, extent):
-        # w^2/(24 sigma^2) = 9.4% and 16.7%; the widths read 9% and 17% high
-        batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=15)
-        hist = QuadratureHistogram(bins=bins, extent=extent * SIGMA_VAC).add(batch)
-        with pytest.warns(UserWarning, match="bins of width"):
-            sigma = vacuum_sigma(hist)
-        assert sigma > 1.05 * SIGMA_VAC
-
-    def test_fine_bins_do_not_warn(self):
-        batch = sample_detector(FockState.vacuum(), CHAIN, 200_000, seed=15)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            vacuum_sigma(QuadratureHistogram(bins=1024, extent=6.0 * SIGMA_VAC).add(batch))

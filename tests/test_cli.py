@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hettomo import cli, serialize
-from hettomo.acquire import QuadratureHistogram
+from hettomo.acquire import QuadratureHistogram, combine_batches
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
@@ -242,7 +242,7 @@ class TestExitCodes:
                                _order2_run([_order2_batch(s01, s11)] * 4))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 4)))
+            noise=noise_moments(NoiseModel(0.0), 4), errors=np.zeros((5, 5))))
         inputs = {"analyze": ["--signal", str(tmp_path)],
                   "wigner": ["--report", str(tmp_path / "report.json")]}
         out = tmp_path / "out"
@@ -279,6 +279,10 @@ class TestExitCodes:
          lambda doc: doc[4].__setitem__("values", [r[:2] for r in doc[4]["values"][:2]])),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
          "moments_vacuum.json", lambda doc: doc[1].pop("values")),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("errors", None)),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.pop("errors")),
     ])
     def test_corrupt_stored_file_is_3(self, tmp_path, capsys, monkeypatch, argv, name,
                                       corrupt):
@@ -342,7 +346,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
     def test_vacuum_histogram_without_shots_is_4(self, tmp_path, capsys, command):
-        # a range of 1e-12 catches no shot, so the vacuum run has no width
+        # a range of 1e-12 catches no shot, so the vacuum histogram would be empty
         cfg = write_config(tmp_path, seed=1, shots=2000, batches=2, order=2,
                            state={"kind": "vacuum"}, amplifier={"gain": 1.0, "nbar": 0.0},
                            histogram={"bins": 4, "range": 1e-12}, calibration={})
@@ -420,18 +424,22 @@ class TestExitCodes:
         assert "config: batches" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_full_run_needs_order_two(self, tmp_path, capsys):
-        # the gain calibration reads s(1,1), which an order-1 run does not hold
+    @pytest.mark.parametrize("command", ["simulate", "full-run"])
+    def test_full_run_needs_order_two(self, tmp_path, capsys, command):
+        # sigma_vac and the gain calibration read s(1,1), which order 1 does not hold
         cfg = write_config(tmp_path, order=1, calibration={})
         out = tmp_path / "out"
-        assert run(["full-run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert "config: order must be >= 2" in capsys.readouterr().err
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config: order must be an integer in [2, 8], got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_calibrate_on_order_one_is_3(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, shots=2000, batches=2, order=1, calibration={})
+        # a stored order-1 run, which simulate no longer makes
         out = tmp_path / "run"
-        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        out.mkdir()
+        for name, s01, s11 in (("calibration", 1.0, 3.0), ("vacuum", 0.0, 2.0)):
+            save_batch_moments(out / f"moments_{name}.json", BatchMoments(
+                np.array([_order2_batch(s01, s11)[:2, :2]] * 2), [1000] * 2))
         assert run(["calibrate", "--signal", str(out),
                     "--out", str(tmp_path / "cal.json")]) == 3
         assert "stored moments only go to order 1" in capsys.readouterr().err
@@ -462,6 +470,25 @@ class TestSimulateCommand:
                                           "moments_signal.json"}
         sigma = manifest["derived"]["sigma_vac"]
         assert sigma == pytest.approx(math.sqrt(100.0 * 2.0 / 2.0), rel=0.05)
+
+    def test_sigma_vac_is_the_vacuum_moments_width(self, tmp_path, capsys):
+        # 8 bins over +-6 sigma would widen a width read from the histogram by 9%
+        cfg = write_config(tmp_path, shots=5000, batches=5, histogram={"bins": 8})
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        s = combine_batches(load_batch_moments(out / "moments_vacuum.json")).values
+        sigma = math.sqrt((s[1, 1].real - abs(s[0, 1]) ** 2) / 2.0)
+        derived = json.loads((out / "manifest.json").read_text())["derived"]
+        assert derived["sigma_vac"] == sigma
+        assert derived["sigma_vac_stderr"] == sigma / math.sqrt(4.0 * 5000)
+
+    def test_one_shot_vacuum_run_has_zero_width(self, tmp_path, capsys):
+        # at this seed the one shot's s(1,1) - |s(0,1)|^2 rounds to -1.4e-14
+        cfg = write_config(tmp_path, seed=7, shots=1, batches=1)
+        out = tmp_path / "run"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["derived"]["sigma_vac"] == 0.0
 
     def test_reproducible_and_seed_sensitive(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=2000, batches=2)
@@ -538,10 +565,8 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, shots=1000, batches=1,
                            histogram={"bins": 128, "range": 75.0})
         out = tmp_path / "run"
-        # 8 bins over +-7.5 sigma widen sigma_vac by about 15%
-        with pytest.warns(UserWarning, match="bins of width"):
-            assert run(["simulate", "--config", str(cfg), "--bins", "8",
-                        "--out", str(out)]) == 0
+        assert run(["simulate", "--config", str(cfg), "--bins", "8",
+                    "--out", str(out)]) == 0
         header = json.loads((out / "hist_signal.json").read_text())
         assert header["bins"] == 8 and header["extent"] == 75.0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -704,14 +729,15 @@ class TestPipelineCommands:
 SUPERPOSITION = {"kind": "superposition", "beta": 0.70710678, "phase": 0.0}
 
 # outputs of the module's full-run, taken while full-run chained the file-level
-# commands through the run directory
+# commands through the run directory; summary.json since sigma_vac comes from
+# the vacuum run's moments, not its histogram (no other value changed)
 FULL_RUN_SHA256 = {
     "report.json": "56703878c8925f316908650b17c58f52994d5799027b1e042647842532e1fb9c",
     "report.txt": "55587fb7d84df6e558f77d0f097f466caefce47a86b9952baa68d725162c1c31",
     "calibration.json": "be4abb35a84bffd624e73a17345cafdbe8b6b36df8516f355227240d83df2a52",
     "wigner.csv": "8bd852e7791853095169c17a05935e57bebd2fb395694e4aba0397ba2188264a",
     "wigner.json": "0b5fd2070bdcff937273e06a74ae3459224a37c6650e3187d37be1504692896d",
-    "summary.json": "48f27f8f8074b904381ec886f4612c9f4443db59334fdb7b8bb8f598b30afca3",
+    "summary.json": "91a524365ea479f73b25e76ea1170263cb07dd43c8097efa9d6874fba614ae45",
 }
 
 

@@ -188,7 +188,7 @@ def test_report_round_trip(tmp_path):
 
 
 def test_wigner_files(tmp_path):
-    grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4),
+    grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)),
                               extent=2.0, resolution=21)
     csv_path, json_path = save_wigner(tmp_path / "wigner", grid)
     header = json.loads(json_path.read_text())

@@ -113,7 +113,7 @@ class TestInvertMoments:
             raw = forward_moments(signal, noise, 1.0e4)
             raw_vac = forward_moments(
                 analytic_moments(FockState.vacuum(), order), noise, 1.0e4)
-            report = invert_moments(raw, raw_vac, 1.0e4)
+            report = invert_moments(raw, raw_vac, 1.0e4, np.zeros((order + 1, order + 1)))
             worst = max(worst, float(np.max(np.abs(
                 report.moments.values - signal.values))))
         assert worst < 1e-10
@@ -139,7 +139,7 @@ class TestInvertMoments:
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=31)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=32)
         report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
-                                chain.gain)
+                                chain.gain, np.zeros((5, 5)))
         assert report.moments[1, 1].real == pytest.approx(1.0, abs=0.05)
         assert abs(report.moments[0, 1]) < 0.02
 
@@ -149,7 +149,7 @@ class TestInvertMoments:
         raw2 = forward_moments(analytic_moments(FockState.vacuum(), 2),
                                noise_moments(NoiseModel(1.0), 2), 1.0)
         with pytest.raises(ValueError):
-            invert_moments(raw4, raw2, 1.0)
+            invert_moments(raw4, raw2, 1.0, np.zeros((5, 5)))
 
 
 def two_batches(first: np.ndarray, second: np.ndarray) -> BatchMoments:
@@ -246,7 +246,7 @@ class TestBootstrapErrors:
         err = bootstrap_errors(sig, vac, chain.gain, n_boot=100, seed=7)
         assert err[1, 1] > 0
         # recovered n=1 photon number should sit within a few sigma of truth
-        report = invert_moments(combine_batches(sig), combine_batches(vac), chain.gain)
+        report = invert_moments(combine_batches(sig), combine_batches(vac), chain.gain, err)
         assert abs(report.moments[1, 1].real - 1.0) < 4.0 * err[1, 1]
 
     def test_matches_delta_method(self):
@@ -292,11 +292,11 @@ class TestTruncationOrder:
     def test_single_photon_keeps_order_two(self):
         # |m(2,2)| = 0 < threshold at N = 2, so orders up to 2 are kept
         m = analytic_moments(FockState.fock(1), 4)
-        assert truncation_order(m) == 2
+        assert truncation_order(m, np.zeros((5, 5))) == 2
 
     def test_threshold_never_crossed_keeps_cap(self):
         m = analytic_moments(coherent_state(1.5, cutoff=20), 4)
-        assert truncation_order(m) == 4
+        assert truncation_order(m, np.zeros((5, 5))) == 4
 
     def test_each_diagonal_against_its_own_error(self):
         # order-8 |1> moments whose high diagonals carry large errors, as at a
@@ -311,7 +311,7 @@ class TestTruncationOrder:
 
     def test_rejects_antinormal(self):
         with pytest.raises(ValueError):
-            truncation_order(noise_moments(NoiseModel(1.0), 4))
+            truncation_order(noise_moments(NoiseModel(1.0), 4), np.zeros((5, 5)))
 
 
 class TestWignerKernel:
@@ -360,15 +360,15 @@ class TestWignerReconstruction:
         # states with finite moment support reconstruct exactly
         state = maker()
         m = analytic_moments(state, 4)
-        grid = reconstruct_wigner(m, extent=3.0, resolution=41)
+        grid = reconstruct_wigner(m, np.zeros((5, 5)), extent=3.0, resolution=41)
         pts = grid.xs[:, None] + 1j * grid.ps[None, :]
         oracle = wigner_oracle(state, pts)
         assert float(np.max(np.abs(grid.values - oracle))) < 1e-8
 
     def test_mixture_minimum_value(self):
         state = prepare_superposition(1.0, admixture_error=0.09)
-        grid = reconstruct_wigner(analytic_moments(state, 4), extent=3.0,
-                                  resolution=121)
+        grid = reconstruct_wigner(analytic_moments(state, 4), np.zeros((5, 5)),
+                                  extent=3.0, resolution=121)
         w_min, at = grid.minimum()
         assert w_min == pytest.approx(TWO_OVER_PI * (1.0 - 2.0 * 0.91),
                                       abs=1e-10)
@@ -376,17 +376,17 @@ class TestWignerReconstruction:
 
     def test_integral_close_to_one(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
-        grid = reconstruct_wigner(analytic_moments(state, 4), extent=4.0,
-                                  resolution=161)
+        grid = reconstruct_wigner(analytic_moments(state, 4), np.zeros((5, 5)),
+                                  extent=4.0, resolution=161)
         assert grid.integral() == pytest.approx(1.0, abs=1e-3)
 
     def test_truncation_recorded(self):
-        grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4))
+        grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)))
         assert grid.truncation == 2
 
     def test_rejects_antinormal_moments(self):
         with pytest.raises(ValueError):
-            reconstruct_wigner(noise_moments(NoiseModel(1.0), 4))
+            reconstruct_wigner(noise_moments(NoiseModel(1.0), 4), np.zeros((5, 5)))
 
 
 class TestEndToEndMomentsToWigner:
@@ -395,8 +395,8 @@ class TestEndToEndMomentsToWigner:
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=51)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=52)
         report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
-                                chain.gain)
-        grid = reconstruct_wigner(report.moments, extent=2.5, resolution=81)
+                                chain.gain, np.zeros((5, 5)))
+        grid = reconstruct_wigner(report.moments, report.errors, extent=2.5, resolution=81)
         w_min, at = grid.minimum()
         assert w_min < -0.4
         assert abs(at) < 0.2
