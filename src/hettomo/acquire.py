@@ -16,7 +16,7 @@ from .moments import DETECTOR, BatchMoments, MomentMatrix, moment_indices
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
-_BLOCK = 32768  # shots per block of StreamingMoments.update
+_BLOCK = 32768  # most shots in a leaf (see leaf_slices)
 
 
 def _as_samples(data) -> np.ndarray:
@@ -59,20 +59,24 @@ class QuadratureHistogram:
         return i + ((v >= e[i + 1]) & (i < last))
 
     def add(self, data) -> "QuadratureHistogram":
-        """Insert a batch of samples in place; off-axis, NaN and inf are overflow."""
+        """Insert samples in place; off-axis, NaN and inf are overflow. The overflow
+        fraction is checked apart, by `check_overflow`, so once per batch."""
         s = _as_samples(data)
         inside = (np.abs(s.real) <= self.extent) & (np.abs(s.imag) <= self.extent)
         ix, iy = (self._bin_index(v[inside]) for v in (s.real, s.imag))
         np.add.at(self.counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
         self.in_range += ix.size
         self.overflow += s.size - ix.size
+        return self
+
+    def check_overflow(self) -> None:
+        """Warn, once, if the overflow fraction so far exceeds OVERFLOW_WARN_FRACTION."""
         # once: the running fraction in the text defeats Python's duplicate filter
         if not self._warned and self.overflow > OVERFLOW_WARN_FRACTION * self.total:
             self._warned = True
             warnings.warn(f"histogram overflow fraction "
                           f"{self.overflow / self.total:.2e} exceeds "
                           f"{OVERFLOW_WARN_FRACTION:.0e}", stacklevel=2)
-        return self
 
 
 def _count_weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -113,13 +117,27 @@ def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
     return powers
 
 
-def _block_sums(s: np.ndarray, order: int) -> np.ndarray:
-    # above _BLOCK shots, cut s where numpy's complex pairwise sum cuts it (half,
-    # rounded down to a multiple of 4) and add the halves up its tree: each sum
-    # equals one np.sum over all of s bit for bit, from cache-sized rows
-    if s.size > _BLOCK:
-        half = s.size // 2 - s.size // 2 % 4
-        return _block_sums(s[:half], order) + _block_sums(s[half:], order)
+def leaf_slices(n: int) -> list[slice]:
+    """The leaves of a batch of n shots, in order: cut where numpy's complex pairwise
+    sum cuts (half, rounded down to a multiple of 4) down to at most `_BLOCK` shots.
+    Each moment sum added up this tree equals one np.sum over the batch bit for bit."""
+    if n <= _BLOCK:
+        return [slice(0, n)]
+    half = n // 2 - n // 2 % 4
+    return leaf_slices(half) + [slice(c.start + half, c.stop + half)
+                                for c in leaf_slices(n - half)]
+
+
+def _tree_sum(n: int, leaf_sums) -> np.ndarray:
+    """The leaves' sums, drawn in order from the iterator `leaf_sums`, added up
+    the tree of `leaf_slices(n)`."""
+    if n <= _BLOCK:
+        return next(leaf_sums)
+    half = n // 2 - n // 2 % 4
+    return _tree_sum(half, leaf_sums) + _tree_sum(n - half, leaf_sums)
+
+
+def _leaf_sums(s: np.ndarray, order: int) -> np.ndarray:
     # terms have n >= m and n + m <= order, so S^m is needed only to m = order // 2;
     # S^n, its conjugate and the products reuse 4 rows, S^n two by turns because
     # numpy's in-place complex multiply can round differently (sums stay bit-exact)
@@ -134,21 +152,42 @@ def _block_sums(s: np.ndarray, order: int) -> np.ndarray:
 
 
 class StreamingMoments:
-    """Single-pass accumulator of each batch's sums of (S*)^n S^m."""
+    """Single-pass accumulator of each batch's sums of (S*)^n S^m.
+
+    A batch is added whole (`update`) or leaf by leaf (`add_leaf` for each of
+    its `leaf_slices` in order, then `end_batch`); both give the same bits."""
 
     def __init__(self, order: int = 4):
         self.order = order
         self.sums: list[np.ndarray] = []
         self.counts: list[int] = []
+        self._leaves: list[tuple[int, np.ndarray]] = []   # open batch: (size, sums)
 
     def update(self, data) -> "StreamingMoments":
         """Add one batch."""
         s = _as_samples(data)
-        sums = _block_sums(s, self.order)
+        for cut in leaf_slices(s.size):
+            self.add_leaf(s[cut])
+        return self.end_batch()
+
+    def add_leaf(self, data) -> "StreamingMoments":
+        """Sum the open batch's next leaf."""
+        s = _as_samples(data)
+        self._leaves.append((s.size, _leaf_sums(s, self.order)))
+        return self
+
+    def end_batch(self) -> "StreamingMoments":
+        """Close the open batch: add its leaves' sums up the batch's tree."""
+        leaves, self._leaves = self._leaves, []
+        sizes = [k for k, _ in leaves]
+        if sizes != [c.stop - c.start for c in leaf_slices(sum(sizes))]:
+            raise ValueError(f"leaves of {sizes} shots do not cut a batch as "
+                             "leaf_slices does")
+        sums = _tree_sum(sum(sizes), (s for _, s in leaves))
         if not np.isfinite(sums).all():     # refused here, before the next batch
             raise ValueError("moment matrix contains non-finite entries")
         self.sums.append(sums)
-        self.counts.append(s.size)
+        self.counts.append(sum(sizes))
         return self
 
     def result(self) -> BatchMoments:
@@ -157,7 +196,7 @@ class StreamingMoments:
             raise ValueError("no samples accumulated")
         counts = np.array(self.counts)
         values = np.array(self.sums) / counts[:, None, None]
-        n, m = np.tril_indices(self.order + 1, -1)  # update fills n >= m only
+        n, m = np.tril_indices(self.order + 1, -1)  # the sums fill n >= m only
         values[:, m, n] = values[:, n, m].conj()
         values[:, 0, 0] = 1.0
         return BatchMoments(values, counts)

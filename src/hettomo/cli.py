@@ -26,12 +26,12 @@ import numpy as np
 
 from . import __version__
 from .acquire import (DEFAULT_BINS, QuadratureHistogram, StreamingMoments,
-                      combine_batches, vacuum_sigma)
+                      combine_batches, leaf_slices, vacuum_sigma)
 from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
                    prepare_superposition, thermal_state)
 from .moments import BatchMoments, moment_indices
-from .simulate import (AmplifierChain, TemporalEnvelope, matched_filter,
-                       sample_detector, simulate_time_trace)
+from .simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
+                       matched_filter, sample_detector, simulate_time_trace)
 from .tomo import (WIGNER_EXTENT, WIGNER_KERNEL_MAX_ORDER, WIGNER_RESOLUTION,
                    InversionReport, bootstrap_errors, estimate_gain, invert_moments,
                    reconstruct_wigner)
@@ -266,23 +266,28 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
 def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
                     extent: float) -> dict:
     """Simulate one run in batches; returns histogram, per-batch moments,
-    optional shots."""
+    optional shots. Each batch comes as its leaves (`leaf_slices`), each binned
+    and summed as it arrives, and the overflow is checked once per batch."""
     hist = QuadratureHistogram(bins=cfg.bins, extent=extent)
     seed, sizes = [cfg.seed, stage], _batch_sizes(cfg.shots, cfg.batches)
     if cfg.envelope is not None:
-        batches = _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed)
+        batches = ([batch[cut] for cut in leaf_slices(batch.size)] for batch in
+                   _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed))
     else:
-        # sequential: a pool saves time here, but its whole batches in flight cost
-        # more memory than it is worth
-        batches = (sample_detector(state, cfg.chain, size, seed=seed, stream=b)
+        # sequential: a direct-path batch in flight is one leaf (and a Fock batch's
+        # gammas), never the whole batch, so batches on a pool would cost little memory
+        batches = (detector_blocks(state, cfg.chain, leaf_slices(size), seed, stream=b)
                    for b, size in enumerate(sizes))
     moments = StreamingMoments(cfg.order)
     shots_kept: list[np.ndarray] = []
-    for batch in batches:
-        hist.add(batch)
-        moments.update(batch)
-        if cfg.store_shots:
-            shots_kept.append(batch)
+    for leaves in batches:
+        for leaf in leaves:
+            hist.add(leaf)
+            moments.add_leaf(leaf)
+            if cfg.store_shots:
+                shots_kept.append(leaf)
+        hist.check_overflow()
+        moments.end_batch()
     out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
         out["shots"] = np.concatenate(shots_kept)
@@ -374,6 +379,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
             sigma = math.sqrt(max(s[1, 1].real - abs(s[0, 1]) ** 2, 0.0) / 2.0)
             derived.update(sigma_vac=sigma,
                            sigma_vac_stderr=sigma / math.sqrt(4.0 * cfg.shots))
+        del result      # its histogram and shots go before the next run draws
     return moments
 
 

@@ -169,8 +169,10 @@ def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
     prefix = Path(prefix)
     csv_path = prefix.with_suffix(".csv")
     x, p = np.meshgrid(grid.xs, grid.ps, indexing="ij")
-    np.savetxt(csv_path, np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()]),
-               fmt="%.9g,%.9g,%.12g", header="x,p,w", comments="")
+    rows = np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()])
+    # np.savetxt's bytes, from one format over the flat values in place of one per row
+    text = "%.9g,%.9g,%.12g\n" * len(rows) % tuple(rows.ravel().tolist())
+    csv_path.write_text("x,p,w\n" + text)
     header = {
         "extent": grid.extent,
         "resolution": len(grid.xs),

@@ -119,6 +119,28 @@ def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
     return np.concatenate(parts)[:n]
 
 
+def _q_blocks(state: FockState, cuts: list[slice], rng: np.random.Generator,
+              eta: float = 1.0):
+    """Q draws of the state (of loss_channel(rho, eta) if drawn by rejection) in the
+    consecutive blocks `cuts` of one batch; the blocks joined are the one-block draw
+    bit for bit. Gammas (Fock |k >= 1>, whose stream then turns to uniforms) and a
+    rejection batch are drawn whole and cut; all else, block by block."""
+    kind = state.profile[0] if state.profile else None
+    if kind is None:
+        q = _sample_q_rejection(*_proposal(state, eta), cuts[-1].stop, rng)
+        yield from (q[cut] for cut in cuts)
+    elif kind == "fock" and state.profile[1] > 0:
+        r = rng.gamma(shape=state.profile[1] + 1, scale=1.0, size=cuts[-1].stop)
+        np.sqrt(r, out=r)
+        for cut in cuts:
+            yield r[cut] * np.exp(2j * np.pi * rng.random(cut.stop - cut.start))
+    else:   # vacuum (Fock |0>), coherent or thermal
+        var = (state.profile[1] + 1.0) / 2.0 if kind == "thermal" else 0.5
+        for cut in cuts:
+            z = _complex_normal(rng, cut.stop - cut.start, var)
+            yield state.profile[1] + z if kind == "coherent" else z
+
+
 def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
     """Draw n i.i.d. samples from the state's Husimi Q distribution.
 
@@ -127,35 +149,33 @@ def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = stream_rng(seed, stream)
-    kind = state.profile[0] if state.profile else None
-    if kind == "fock":
-        k = state.profile[1]
-        if k == 0:
-            return _complex_normal(rng, n, 0.5)
-        r = np.sqrt(rng.gamma(shape=k + 1, scale=1.0, size=n))
-        return r * np.exp(2j * np.pi * rng.random(n))
-    if kind == "coherent":
-        return state.profile[1] + _complex_normal(rng, n, 0.5)
-    if kind == "thermal":
-        return _complex_normal(rng, n, (state.profile[1] + 1.0) / 2.0)
-    return _sample_q_rejection(*_proposal(state, 1.0), n, rng)
+    return next(_q_blocks(state, [slice(0, n)], stream_rng(seed, stream)))
+
+
+def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
+                    seed, stream: int = 0):
+    """One batch of detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~
+    amplifier noise, yielded in the consecutive blocks `cuts` (slices from 0 to the
+    batch size); the blocks joined are the one-block batch bit for bit. A state
+    without an exact sampler is drawn in one pass (see the module docstring)."""
+    if cuts[-1].stop < 1:
+        raise ValueError("need n >= 1")
+    nbar, rng = chain.noise.nbar, stream_rng(seed, stream)
+    if state.profile is None:
+        scale = math.sqrt(chain.gain * (1.0 + nbar))
+        yield from (scale * beta for beta in _q_blocks(state, cuts, rng, 1.0 / (1.0 + nbar)))
+        return
+    noise = stream_rng(seed, stream, 1)
+    for cut, alpha in zip(cuts, _q_blocks(state, cuts, rng)):
+        nu = _complex_normal(noise, cut.stop - cut.start, nbar / 2.0) if nbar > 0 else 0.0
+        yield math.sqrt(chain.gain) * (alpha + nu)
 
 
 def sample_detector(state: FockState, chain: AmplifierChain, n: int,
                     seed, stream: int = 0) -> np.ndarray:
-    """n complex detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~ amplifier noise;
-    a state without an exact sampler is drawn in one pass (see the module docstring)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    nbar = chain.noise.nbar
-    if state.profile is None:
-        beta = _sample_q_rejection(*_proposal(state, 1.0 / (1.0 + nbar)), n,
-                                   stream_rng(seed, stream))
-        return math.sqrt(chain.gain * (1.0 + nbar)) * beta
-    alpha = sample_q(state, n, seed, stream=stream)
-    nu = _complex_normal(stream_rng(seed, stream, 1), n, nbar / 2.0) if nbar > 0 else 0.0
-    return math.sqrt(chain.gain) * (alpha + nu)
+    """n complex detector outcomes: `detector_blocks` in one block."""
+    block, = detector_blocks(state, chain, [slice(0, n)], seed, stream)
+    return block
 
 
 def simulate_time_trace(state: FockState, env: TemporalEnvelope,

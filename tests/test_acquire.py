@@ -33,8 +33,9 @@ class TestQuadratureHistogram:
 
     def test_overflow_counted(self):
         h = QuadratureHistogram(bins=16, extent=1.0)
+        h.add(np.array([0.0 + 0.0j, 5.0 + 0.0j, 0.0 + 5.0j]))   # bins, never warns
         with pytest.warns(UserWarning, match="overflow"):
-            h.add(np.array([0.0 + 0.0j, 5.0 + 0.0j, 0.0 + 5.0j]))
+            h.check_overflow()
         assert h.overflow == 2
         assert h.in_range == 1
 
@@ -44,7 +45,7 @@ class TestQuadratureHistogram:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for b in range(50):
-                h.add(gaussian_shots(1000, seed=b, sigma=0.5))
+                h.add(gaussian_shots(1000, seed=b, sigma=0.5)).check_overflow()
         assert 0.05 < h.overflow / h.total < 0.15
         assert [w.category for w in caught] == [UserWarning]
         assert "overflow" in str(caught[0].message)
@@ -202,6 +203,16 @@ class TestStreamingMoments:
         finally:
             tracemalloc.stop()
         assert peak < s.nbytes, peak
+
+    def test_leaves_must_be_cut_as_leaf_slices_cuts(self):
+        # 40 000 shots are two leaves of the sum tree; as one leaf the tree would
+        # draw a second leaf sum that is not there
+        s = gaussian_shots(40_000, seed=5)
+        acc = StreamingMoments(4).add_leaf(s)
+        with pytest.raises(ValueError, match="leaf_slices"):
+            acc.end_batch()
+        acc.update(s)   # the refused batch left no leaf open
+        assert acc.counts == [40_000]
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):

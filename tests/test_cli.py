@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from hettomo import cli, serialize
-from hettomo.acquire import QuadratureHistogram, combine_batches
+from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
+                             leaf_slices)
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
 from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
@@ -22,8 +23,8 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_stat
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
-from hettomo.simulate import (AmplifierChain, TemporalEnvelope, matched_filter,
-                              sample_detector, simulate_time_trace)
+from hettomo.simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
+                              matched_filter, sample_detector, simulate_time_trace)
 from hettomo.tomo import InversionReport, estimate_gain
 
 
@@ -390,16 +391,21 @@ class TestExitCodes:
                                                                  monkeypatch):
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return sample_detector(*args, **kwargs)
+        def counted(draw):
+            def wrapper(*args, **kwargs):
+                calls.append(draw.__name__)
+                return draw(*args, **kwargs)
+            return wrapper
 
-        monkeypatch.setattr(cli, "sample_detector", counted)
+        # the pilot draws one whole batch; a run's batches are drawn leaf by leaf
+        monkeypatch.setattr(cli, "sample_detector", counted(sample_detector))
+        monkeypatch.setattr(cli, "detector_blocks", counted(detector_blocks))
         cfg = write_config(tmp_path, shots=200_000, batches=20,
                            amplifier={"gain": 1e300, "nbar": 1.0})
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "signal run: moment matrix contains non-finite" in capsys.readouterr().err
-        assert len(calls) == 2      # the pilot and the signal run's first batch
+        # the pilot and the signal run's first batch
+        assert calls == ["sample_detector", "detector_blocks"]
 
     def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -560,6 +566,76 @@ class TestSimulateCommand:
             tracemalloc.stop()
         assert shots.shape == (2000,)
         assert peak < 2000 * 400 * 16 / 2
+
+    def test_direct_batch_holds_one_leaf_at_a_time(self):
+        # one 400 000-shot Fock |1> batch at order 8, as fock-order8 makes them:
+        # drawn, binned and summed whole it allocated 23.5 MB beyond its histogram
+        cfg = parse_config({"seed": 7, "shots": 400_000, "batches": 1, "order": 8,
+                            "state": {"kind": "fock", "k": 1},
+                            "amplifier": {"gain": 1.0e4, "nbar": 2.0}})
+        tracemalloc.start()
+        try:
+            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 600.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - cfg.bins ** 2 * 8 < 22.8e6 / 2, peak
+
+    @staticmethod
+    def _leaves_overflowing(first: int):
+        # stands in for detector_blocks: `first` shots of the first leaf off-axis
+        def blocks(state, chain, cuts, seed, stream=0):
+            for cut in cuts:
+                leaf = np.zeros(cut.stop - cut.start, dtype=complex)
+                leaf[:first if cut.start == 0 else 0] = 1e9
+                yield leaf
+        return blocks
+
+    def test_overflow_is_checked_at_the_end_of_a_batch(self, monkeypatch):
+        # 20 of the first leaf's 16 384 shots overflow (1.2e-3), 20 of the batch's
+        # 32 769 do not (6.1e-4): a check after each leaf would warn
+        assert [c.stop - c.start for c in leaf_slices(32_769)] == [16_384, 16_385]
+        monkeypatch.setattr(cli, "detector_blocks", self._leaves_overflowing(20))
+        cfg = parse_config({"seed": 1, "shots": 32_769, "batches": 1,
+                            "state": {"kind": "vacuum"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 1.0)["hist"]
+        assert hist.overflow == 20
+
+    def test_overflowing_batches_warn_once(self, monkeypatch):
+        monkeypatch.setattr(cli, "detector_blocks", self._leaves_overflowing(40))
+        cfg = parse_config({"seed": 1, "shots": 65_538, "batches": 2,
+                            "state": {"kind": "vacuum"}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hist = cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 1.0)["hist"]
+        assert hist.overflow == 80
+        assert [str(w.message) for w in caught] == \
+            ["histogram overflow fraction 1.22e-03 exceeds 1e-03"]
+
+    @pytest.mark.parametrize("size", [32_768, 32_769, 65_540, 65_541, 400_000])
+    @pytest.mark.parametrize("state", [
+        {"kind": "fock", "k": 0}, {"kind": "fock", "k": 1}, {"kind": "fock", "k": 2},
+        {"kind": "coherent", "alpha": [1.0, -0.5]}, {"kind": "thermal", "nbar": 0.7},
+        {"kind": "superposition", "beta": 0.70710678}],
+        ids=["fock0", "fock1", "fock2", "coherent", "thermal", "superposition"])
+    def test_leaf_by_leaf_acquisition_keeps_whole_batch_bytes(self, state, size):
+        # the batch binned and summed leaf by leaf must give the whole batch's
+        # sums, counts and shots: the same draw, and each sum one np.sum
+        cfg = parse_config({"seed": 23, "shots": size, "batches": 1, "order": 8,
+                            "amplifier": {"gain": 4.0, "nbar": 1.5}, "state": state})
+        state = cfg.state
+        whole = sample_detector(state, cfg.chain, size, seed=[23, cli.STAGE_SIGNAL])
+        sums = StreamingMoments(8).update(whole).result().values
+        counts = QuadratureHistogram(cfg.bins, 12.0).add(whole).counts
+        for store_shots in (False, True):
+            cfg.store_shots = store_shots
+            got = cli.run_acquisition(state, cfg, cli.STAGE_SIGNAL, 12.0)
+            assert got["batch_moments"].values.tobytes() == sums.tobytes()
+            assert np.array_equal(got["hist"].counts, counts)
+            assert ("shots" in got) == store_shots
+        assert got["shots"].tobytes() == whole.tobytes()
 
     def test_bins_flag_keeps_histogram_range(self, tmp_path, capsys):
         cfg = write_config(tmp_path, shots=1000, batches=1,

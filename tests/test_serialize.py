@@ -103,8 +103,7 @@ def test_histogram_save_copies_no_dense_array(tmp_path):
 
 def test_empty_histogram_round_trip(tmp_path):
     # every shot outside +/-1e-12: no record, a 0-byte file
-    with pytest.warns(UserWarning, match="overflow fraction"):
-        hist = QuadratureHistogram(bins=4, extent=1e-12).add(np.ones(50) + 1j)
+    hist = QuadratureHistogram(bins=4, extent=1e-12).add(np.ones(50) + 1j)
     counts_path, _ = save_histogram(tmp_path / "hist", hist)
     assert counts_path.stat().st_size == 0
     back = load_histogram(tmp_path / "hist")
@@ -206,3 +205,16 @@ def test_wigner_files(tmp_path):
     assert csv_path.read_text() == "x,p,w\n" + "".join(
         f"{x:.9g},{p:.9g},{w:.12g}\n"
         for x, row in zip(grid.xs, grid.values) for p, w in zip(grid.ps, row))
+
+
+def test_wigner_csv_keeps_savetxt_bytes(tmp_path):
+    # Fock |1> dips below zero, and both axes run through negative coordinates
+    grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)),
+                              extent=3.0, resolution=121)
+    assert grid.values.min() < 0
+    csv_path, _ = save_wigner(tmp_path / "wigner", grid)
+    x, p = np.meshgrid(grid.xs, grid.ps, indexing="ij")
+    np.savetxt(tmp_path / "savetxt.csv",
+               np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()]),
+               fmt="%.9g,%.9g,%.12g", header="x,p,w", comments="")
+    assert csv_path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
