@@ -27,8 +27,8 @@ class QuadratureHistogram:
     """B x B counts over the complex S plane, axes [-extent, extent]."""
 
     def __init__(self, bins: int = DEFAULT_BINS, extent: float = 6.0):
-        if bins < 1 or extent <= 0:
-            raise ValueError("need bins >= 1 and extent > 0")
+        if bins < 1 or not 0 < extent < math.inf:
+            raise ValueError(f"need bins >= 1 and a finite extent > 0, got {extent}")
         self.bins = bins
         self.extent = float(extent)
         self._edges = np.linspace(-self.extent, self.extent, bins + 1)
@@ -117,24 +117,20 @@ def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
     return powers
 
 
+def _pairwise(n: int, leaf, start: int = 0):
+    """`leaf(cut)` at each leaf of numpy's complex pairwise sum over n shots from
+    `start`, in order, added up its tree: cut in half, rounded down to a multiple
+    of 4, down to at most `_BLOCK` shots."""
+    if n <= _BLOCK:
+        return leaf(slice(start, start + n))
+    half = n // 2 - n // 2 % 4
+    return _pairwise(half, leaf, start) + _pairwise(n - half, leaf, start + half)
+
+
 def leaf_slices(n: int) -> list[slice]:
-    """The leaves of a batch of n shots, in order: cut where numpy's complex pairwise
-    sum cuts (half, rounded down to a multiple of 4) down to at most `_BLOCK` shots.
-    Each moment sum added up this tree equals one np.sum over the batch bit for bit."""
-    if n <= _BLOCK:
-        return [slice(0, n)]
-    half = n // 2 - n // 2 % 4
-    return leaf_slices(half) + [slice(c.start + half, c.stop + half)
-                                for c in leaf_slices(n - half)]
-
-
-def _tree_sum(n: int, leaf_sums) -> np.ndarray:
-    """The leaves' sums, drawn in order from the iterator `leaf_sums`, added up
-    the tree of `leaf_slices(n)`."""
-    if n <= _BLOCK:
-        return next(leaf_sums)
-    half = n // 2 - n // 2 % 4
-    return _tree_sum(half, leaf_sums) + _tree_sum(n - half, leaf_sums)
+    """The leaves of a batch of n shots, in order. Each moment sum added up their
+    tree equals one np.sum over the batch bit for bit."""
+    return _pairwise(n, lambda cut: [cut])
 
 
 def _leaf_sums(s: np.ndarray, order: int) -> np.ndarray:
@@ -152,42 +148,37 @@ def _leaf_sums(s: np.ndarray, order: int) -> np.ndarray:
 
 
 class StreamingMoments:
-    """Single-pass accumulator of each batch's sums of (S*)^n S^m.
-
-    A batch is added whole (`update`) or leaf by leaf (`add_leaf` for each of
-    its `leaf_slices` in order, then `end_batch`); both give the same bits."""
+    """Single-pass accumulator of each batch's sums of (S*)^n S^m."""
 
     def __init__(self, order: int = 4):
         self.order = order
         self.sums: list[np.ndarray] = []
         self.counts: list[int] = []
-        self._leaves: list[tuple[int, np.ndarray]] = []   # open batch: (size, sums)
 
     def update(self, data) -> "StreamingMoments":
         """Add one batch."""
         s = _as_samples(data)
-        for cut in leaf_slices(s.size):
-            self.add_leaf(s[cut])
-        return self.end_batch()
+        return self.add_batch(s.size, (s[cut] for cut in leaf_slices(s.size)))
 
-    def add_leaf(self, data) -> "StreamingMoments":
-        """Sum the open batch's next leaf."""
-        s = _as_samples(data)
-        self._leaves.append((s.size, _leaf_sums(s, self.order)))
-        return self
+    def add_batch(self, n: int, leaves) -> "StreamingMoments":
+        """Add one batch of n shots from the iterable of its leaves, cut as
+        `leaf_slices(n)` cuts it, each summed as it is drawn; drawn to its end."""
+        leaves = iter(leaves)
 
-    def end_batch(self) -> "StreamingMoments":
-        """Close the open batch: add its leaves' sums up the batch's tree."""
-        leaves, self._leaves = self._leaves, []
-        sizes = [k for k, _ in leaves]
-        if sizes != [c.stop - c.start for c in leaf_slices(sum(sizes))]:
-            raise ValueError(f"leaves of {sizes} shots do not cut a batch as "
-                             "leaf_slices does")
-        sums = _tree_sum(sum(sizes), (s for _, s in leaves))
+        def leaf_sums(cut: slice) -> np.ndarray:
+            s = _as_samples(next(leaves, []))
+            if s.size != cut.stop - cut.start:
+                raise ValueError(f"leaf of {s.size} shots where leaf_slices({n}) "
+                                 f"cuts {cut.stop - cut.start}")
+            return _leaf_sums(s, self.order)
+
+        sums = _pairwise(n, leaf_sums)
+        if next(leaves, None) is not None:
+            raise ValueError(f"more leaves than leaf_slices({n}) cuts")
         if not np.isfinite(sums).all():     # refused here, before the next batch
             raise ValueError("moment matrix contains non-finite entries")
         self.sums.append(sums)
-        self.counts.append(sum(sizes))
+        self.counts.append(n)
         return self
 
     def result(self) -> BatchMoments:

@@ -155,7 +155,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     with _block("config"):
         seed = _get(doc, "seed", int, lo=0)
         shots = _get(doc, "shots", int, lo=1)
-        batches = _get(doc, "batches", int, 100, lo=1, hi=shots)
+        batches = _get(doc, "batches", int, min(100, shots), lo=1, hi=shots)
         order = _get(doc, "order", int, 4, lo=2, hi=WIGNER_KERNEL_MAX_ORDER)
         store_shots = _get(doc, "store_shots", bool, False)
     spec = _object(doc, "state", None)
@@ -274,20 +274,23 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
         batches = ([batch[cut] for cut in leaf_slices(batch.size)] for batch in
                    _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed))
     else:
-        # sequential: a direct-path batch in flight is one leaf (and a Fock batch's
-        # gammas), never the whole batch, so batches on a pool would cost little memory
+        # batches run one after another: one in flight holds a leaf (and a Fock
+        # batch's gammas), so a pool's memory cost is small but not yet measured
         batches = (detector_blocks(state, cfg.chain, leaf_slices(size), seed, stream=b)
                    for b, size in enumerate(sizes))
     moments = StreamingMoments(cfg.order)
     shots_kept: list[np.ndarray] = []
-    for leaves in batches:
+
+    def binned(leaves):
         for leaf in leaves:
             hist.add(leaf)
-            moments.add_leaf(leaf)
             if cfg.store_shots:
                 shots_kept.append(leaf)
-        hist.check_overflow()
-        moments.end_batch()
+            yield leaf
+        hist.check_overflow()   # once the sums have drawn the batch's last leaf
+
+    for leaves, size in zip(batches, sizes):    # batches first: its pool closes here
+        moments.add_batch(size, binned(leaves))
     out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
         out["shots"] = np.concatenate(shots_kept)

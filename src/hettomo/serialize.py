@@ -94,7 +94,11 @@ def load_histogram(prefix) -> QuadratureHistogram:
     """The histogram `save_histogram` wrote, its records checked against the header."""
     prefix = Path(prefix)
     header = json.loads(prefix.with_suffix(".json").read_text())
-    path, cells = prefix.parent / header["counts_file"], header["bins"] ** 2
+    bins = header["bins"]   # checked before bins^2 counts are allocated
+    if type(bins) is not int or not 1 <= bins <= MAX_BINS:
+        raise ValueError(f"{prefix}: bins must be an integer in [1, {MAX_BINS}], "
+                         f"got {json.dumps(bins)}")
+    path, cells = prefix.parent / header["counts_file"], bins ** 2
     size = path.stat().st_size
     if size % HIST_RECORD.itemsize:
         raise ValueError(f"{path}: {size} bytes is not a whole number of "
@@ -112,7 +116,7 @@ def load_histogram(prefix) -> QuadratureHistogram:
     if summed != in_range:
         raise ValueError(f"{path}: counts sum to {summed}, header says "
                          f"total - overflow = {in_range}")
-    hist = QuadratureHistogram(bins=header["bins"], extent=header["extent"])
+    hist = QuadratureHistogram(bins=bins, extent=header["extent"])
     hist.counts.reshape(-1)[index] = count
     hist.in_range, hist.overflow = summed, header["overflow"]
     return hist

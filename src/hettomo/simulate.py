@@ -119,55 +119,41 @@ def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
     return np.concatenate(parts)[:n]
 
 
-def _q_blocks(state: FockState, cuts: list[slice], rng: np.random.Generator,
-              eta: float = 1.0):
-    """Q draws of the state (of loss_channel(rho, eta) if drawn by rejection) in the
-    consecutive blocks `cuts` of one batch; the blocks joined are the one-block draw
-    bit for bit. Gammas (Fock |k >= 1>, whose stream then turns to uniforms) and a
-    rejection batch are drawn whole and cut; all else, block by block."""
-    kind = state.profile[0] if state.profile else None
-    if kind is None:
-        q = _sample_q_rejection(*_proposal(state, eta), cuts[-1].stop, rng)
-        yield from (q[cut] for cut in cuts)
-    elif kind == "fock" and state.profile[1] > 0:
-        r = rng.gamma(shape=state.profile[1] + 1, scale=1.0, size=cuts[-1].stop)
-        np.sqrt(r, out=r)
-        for cut in cuts:
-            yield r[cut] * np.exp(2j * np.pi * rng.random(cut.stop - cut.start))
-    else:   # vacuum (Fock |0>), coherent or thermal
-        var = (state.profile[1] + 1.0) / 2.0 if kind == "thermal" else 0.5
-        for cut in cuts:
-            z = _complex_normal(rng, cut.stop - cut.start, var)
-            yield state.profile[1] + z if kind == "coherent" else z
-
-
 def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
-    """Draw n i.i.d. samples from the state's Husimi Q distribution.
-
-    Vacuum/coherent, Fock and thermal states use exact samplers; everything
-    else goes through rejection sampling under a proved Fock-mixture envelope.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return next(_q_blocks(state, [slice(0, n)], stream_rng(seed, stream)))
+    """Draw n i.i.d. samples from the state's Husimi Q distribution: `sample_detector`
+    through a noiseless unit-gain chain, S = alpha."""
+    return sample_detector(state, AmplifierChain(1.0, NoiseModel(0.0)), n, seed, stream)
 
 
 def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
                     seed, stream: int = 0):
     """One batch of detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~
     amplifier noise, yielded in the consecutive blocks `cuts` (slices from 0 to the
-    batch size); the blocks joined are the one-block batch bit for bit. A state
-    without an exact sampler is drawn in one pass (see the module docstring)."""
-    if cuts[-1].stop < 1:
+    batch size); the blocks joined are the one-block batch bit for bit. Vacuum,
+    coherent and thermal alpha are drawn block by block; Fock |k >= 1> gammas (the
+    stream then turns to uniforms) and a state without an exact sampler (one pass,
+    see the module docstring) are drawn whole and cut."""
+    n, nbar, rng = cuts[-1].stop, chain.noise.nbar, stream_rng(seed, stream)
+    if n < 1:
         raise ValueError("need n >= 1")
-    nbar, rng = chain.noise.nbar, stream_rng(seed, stream)
     if state.profile is None:
+        beta = _sample_q_rejection(*_proposal(state, 1.0 / (1.0 + nbar)), n, rng)
         scale = math.sqrt(chain.gain * (1.0 + nbar))
-        yield from (scale * beta for beta in _q_blocks(state, cuts, rng, 1.0 / (1.0 + nbar)))
+        yield from (scale * beta[cut] for cut in cuts)
         return
+    kind, p = state.profile   # Fock k, coherent alpha or thermal nbar
+    if kind == "fock" and p > 0:
+        r = rng.gamma(shape=p + 1, scale=1.0, size=n)
+        np.sqrt(r, out=r)
     noise = stream_rng(seed, stream, 1)
-    for cut, alpha in zip(cuts, _q_blocks(state, cuts, rng)):
-        nu = _complex_normal(noise, cut.stop - cut.start, nbar / 2.0) if nbar > 0 else 0.0
+    for cut in cuts:
+        size = cut.stop - cut.start
+        if kind == "fock" and p > 0:
+            alpha = r[cut] * np.exp(2j * np.pi * rng.random(size))
+        else:   # vacuum (Fock |0>), coherent or thermal
+            z = _complex_normal(rng, size, (p + 1.0) / 2.0 if kind == "thermal" else 0.5)
+            alpha = p + z if kind == "coherent" else z
+        nu = _complex_normal(noise, size, nbar / 2.0) if nbar > 0 else 0.0
         yield math.sqrt(chain.gain) * (alpha + nu)
 
 

@@ -205,14 +205,17 @@ class TestStreamingMoments:
         assert peak < s.nbytes, peak
 
     def test_leaves_must_be_cut_as_leaf_slices_cuts(self):
-        # 40 000 shots are two leaves of the sum tree; as one leaf the tree would
-        # draw a second leaf sum that is not there
+        # 40 000 shots are two leaves of 20 000 in the sum tree, 20 000 are one
         s = gaussian_shots(40_000, seed=5)
-        acc = StreamingMoments(4).add_leaf(s)
-        with pytest.raises(ValueError, match="leaf_slices"):
-            acc.end_batch()
-        acc.update(s)   # the refused batch left no leaf open
+        acc = StreamingMoments(4)
+        with pytest.raises(ValueError, match=r"leaf of 40000 shots where leaf_slices"):
+            acc.add_batch(40_000, [s])
+        with pytest.raises(ValueError, match=r"more leaves than leaf_slices\(20000\)"):
+            acc.add_batch(20_000, [s[:20_000], s[20_000:]])
+        assert acc.counts == [] and acc.sums == []   # a refused batch adds no row
+        acc.update(s)   # and leaves nothing behind: the next batch is stored alone
         assert acc.counts == [40_000]
+        assert acc.sums[0].tobytes() == StreamingMoments(4).update(s).sums[0].tobytes()
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,12 @@ class TestParseConfig:
         doc = {"seed": 1, "shots": 100, "state": {"kind": "vacuum"}}
         assert parse_config({**doc, "histogram": {"bins": 65536}}).bins == 65536
 
+    def test_batches_default_to_at_most_one_per_shot(self):
+        doc = {"seed": 1, "shots": 50, "state": {"kind": "vacuum"}}
+        assert parse_config(doc).batches == 50
+        assert parse_config({**doc, "shots": 20_000}, {"shots": 50}).batches == 50
+        assert parse_config({**doc, "shots": 101}).batches == 100
+
     def test_seed_is_mandatory(self):
         with pytest.raises(ConfigError, match="seed"):
             parse_config({"shots": 100, "state": {"kind": "vacuum"}})
@@ -190,6 +196,7 @@ class TestExitCodes:
         ("config", {"shots": True}),
         ("config", {"order": True}),
         ("config", {"batches": True}),
+        ("config", {"shots": 50, "batches": 100}),  # the default is min(100, shots)
         ("histogram", {"bins": True}),
         ("histogram", {"range": True}),
         ("amplifier", {"gain": True, "nbar": 1.0}),

@@ -157,6 +157,31 @@ def test_histogram_loader_refuses(tmp_path, corrupt, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("bins", 0, "bins must be an integer in [1, 65536], got 0"),
+    ("bins", 65537, "bins must be an integer in [1, 65536], got 65537"),
+    ("bins", True, "bins must be an integer in [1, 65536], got true"),
+    ("bins", 4.0, "bins must be an integer in [1, 65536], got 4.0"),
+    ("extent", math.nan, "finite extent > 0, got nan"),
+    ("extent", math.inf, "finite extent > 0, got inf"),
+    ("extent", 0, "finite extent > 0, got 0"),
+])
+def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, value,
+                                                              message):
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    _, json_path = save_histogram(tmp_path / "hist", hist)
+    header = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**header, key: value}))   # json writes NaN, Infinity
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_histogram(tmp_path / "hist")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak     # 65537^2 uint64 counts would be 34 GB
+
+
 def test_batch_moments_round_trip(tmp_path):
     chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
     acc = StreamingMoments(2)

@@ -196,6 +196,36 @@ def test_rejection_sampler_keeps_its_bytes(name):
     assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_PATH_SHA256[name]
 
 
+# SHA-256 of sample_q(state, n, seed=[17, 2], stream=5) for the exact samplers,
+# taken while sample_q had its own Q-sampling generator
+SAMPLE_Q_SHA256 = {
+    ("vacuum", 1): "108c8318dc7e23ce004bb91d94a5de995d0904cf7635b0a40910a44f9f06d9d1",
+    ("vacuum", 4099): "79ee5121327047b4c41c83232d2be1c51bcbe8f3d2d0bd9669d73ece652914a6",
+    ("vacuum", 40000): "2929d9ecedbbe5bd7be72635b793986a8ccf3e59532e04fa06545d45ecce0e64",
+    ("fock1", 1): "e530fb4b86b8e199003e52bfc8c12d62c0dead6dd446e62b40f030b2b2289cd0",
+    ("fock1", 4099): "b58d9d273105e99313ba01b4a3aa2339f32b0b3b8732c155bd8154dafaaab9e0",
+    ("fock1", 40000): "5344694dce3fe08a7c2cdcc8d17ba74862fe690aae53dbd81c6ddf16e8a5164e",
+    ("fock2", 1): "5bc2a18eff2b97643b51064e2fa6e235058f9a286d39d507e18dfa2772bf2f1f",
+    ("fock2", 4099): "512d1ad8b97fa116f5ad1c6235a5889cef26a0d1a5739381f50c4f30e558a019",
+    ("fock2", 40000): "dcd4728d43b2af54b221fa681d7d205ea75c617ec15fedf4c0f294bed33c64dd",
+    ("coherent", 1): "02e544c91ef6076321f4c057dec6cd83c71405128261af85c9ecd9682d21b9b8",
+    ("coherent", 4099): "58dd4ba7d1cf22510fbd6cd1d16d528c3b195e99cdcd3e99816ea36d80ff3f51",
+    ("coherent", 40000): "a499638b60007bd69b758de3ad1867884ec183ae3c44debcf5e3f3491fdaf59f",
+    ("thermal", 1): "7b7c2b338e2f0dbb3e87545f29f88f92728f24c85e3cd314563dad1e2fbfbe4d",
+    ("thermal", 4099): "29387de08ea118aeec7a4a08dd9bb9f46a4c390fe8b58fb2c78f9b2236fd1d4f",
+    ("thermal", 40000): "4f320c5214bba997226a4621fc18b70b98a5f7064a50e5b586031b2595f654fe",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(SAMPLE_Q_SHA256))
+def test_sample_q_keeps_its_bytes(name, n):
+    state = {"vacuum": FockState.vacuum(), "fock1": FockState.fock(1),
+             "fock2": FockState.fock(2), "coherent": coherent_state(0.8 - 0.3j),
+             "thermal": thermal_state(0.5)}[name]
+    s = sample_q(state, n, [17, 2], stream=5)
+    assert hashlib.sha256(s.tobytes()).hexdigest() == SAMPLE_Q_SHA256[name, n]
+
+
 @pytest.mark.parametrize("path", ["detector", "time-trace"])
 def test_proposal_is_built_once_per_state_and_eta(path, monkeypatch):
     env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
