@@ -11,14 +11,16 @@ reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -242,6 +244,19 @@ def _available_cpus() -> int:
         else os.cpu_count() or 1
 
 
+def _in_order(calls, workers: int, ahead: int):
+    """The results of the zero-argument `calls`, in order, from a pool of `workers`
+    threads that runs at most `ahead` calls beyond the one whose result is awaited.
+    Closing the generator, or an error, shuts the pool down: no thread outlives it."""
+    with ThreadPoolExecutor(workers) as pool:
+        window = []
+        for call in calls:
+            window.append(pool.submit(call))
+            if len(window) > ahead:
+                yield window.pop(0).result()
+        yield from (future.result() for future in window)
+
+
 def _time_domain_batches(state: FockState, env: TemporalEnvelope,
                          chain: AmplifierChain, sizes: list[int], seed):
     """Matched-filtered batches in batch order, at most one per CPU in flight on
@@ -254,30 +269,41 @@ def _time_domain_batches(state: FockState, env: TemporalEnvelope,
         return np.concatenate([matched_filter(block, env) for block in simulate_time_trace(
             state, env, chain, size, seed=seed, stream=b)])
 
-    with ThreadPoolExecutor(workers) as pool:
-        window = []
-        for b, size in enumerate(sizes):
-            window.append(pool.submit(make, b, size))
-            if len(window) == workers:
-                yield window.pop(0).result()
-        yield from (future.result() for future in window)
+    return _in_order((functools.partial(make, b, size) for b, size in enumerate(sizes)),
+                     workers, ahead=workers - 1)
+
+
+def _detector_leaves(state: FockState, chain: AmplifierChain, cuts: list[list[slice]],
+                     seed):
+    """The leaves of the run's batches (`cuts[b]` for batch b, on stream b), in
+    order, drawn on one draw thread one leaf ahead of the caller, across batch
+    edges. One thread runs the draws one at a time, so the streams are the
+    sequential ones and no generator is entered twice."""
+    leaves = itertools.chain.from_iterable(
+        detector_blocks(state, chain, batch_cuts, seed, stream=b)
+        for b, batch_cuts in enumerate(cuts))
+
+    @np.errstate(over="ignore", invalid="ignore")   # per thread, as on cmd_simulate
+    def draw() -> np.ndarray:
+        return next(leaves)
+
+    return _in_order(itertools.repeat(draw, sum(map(len, cuts))), workers=1, ahead=1)
 
 
 def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
                     extent: float) -> dict:
     """Simulate one run in batches; returns histogram, per-batch moments,
-    optional shots. Each batch comes as its leaves (`leaf_slices`), each binned
-    and summed as it arrives, and the overflow is checked once per batch."""
+    optional shots. The run's leaves (`leaf_slices` of each batch) arrive in
+    order, each binned and summed as it arrives on this thread, and the
+    overflow is checked once per batch."""
     hist = QuadratureHistogram(bins=cfg.bins, extent=extent)
     seed, sizes = [cfg.seed, stage], _batch_sizes(cfg.shots, cfg.batches)
+    cuts = [leaf_slices(size) for size in sizes]
     if cfg.envelope is not None:
-        batches = ([batch[cut] for cut in leaf_slices(batch.size)] for batch in
-                   _time_domain_batches(state, cfg.envelope, cfg.chain, sizes, seed))
-    else:
-        # batches run one after another: one in flight holds a leaf (and a Fock
-        # batch's gammas), so a pool's memory cost is small but not yet measured
-        batches = (detector_blocks(state, cfg.chain, leaf_slices(size), seed, stream=b)
-                   for b, size in enumerate(sizes))
+        leaves = (batch[cut] for batch, batch_cuts in zip(_time_domain_batches(
+            state, cfg.envelope, cfg.chain, sizes, seed), cuts) for cut in batch_cuts)
+    else:   # one draw thread stays a leaf ahead: two leaves in flight, not two batches
+        leaves = _detector_leaves(state, cfg.chain, cuts, seed)
     moments = StreamingMoments(cfg.order)
     shots_kept: list[np.ndarray] = []
 
@@ -289,8 +315,9 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
             yield leaf
         hist.check_overflow()   # once the sums have drawn the batch's last leaf
 
-    for leaves, size in zip(batches, sizes):    # batches first: its pool closes here
-        moments.add_batch(size, binned(leaves))
+    with closing(leaves):   # closing it shuts its pool down, also on an error
+        for size, batch_cuts in zip(sizes, cuts):
+            moments.add_batch(size, binned(itertools.islice(leaves, len(batch_cuts))))
     out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
         out["shots"] = np.concatenate(shots_kept)

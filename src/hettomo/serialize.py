@@ -98,6 +98,10 @@ def load_histogram(prefix) -> QuadratureHistogram:
     if type(bins) is not int or not 1 <= bins <= MAX_BINS:
         raise ValueError(f"{prefix}: bins must be an integer in [1, {MAX_BINS}], "
                          f"got {json.dumps(bins)}")
+    for key in ("overflow", "total"):
+        if type(header[key]) is not int or header[key] < 0:
+            raise ValueError(f"{prefix}: {key} must be a non-negative integer, "
+                             f"got {json.dumps(header[key])}")
     path, cells = prefix.parent / header["counts_file"], bins ** 2
     size = path.stat().st_size
     if size % HIST_RECORD.itemsize:

@@ -129,10 +129,12 @@ def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
                     seed, stream: int = 0):
     """One batch of detector outcomes S = sqrt(G) (alpha + nu), alpha ~ Q, nu ~
     amplifier noise, yielded in the consecutive blocks `cuts` (slices from 0 to the
-    batch size); the blocks joined are the one-block batch bit for bit. Vacuum,
-    coherent and thermal alpha are drawn block by block; Fock |k >= 1> gammas (the
-    stream then turns to uniforms) and a state without an exact sampler (one pass,
-    see the module docstring) are drawn whole and cut."""
+    batch size); the blocks joined are the one-block batch bit for bit. Exact
+    samplers draw alpha block by block. A Fock |k >= 1> stream holds all n gammas,
+    then the uniforms: the stream skips the gammas block by block, and a second
+    generator on the same stream draws them again next to the uniforms. A state
+    without an exact sampler (one pass, see the module docstring) is drawn whole
+    and cut."""
     n, nbar, rng = cuts[-1].stop, chain.noise.nbar, stream_rng(seed, stream)
     if n < 1:
         raise ValueError("need n >= 1")
@@ -143,13 +145,15 @@ def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
         return
     kind, p = state.profile   # Fock k, coherent alpha or thermal nbar
     if kind == "fock" and p > 0:
-        r = rng.gamma(shape=p + 1, scale=1.0, size=n)
-        np.sqrt(r, out=r)
+        gammas = stream_rng(seed, stream)
+        for cut in cuts:   # chunks of one draw equal the whole draw: rng ends at the uniforms
+            rng.gamma(shape=p + 1, scale=1.0, size=cut.stop - cut.start)
     noise = stream_rng(seed, stream, 1)
     for cut in cuts:
         size = cut.stop - cut.start
         if kind == "fock" and p > 0:
-            alpha = r[cut] * np.exp(2j * np.pi * rng.random(size))
+            r = gammas.gamma(shape=p + 1, scale=1.0, size=size)
+            alpha = np.sqrt(r, out=r) * np.exp(2j * np.pi * rng.random(size))
         else:   # vacuum (Fock |0>), coherent or thermal
             z = _complex_normal(rng, size, (p + 1.0) / 2.0 if kind == "thermal" else 0.5)
             alpha = p + z if kind == "coherent" else z

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -411,8 +412,10 @@ class TestExitCodes:
                            amplifier={"gain": 1e300, "nbar": 1.0})
         assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
         assert "signal run: moment matrix contains non-finite" in capsys.readouterr().err
-        # the pilot and the signal run's first batch
-        assert calls == ["sample_detector", "detector_blocks"]
+        # the pilot, the signal run's first batch, and the second batch, which the
+        # draw thread starts while the first is summed: at most one leaf beyond the
+        # refused batch is drawn
+        assert calls == ["sample_detector", "detector_blocks", "detector_blocks"]
 
     def test_report_above_the_wigner_cap_is_3(self, tmp_path, capsys):
         path = tmp_path / "report.json"
@@ -587,6 +590,71 @@ class TestSimulateCommand:
         finally:
             tracemalloc.stop()
         assert peak - cfg.bins ** 2 * 8 < 22.8e6 / 2, peak
+
+    def test_draw_thread_keeps_the_sequential_bytes_under_fast_switching(self):
+        # three Fock |2> batches of four leaves each: the draw thread crosses batch
+        # edges a leaf ahead, and a 1 us switch interval interleaves it with the sums
+        cfg = parse_config({"seed": 29, "shots": 300_007, "batches": 3, "order": 6,
+                            "state": {"kind": "fock", "k": 2}, "store_shots": True,
+                            "amplifier": {"gain": 4.0, "nbar": 1.5}})
+        sizes = cli._batch_sizes(cfg.shots, cfg.batches)
+        batches = [sample_detector(cfg.state, cfg.chain, size, [29, cli.STAGE_SIGNAL], b)
+                   for b, size in enumerate(sizes)]
+        sums = StreamingMoments(6)
+        for batch in batches:
+            sums.update(batch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got["shots"].tobytes() == np.concatenate(batches).tobytes()
+        assert got["batch_moments"].values.tobytes() == sums.result().values.tobytes()
+
+    def test_no_thread_outlives_a_simulate(self, tmp_path, capsys):
+        before = threading.active_count()
+        cfg = write_config(tmp_path, shots=100_000, batches=3)
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_refused_simulate(self, tmp_path, capsys):
+        before = threading.active_count()
+        cfg = write_config(tmp_path, shots=200_000, batches=20,
+                           amplifier={"gain": 1e300, "nbar": 1.0})
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 4
+        assert threading.active_count() == before
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_no_thread_outlives_a_refused_run_whose_error_is_kept(self):
+        # the kept traceback holds the run's frames, so closing its leaves must not
+        # wait for them to be collected; shots of about 1e150 fit the axes, their
+        # moment sums overflow
+        cfg = parse_config({"seed": 3, "shots": 200_000, "batches": 20,
+                            "state": {"kind": "fock", "k": 1},
+                            "amplifier": {"gain": 1e300, "nbar": 1.0}})
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="non-finite") as refused:
+            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 1e200)
+        assert threading.active_count() == before, refused.traceback
+
+    def test_no_thread_outlives_a_sampler_error(self, monkeypatch):
+        drawn = []
+
+        def failing(state, chain, cuts, seed, stream=0):
+            for leaf in detector_blocks(state, chain, cuts, seed, stream):
+                drawn.append(leaf.size)
+                if len(drawn) == 2:
+                    raise RuntimeError("sampler failed on the run's second leaf")
+                yield leaf
+
+        monkeypatch.setattr(cli, "detector_blocks", failing)
+        cfg = parse_config({"seed": 3, "shots": 200_000, "batches": 2,
+                            "state": {"kind": "fock", "k": 1}})
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second leaf"):
+            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 60.0)
+        assert threading.active_count() == before
 
     @staticmethod
     def _leaves_overflowing(first: int):

@@ -165,6 +165,7 @@ def test_histogram_loader_refuses(tmp_path, corrupt, message):
     ("extent", math.nan, "finite extent > 0, got nan"),
     ("extent", math.inf, "finite extent > 0, got inf"),
     ("extent", 0, "finite extent > 0, got 0"),
+    ("total", 8.0, "total must be a non-negative integer, got 8.0"),
 ])
 def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, value,
                                                               message):
@@ -180,6 +181,20 @@ def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, val
     finally:
         tracemalloc.stop()
     assert peak < 1e6, peak     # 65537^2 uint64 counts would be 34 GB
+
+
+@pytest.mark.parametrize("overflow, shown", [(-3, "-3"), (0.5, "0.5"), (True, "true")])
+def test_histogram_loader_refuses_an_overflow_that_is_not_a_count(tmp_path, overflow,
+                                                                  shown):
+    # total moves with it, so total - overflow still matches the records' sum
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    _, json_path = save_histogram(tmp_path / "hist", hist)
+    header = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**header, "overflow": overflow,
+                                     "total": header["total"] + overflow}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"overflow must be a non-negative integer, got {shown}")):
+        load_histogram(tmp_path / "hist")
 
 
 def test_batch_moments_round_trip(tmp_path):

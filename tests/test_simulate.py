@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from hettomo import simulate
+from hettomo.acquire import leaf_slices
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           antinormal_moments, coherent_state, husimi_q,
                           loss_channel, noise_moments, prepare_superposition,
@@ -13,7 +15,7 @@ from hettomo.fock import (FockState, NoiseModel, analytic_moments,
 from hettomo.moments import moment_indices
 from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope,
                               _complex_normal, _envelope_candidates, _proposal,
-                              matched_filter, overlap, sample_detector,
+                              detector_blocks, matched_filter, overlap, sample_detector,
                               sample_q, simulate_time_trace, stream_rng)
 from hettomo.tomo import forward_moments
 
@@ -173,6 +175,21 @@ def test_exact_samplers_keep_their_bytes(name):
     chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
     s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
     assert hashlib.sha256(s.tobytes()).hexdigest() == EXACT_PATH_SHA256[name]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fock_batch_holds_no_gammas_whole(k):
+    # one 400 000-shot batch, drawn leaf by leaf as fock-order8 draws it: its
+    # gammas held whole would take 3.2 MB beside the leaves
+    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    tracemalloc.start()
+    try:
+        for _ in detector_blocks(FockState.fock(k), chain, leaf_slices(400_000), [7, 0]):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 # the same call through the rejection sampler for prepare_superposition(0.6j, 0.2),
