@@ -244,15 +244,21 @@ def husimi_q(state: FockState, alpha) -> np.ndarray | float:
     for k in range(2, state.dim):
         a.append((a[-1] * a[1] - b[-1] * b[1]) / math.sqrt(k))
         b.append((a[-2] * b[1] + b[-1] * a[1]) / math.sqrt(k))
-    q = np.full(flat.shape, rho[0, 0].real)
-    for k in range(1, state.dim):
-        c = 2.0 * rho[0, k]
-        q += rho[k, k].real * (a[k] * a[k] + b[k] * b[k]) + c.real * a[k] - c.imag * b[k]
+    q, (s, t) = np.full(flat.shape, rho[0, 0].real), np.empty((2, flat.size))
+    for k in range(1, state.dim):   # rows s, t keep each term's operation order
+        c = 2.0 * rho[0, k]   # q += rho_kk (a_k a_k + b_k b_k) + c.real a_k - c.imag b_k
+        np.multiply(a[k], a[k], out=s)
+        s += np.multiply(b[k], b[k], out=t)
+        s *= rho[k, k].real
+        s += np.multiply(a[k], c.real, out=t)
+        q += np.subtract(s, np.multiply(b[k], c.imag, out=t), out=s)
         for j in range(1, k):
             c = 2.0 * rho[j, k]
             q += c.real * (a[j] * a[k] + b[j] * b[k]) - c.imag * (a[j] * b[k] - b[j] * a[k])
-    q *= np.exp(-(flat.real ** 2 + flat.imag ** 2)) / np.pi
-    q = np.maximum(q, 0.0).reshape(alpha_arr.shape)
+    np.square(a[1], out=s)   # q *= exp(-|alpha|^2) / pi
+    s += np.square(b[1], out=t)
+    q *= np.divide(np.exp(np.negative(s, out=s), out=s), np.pi, out=s)
+    q = np.maximum(q, 0.0, out=q).reshape(alpha_arr.shape)
     return float(q.reshape(-1)[0]) if np.ndim(alpha) == 0 else q
 
 

@@ -70,7 +70,8 @@ def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
     prefix = Path(prefix)
     counts_path = prefix.with_suffix(".coo")
     flat = hist.counts.reshape(-1)      # a view: counts are C-contiguous
-    index = np.flatnonzero(flat)
+    index = np.concatenate([np.flatnonzero(flat[i:i + 65536] != 0) + i   # no whole-array mask
+                            for i in range(0, flat.size, 65536)])
     records = np.empty(index.size, dtype=HIST_RECORD)
     records["index"], records["count"] = index, flat[index]
     records.tofile(counts_path)

@@ -98,12 +98,19 @@ def _envelope_candidates(rng: np.random.Generator, n: int,
     (a vacuum draw stretched radially to |alpha|^2 ~ Gamma(j+1)), and at each the
     envelope sum_j w_j |<j|alpha>|^2 / pi, sum_j w_j times that density."""
     z = _complex_normal(rng, n, 0.5)
-    j = rng.choice(len(weights), n, p=weights / weights.sum())
-    r2 = z2 = z.real ** 2 + z.imag ** 2
+    cdf, u = np.cumsum(weights / weights.sum()), rng.random(n)   # j as rng.choice draws it
+    r2 = z2 = z.real ** 2
+    z2 += z.imag ** 2
     for k, extra in enumerate(rng.standard_exponential((len(weights) - 1, n)), start=1):
-        r2 = r2 + np.where(j >= k, extra, 0.0)
-    poly = sum(w * r2 ** k / math.factorial(k) for k, w in enumerate(weights))
-    return z * np.sqrt(r2 / z2), np.exp(-r2) * poly / np.pi
+        extra *= u >= cdf[k - 1] / cdf[-1]   # j >= k, by choice's cdf; + 0.0 elsewhere
+        r2 = np.add(extra, r2, out=extra)
+    poly = np.full(n, weights[0])   # sum_k w_k r2^k / k! term by term; r2^1 / 1! is r2
+    for k in range(1, len(weights)):
+        poly += (r2 ** k * weights[k] / math.factorial(k) if k > 1
+                 else np.multiply(r2, weights[1], out=u))
+    poly *= np.exp(np.negative(r2, out=u), out=u)
+    z *= np.sqrt(np.divide(r2, z2, out=z2), out=z2)
+    return z, np.divide(poly, np.pi, out=poly)
 
 
 def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
@@ -113,10 +120,11 @@ def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
         need = n - filled   # candidates for the expected count plus four binomial sigmas
         draw = math.ceil((need + 4.0 * math.sqrt(need * (1.0 - accept))) / accept)
         cand, envelope = _envelope_candidates(rng, draw, weights)
-        parts.append(cand[rng.random(draw) * envelope < husimi_q(target, cand)])
+        envelope *= rng.random(draw)
+        parts.append(np.compress(envelope < husimi_q(target, cand), cand))
         filled += parts[-1].size
     # candidates stay in draw order, so the first n accepted are i.i.d.
-    return np.concatenate(parts)[:n]
+    return (parts[0] if len(parts) == 1 else np.concatenate(parts))[:n]
 
 
 def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:

@@ -233,6 +233,34 @@ class TestHusimiQ:
             assert np.shape(got) == shape and type(got) is type(want)
             assert np.max(np.abs(got - want)) <= 1e-14
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 9])
+    def test_keeps_the_bytes_of_its_allocating_form(self, dim):
+        # husimi_q sums through scratch rows; each term must round as the one-line
+        # expression below did. The rejection sampler's bytes rarely show a changed
+        # rounding of Q, so this compares Q itself, bit for bit
+        rng = np.random.default_rng(dim)
+        state = random_density_matrix(rng, dim)
+        alpha = 2.0 * (rng.normal(size=4099) + 1j * rng.normal(size=4099))
+        assert husimi_q(state, alpha).tobytes() == _husimi_q_by_terms(state, alpha).tobytes()
+
+
+def _husimi_q_by_terms(state, alpha):
+    """husimi_q as it was before its scratch rows: every term allocated, one line each."""
+    flat, rho = np.asarray(alpha, dtype=complex), state.rho
+    a, b = [None, flat.real.copy()], [None, flat.imag.copy()]
+    for k in range(2, state.dim):
+        a.append((a[-1] * a[1] - b[-1] * b[1]) / math.sqrt(k))
+        b.append((a[-2] * b[1] + b[-1] * a[1]) / math.sqrt(k))
+    q = np.full(flat.shape, rho[0, 0].real)
+    for k in range(1, state.dim):
+        c = 2.0 * rho[0, k]
+        q += rho[k, k].real * (a[k] * a[k] + b[k] * b[k]) + c.real * a[k] - c.imag * b[k]
+        for j in range(1, k):
+            c = 2.0 * rho[j, k]
+            q += c.real * (a[j] * a[k] + b[j] * b[k]) - c.imag * (a[j] * b[k] - b[j] * a[k])
+    q *= np.exp(-(flat.real ** 2 + flat.imag ** 2)) / np.pi
+    return np.maximum(q, 0.0)
+
 
 class TestWignerOracle:
     def test_vacuum_parity(self):

@@ -87,6 +87,19 @@ def test_histogram_file_holds_occupied_bins_in_index_order(tmp_path):
     assert records == occupied
 
 
+@pytest.mark.parametrize("bins", [255, 256, 257, 300])
+def test_histogram_round_trip_across_scan_chunks(tmp_path, bins):
+    # the occupied bins are found 65 536 at a time: bins^2 below, at and past one chunk
+    rng = np.random.default_rng(bins)
+    hist = QuadratureHistogram(bins=bins, extent=3.0).add(
+        rng.normal(size=200_000) + 1j * rng.normal(size=200_000))
+    counts_path, _ = save_histogram(tmp_path / "hist", hist)
+    records = np.fromfile(counts_path, dtype=HIST_RECORD)
+    assert np.array_equal(records["index"], np.flatnonzero(hist.counts))
+    assert (records["index"] >= 65536).any() == (bins * bins > 65536)
+    assert np.array_equal(load_histogram(tmp_path / "hist").counts, hist.counts)
+
+
 def test_histogram_save_copies_no_dense_array(tmp_path):
     # 1024^2 uint64 bins are 8 MB; a few thousand occupied ones need ~100 kB
     rng = np.random.default_rng(5)

@@ -213,6 +213,77 @@ def test_rejection_sampler_keeps_its_bytes(name):
     assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_PATH_SHA256[name]
 
 
+def _mixed_k3_with_empty_level() -> FockState:
+    # levels 0, 2 and 3 with coherences 0-3 and 2-3; level 1 empty, so w_1 = 0
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0], rho[2, 2], rho[3, 3] = 0.5, 0.3, 0.2
+    rho[0, 3] = rho[3, 0] = 0.1
+    rho[2, 3], rho[3, 2] = 0.05j, -0.05j
+    return FockState(rho)
+
+
+# SHA-256 of rejection draws that REJECTION_PATH_SHA256 does not reach, taken while
+# the mixture index came from rng.choice and husimi_q allocated every term: a K = 2
+# target behind noise, a K = 3 target with a zero envelope weight (sample_q), and an
+# n = 1 draw whose first pass of 7 candidates accepts none (stream 363)
+REJECTION_TARGET_SHA256 = {
+    "K2-lossy": "c82593cc4ba661a87c881d727c31b3d27b095e57174647ff65a18bb234507ce9",
+    "K3-empty-level": "76c1b4bc73ef26b3b71de43864adff1d89905880977bf5795b0965a4cf63937d",
+    "topped-up": "4d160bfe69d23fbf39c31fee861442c1d83ce212fc9793ab90caa0a958575531",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_TARGET_SHA256))
+def test_rejection_targets_keep_their_bytes(name, monkeypatch):
+    passes = []
+
+    def counted(rng, n, weights):
+        passes.append(n)
+        return _envelope_candidates(rng, n, weights)
+
+    monkeypatch.setattr(simulate, "_envelope_candidates", counted)
+    if name == "K2-lossy":
+        state = loss_channel(FockState.fock(2), 0.5)
+        s = sample_detector(state, AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0)), 4099,
+                            seed=[17, 2], stream=5)
+        assert len(_proposal(state, 1.0 / 3.0)[1]) == 3
+    elif name == "K3-empty-level":
+        state = _mixed_k3_with_empty_level()
+        s = sample_q(state, 4099, [17, 2], stream=5)
+        weights = _proposal(state, 1.0)[1]
+        assert len(weights) == 4 and weights[1] == 0.0
+    else:
+        s = sample_q(prepare_superposition(0.6j, 0.2), 1, [17, 2], stream=363)
+        assert passes == [7, 7]
+    assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_TARGET_SHA256[name]
+
+
+def _envelope_candidates_by_choice(rng, n, weights):
+    """The form _envelope_candidates replaced: the mixture index from rng.choice."""
+    z = _complex_normal(rng, n, 0.5)
+    j = rng.choice(len(weights), n, p=weights / weights.sum())
+    r2 = z2 = z.real ** 2 + z.imag ** 2
+    for k, extra in enumerate(rng.standard_exponential((len(weights) - 1, n)), start=1):
+        r2 = r2 + np.where(j >= k, extra, 0.0)
+    poly = sum(w * r2 ** k / math.factorial(k) for k, w in enumerate(weights))
+    return z * np.sqrt(r2 / z2), np.exp(-r2) * poly / np.pi
+
+
+@pytest.mark.parametrize("weights", [[1.0], [1.12, 0.46], [0.69, 0.28, 0.03],
+                                     [0.6, 0.0, 0.35, 0.35], [0.4, 0.6, 0.0]])
+@pytest.mark.parametrize("n", [1, 7, 20_000])
+def test_mixture_index_matches_rng_choice(weights, n):
+    # u >= cdf[k-1] / cdf[-1] must pick the j that rng.choice picks from the same uniforms
+    # (r2 gains the k-th exponential iff j >= k), and leave the stream where choice does
+    weights = np.array(weights)
+    rng, twin = stream_rng(60, n), stream_rng(60, n)
+    cand, envelope = _envelope_candidates(rng, n, weights)
+    want_cand, want_envelope = _envelope_candidates_by_choice(twin, n, weights)
+    assert cand.tobytes() == want_cand.tobytes()
+    assert envelope.tobytes() == want_envelope.tobytes()
+    assert rng.random() == twin.random()
+
+
 # SHA-256 of sample_q(state, n, seed=[17, 2], stream=5) for the exact samplers,
 # taken while sample_q had its own Q-sampling generator
 SAMPLE_Q_SHA256 = {
