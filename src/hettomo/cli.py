@@ -38,6 +38,7 @@ from .tomo import (WIGNER_EXTENT, WIGNER_KERNEL_MAX_ORDER, WIGNER_RESOLUTION,
                    InversionReport, bootstrap_errors, estimate_gain, invert_moments,
                    reconstruct_wigner)
 from . import serialize
+from .serialize import field, typed
 
 # stage indices for RNG stream derivation
 STAGE_SIGNAL = 0
@@ -98,36 +99,6 @@ def _block(name: str, error: type[Exception] = ConfigError):
         raise error(f"{name}: {detail}") from exc
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
-          str: "a string"}
-_MANDATORY = object()
-
-
-def _typed(value, kind: type, key: str, lo=None, hi=None):
-    """`value` checked against JSON type `kind` and the bounds [lo, hi].
-
-    A bool is not a number, an integer serves where a float is wanted but
-    not the reverse, and numbers must be finite."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    ok = {bool: isinstance(value, bool), str: isinstance(value, str),
-          int: number and isinstance(value, int),
-          float: number and abs(value) <= sys.float_info.max}[kind]
-    if not (ok and (lo is None or value >= lo) and (hi is None or value <= hi)):
-        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
-        raise ValueError(f"{key} must be {_KINDS[kind]}{bounds}, got {json.dumps(value)}")
-    return float(value) if kind is float else value
-
-
-def _get(block: dict, key: str, kind: type, default=_MANDATORY, lo=None, hi=None):
-    """`block[key]` read with `_typed`; null passes only where null is the default."""
-    value = block[key] if key in block else default
-    if value is _MANDATORY:
-        raise ValueError(f"{key} is mandatory")
-    if value is None and default is None:
-        return None
-    return _typed(value, kind, key, lo, hi)
-
-
 def _object(doc: dict, key: str, default: dict) -> dict:
     block = doc.get(key, default)
     _require(isinstance(block, dict), key, "must be an object")
@@ -136,12 +107,12 @@ def _object(doc: dict, key: str, default: dict) -> dict:
 
 def _noise_model(amp: dict) -> NoiseModel:
     if "nbar" in amp:
-        return NoiseModel(_get(amp, "nbar", float))
+        return NoiseModel(field(amp, "nbar", float))
     if "temperature_K" not in amp or "frequency_Hz" not in amp:
         raise ValueError("need either nbar or temperature_K + frequency_Hz")
     return NoiseModel.from_temperature(
-        _get(amp, "temperature_K", float), _get(amp, "frequency_Hz", float),
-        rayleigh_jeans=_get(amp, "rayleigh_jeans", bool, False))
+        field(amp, "temperature_K", float), field(amp, "frequency_Hz", float),
+        rayleigh_jeans=field(amp, "rayleigh_jeans", bool, False))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -155,11 +126,11 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
             doc[key] = value
     _require("seed" in doc, "seed", "is mandatory (no wall-clock default)")
     with _block("config"):
-        seed = _get(doc, "seed", int, lo=0)
-        shots = _get(doc, "shots", int, lo=1)
-        batches = _get(doc, "batches", int, min(100, shots), lo=1, hi=shots)
-        order = _get(doc, "order", int, 4, lo=2, hi=WIGNER_KERNEL_MAX_ORDER)
-        store_shots = _get(doc, "store_shots", bool, False)
+        seed = field(doc, "seed", int, lo=0)
+        shots = field(doc, "shots", int, lo=1)
+        batches = field(doc, "batches", int, min(100, shots), lo=1, hi=shots)
+        order = field(doc, "order", int, 4, lo=2, hi=WIGNER_KERNEL_MAX_ORDER)
+        store_shots = field(doc, "store_shots", bool, False)
     spec = _object(doc, "state", None)
     amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
     hist = _object(doc, "histogram", {})
@@ -170,18 +141,16 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     with _block("state"):
         state = build_state(spec)
     with _block("amplifier"):
-        chain = AmplifierChain(gain=_get(amp, "gain", float, 1.0), noise=_noise_model(amp))
+        chain = AmplifierChain(gain=field(amp, "gain", float, 1.0), noise=_noise_model(amp))
     with _block("histogram"):
-        bins = _get(hist, "bins", int, DEFAULT_BINS, lo=1, hi=serialize.MAX_BINS)
-        extent = _get(hist, "range", float, None)
-        if extent is not None and extent <= 0:
-            raise ValueError(f"range must be null (auto) or a number > 0, got {extent}")
+        bins = field(hist, "bins", int, DEFAULT_BINS, lo=1, hi=serialize.MAX_BINS)
+        extent = field(hist, "range", float, None, positive=True)
     envelope = calibration = None
     with _block("time_domain"):
-        if _get(td, "enabled", bool, False):
-            envelope = TemporalEnvelope(kappa=_get(td, "kappa", float, 1.0 / 40.0),
-                                        dt=_get(td, "dt", float, 1.0),
-                                        n_bins=_get(td, "bins", int, 400))
+        if field(td, "enabled", bool, False):
+            envelope = TemporalEnvelope(kappa=field(td, "kappa", float, 1.0 / 40.0),
+                                        dt=field(td, "dt", float, 1.0),
+                                        n_bins=field(td, "bins", int, 400))
     # the largest draw of a batch, 2 normals per shot and time bin, must be indexable
     draws = -(-shots // batches) * 2 * (envelope.n_bins if envelope else 1)
     _require(draws <= np.iinfo(np.intp).max, "config", f"shots {shots} in {batches} "
@@ -207,27 +176,22 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def build_state(spec: dict) -> FockState:
-    kind = _get(spec, "kind", str, None)
+    kind = field(spec, "kind", str, None)
     if kind == "vacuum":
         return FockState.vacuum()
     if kind == "fock":
-        return FockState.fock(_get(spec, "k", int, 1))
+        return FockState.fock(field(spec, "k", int, 1))
     if kind == "coherent":
-        alpha = spec.get("alpha", 1.0)
-        if not isinstance(alpha, list):
-            return coherent_state(_get(spec, "alpha", float, 1.0))
-        if len(alpha) != 2:
-            raise ValueError("alpha must be a number or a pair [x, p]")
-        x, p = (_typed(a, float, "alpha") for a in alpha)
-        return coherent_state(x + 1j * p)
+        pair = isinstance(spec.get("alpha"), list)   # [x, p]
+        return coherent_state(field(spec, "alpha", complex if pair else float, 1.0))
     if kind == "thermal":
-        return thermal_state(_get(spec, "nbar", float, 1.0))
+        return thermal_state(field(spec, "nbar", float, 1.0))
     if kind != "superposition":
         raise ValueError("kind must be one of vacuum|fock|coherent|superposition|thermal")
-    phase = _get(spec, "phase", float, 0.0)
-    beta = abs(_get(spec, "beta", float, 1.0)) * np.exp(1j * phase)
-    state = prepare_superposition(beta, _get(spec, "admixture", float, 0.0))
-    eta = _get(spec, "loss_eta", float, None)
+    phase = field(spec, "phase", float, 0.0)
+    beta = abs(field(spec, "beta", float, 1.0)) * np.exp(1j * phase)
+    state = prepare_superposition(beta, field(spec, "admixture", float, 0.0))
+    eta = field(spec, "loss_eta", float, None)
     return state if eta is None else loss_channel(state, eta)
 
 
@@ -562,15 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_gain(run_dir: Path) -> float:
-    manifest = run_dir / "manifest.json"
-    if not manifest.exists():
-        raise DataError(f"no manifest in {run_dir}; pass --gain explicitly")
-    with _block(str(manifest), DataError):
-        gain = _get(json.loads(manifest.read_text())["derived"], "gain_true", float)
-        if gain <= 0:
-            raise ValueError(f"gain_true must be a number > 0, got {gain}")
-        return gain
+def _manifest_gain(manifest: Path) -> float:
+    return field(json.loads(manifest.read_text())["derived"], "gain_true", float,
+                 positive=True)
+
+
+def _flag(args, name: str, kind: type, **bounds):
+    """The value of flag --name, read with `typed`; a refused value is a ConfigError."""
+    with _block(f"--{name}"):
+        return typed(getattr(args, name), kind, "value", **bounds)
 
 
 def run(argv=None) -> int:
@@ -585,12 +549,10 @@ def run(argv=None) -> int:
                 with _run_dir(cfg, out_dir) as result:
                     cmd_simulate(cfg, out_dir, result)
         elif args.command == "wigner":
-            _require(math.isfinite(args.extent) and args.extent > 0, "extent",
-                     f"must be a number > 0, got {args.extent}")
-            _require(args.resolution >= 1, "resolution",
-                     f"must be >= 1, got {args.resolution}")
+            extent = _flag(args, "extent", float, positive=True)
+            resolution = _flag(args, "resolution", int, lo=1)
             report = _read(Path(args.report), "inversion report", serialize.load_report)
-            result = cmd_wigner(report, Path(args.out), args.extent, args.resolution)
+            result = cmd_wigner(report, Path(args.out), extent, resolution)
         else:   # calibrate and analyze read a signal run and its vacuum run
             signal_dir = Path(args.signal)
             vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
@@ -603,11 +565,11 @@ def run(argv=None) -> int:
                                     "calibrate reads s(1,1)")
                 result = cmd_calibrate(*pair, Path(args.out))
             else:
-                gain = args.gain if args.gain is not None else _manifest_gain(signal_dir)
-                _require(math.isfinite(gain) and gain > 0, "gain",
-                         f"must be a number > 0, got {gain}")
-                _require(args.order >= 1, "order", f"must be >= 1, got {args.order}")
-                pair = _load_pair(signal_dir, "signal", vacuum_dir, args.order)
+                gain = (_flag(args, "gain", float, positive=True) if args.gain is not None
+                        else _read(signal_dir / "manifest.json", "manifest (or pass --gain)",
+                                   _manifest_gain))
+                pair = _load_pair(signal_dir, "signal", vacuum_dir,
+                                  _flag(args, "order", int, lo=1))
                 result = cmd_analyze(*pair, gain, Path(args.out))
         print(format_moment_table(result) if args.command == "analyze"
               else json.dumps(result, indent=2))

@@ -41,6 +41,7 @@ class InversionReport:
             raise ValueError("recovered moments must be normally ordered")
         if self.noise.ordering != ANTINORMAL:
             raise ValueError("noise moments must be antinormally ordered")
+        _check_orders(self.moments, self.noise)
         if not 0 < self.gain < math.inf:
             raise ValueError("gain must be finite and > 0")
         errors = np.asarray(self.errors, dtype=float)

@@ -292,6 +292,22 @@ class TestExitCodes:
          lambda doc: doc.__setitem__("errors", None)),
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc.pop("errors")),
+        # values of the wrong JSON type whose Python value would pass every other check
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("gain", True)),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc["errors"][1].__setitem__(1, True)),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_signal.json",   # m(0, 0) = 1 as [true, false]
+         lambda doc: doc[0]["values"][0].__setitem__(0, [True, False])),
+        (["calibrate", "--signal", "."], "moments_vacuum.json",
+         lambda doc: doc[0]["values"][0].__setitem__(0, [1.0, 0.0, 7.0])),
+        # the parts of a report must agree in order
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("noise_moments",
+                                     [r[:3] for r in doc["noise_moments"][:3]])),
+        (["wigner", "--report", "report.json"], "report.json",
+         lambda doc: doc.__setitem__("order", 3)),
     ])
     def test_corrupt_stored_file_is_3(self, tmp_path, capsys, monkeypatch, argv, name,
                                       corrupt):
@@ -323,7 +339,8 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run(["analyze", "--signal", str(tmp_path), "--order", "2",
                     "--out", str(out)]) == 3
-        assert "manifest.json: gain_true must be a number > 0" in capsys.readouterr().err
+        assert "manifest.json: gain_true must be a finite number > 0" \
+            in capsys.readouterr().err
         assert not out.exists()
 
     def test_data_error_is_3(self, tmp_path, capsys):
@@ -423,7 +440,7 @@ class TestExitCodes:
             moments=analytic_moments(coherent_state(1.5, cutoff=30), 10), gain=1.0,
             noise=noise_moments(NoiseModel(0.0), 10), errors=np.zeros((11, 11))))
         assert run(["wigner", "--report", str(path), "--out", str(tmp_path / "w")]) == 3
-        assert f"{path}: order 10 is above the Wigner kernels' cap 8" \
+        assert f"{path}: order must be an integer in [0, 8], got 10" \
             in capsys.readouterr().err
         assert not any(tmp_path.glob("w*"))
 

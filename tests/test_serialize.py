@@ -48,6 +48,17 @@ def test_shots_length_mismatch_detected(tmp_path):
         load_shots(tmp_path / "shots")
 
 
+@pytest.mark.parametrize("count", [True, 1.0])
+def test_shots_sidecar_count_must_be_an_integer(tmp_path, count):
+    # one shot, so a count of true or 1.0 matches the file's length by value alone
+    save_shots(tmp_path / "shots", np.array([0.5 - 0.25j]))
+    sidecar = json.loads((tmp_path / "shots.json").read_text())
+    (tmp_path / "shots.json").write_text(json.dumps({**sidecar, "count": count}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"count must be an integer >= 0, got {json.dumps(count)}")):
+        load_shots(tmp_path / "shots")
+
+
 @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(1.0, np.inf)])
 def test_shots_loader_refuses_non_finite_samples(tmp_path, bad):
     shots = np.arange(5, dtype=complex)
@@ -175,10 +186,13 @@ def test_histogram_loader_refuses(tmp_path, corrupt, message):
     ("bins", 65537, "bins must be an integer in [1, 65536], got 65537"),
     ("bins", True, "bins must be an integer in [1, 65536], got true"),
     ("bins", 4.0, "bins must be an integer in [1, 65536], got 4.0"),
-    ("extent", math.nan, "finite extent > 0, got nan"),
-    ("extent", math.inf, "finite extent > 0, got inf"),
-    ("extent", 0, "finite extent > 0, got 0"),
-    ("total", 8.0, "total must be a non-negative integer, got 8.0"),
+    ("extent", math.nan, "extent must be a finite number > 0, got NaN"),
+    ("extent", math.inf, "extent must be a finite number > 0, got Infinity"),
+    ("extent", 0, "extent must be a finite number > 0, got 0"),
+    ("extent", True, "extent must be a finite number > 0, got true"),
+    ("total", 8.0, "total must be an integer >= 0, got 8.0"),
+    # the 8 shots fill 6 bins, so only the JSON type of 6.0 is wrong
+    ("occupied", 6.0, "occupied must be an integer >= 0, got 6.0"),
 ])
 def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, value,
                                                               message):
@@ -206,7 +220,7 @@ def test_histogram_loader_refuses_an_overflow_that_is_not_a_count(tmp_path, over
     json_path.write_text(json.dumps({**header, "overflow": overflow,
                                      "total": header["total"] + overflow}))
     with pytest.raises(ValueError, match=re.escape(
-            f"overflow must be a non-negative integer, got {shown}")):
+            f"overflow must be an integer >= 0, got {shown}")):
         load_histogram(tmp_path / "hist")
 
 
