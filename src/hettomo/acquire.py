@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .moments import DETECTOR, BatchMoments, MomentMatrix, moment_indices
+from .moments import DETECTOR, BatchMoments, MomentMatrix, hermitize, moment_indices
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
@@ -198,17 +198,15 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> MomentMatrix
     a histogram-based hardware pathway and carries its quantization bias."""
     if hist.in_range == 0:
         raise ValueError("empty histogram")
-    c = hist.centers()
-    grid = c[:, None] + 1j * c[None, :]
-    w = hist.counts / hist.in_range
-    powers = _power_table(grid, order)
+    occupied, c = np.flatnonzero(hist.counts), hist.centers()   # sums skip empty bins
+    s = c[occupied // hist.bins] + 1j * c[occupied % hist.bins]
+    w = hist.counts.reshape(-1)[occupied] / hist.in_range
+    powers = _power_table(s, order)
     values = np.zeros((order + 1, order + 1), dtype=complex)
     for n, m in moment_indices(order):
-        if n >= m:
-            values[n, m] = np.sum(w * powers[n].conj() * powers[m])
-            values[m, n] = np.conj(values[n, m])
+        values[n, m] = np.sum(w * powers[n].conj() * powers[m]) if n <= m else 0.0
     values[0, 0] = 1.0
-    return MomentMatrix(values, DETECTOR)
+    return MomentMatrix(hermitize(values), DETECTOR)
 
 
 def vacuum_sigma(data) -> float:

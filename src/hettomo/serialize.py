@@ -2,14 +2,15 @@
 
 Complex numbers are stored as [re, im] pairs in JSON.  Bulk data uses flat
 little-endian binary with a JSON sidecar/header: float64 (re, im) pairs for
-shots, and for a histogram its occupied bins alone, as packed 12-byte
-(index <u4, count <u8) records in ascending row-major flat index order.
+shots, and for a histogram a bitmap of its occupied bins, then their counts at
+the narrowest unsigned width that holds the largest.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,7 @@ from .acquire import QuadratureHistogram
 from .moments import ANTINORMAL, NORMAL, BatchMoments, MomentMatrix
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
-MAX_BINS = 1 << 16  # a <u4 record index holds every bin of a MAX_BINS^2 histogram
-HIST_RECORD = np.dtype([("index", "<u4"), ("count", "<u8")])  # packed, 12 bytes
+MAX_BINS = 1 << 16  # the config's and the histogram header's largest `bins`
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -65,8 +65,15 @@ def matrix_to_json(values: np.ndarray) -> list:
 
 
 def matrix_from_json(rows, key: str = "matrix", kind: type = complex) -> np.ndarray:
-    """A JSON matrix of `kind` entries, each read with `typed`; ragged rows are refused."""
-    rows, entry = typed(rows, list, key), f"{key} entry"
+    """A JSON matrix of `kind` entries, each read as `typed` reads it; ragged rows
+    are refused. One pass checks the whole list; `typed` words a refusal."""
+    rows, pair, entry = typed(rows, list, key), kind is complex, f"{key} entry"
+    with suppress(TypeError, ValueError, OverflowError):  # not a pair, ragged, past float
+        types = {type(v) for row in rows for x in row for v in (x if pair else (x,))}
+        values = np.array(rows, dtype=float)    # float(x) of each number, as typed
+        if (types <= {int, float} and values.shape[2:] == ((2,) if pair else ())
+                and np.isfinite(values).all()):
+            return values.view(complex)[..., 0] if pair else values
     return np.array([[typed(x, kind, entry) for x in row] for row in rows], dtype=kind)
 
 
@@ -108,21 +115,24 @@ def load_shots(prefix) -> np.ndarray:
 def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
                    ) -> tuple[Path, Path]:
     prefix = Path(prefix)
-    counts_path = prefix.with_suffix(".coo")
+    counts_path = prefix.with_suffix(".occ")
     flat = hist.counts.reshape(-1)      # a view: counts are C-contiguous
-    index = np.concatenate([np.flatnonzero(flat[i:i + 65536] != 0) + i   # no whole-array mask
-                            for i in range(0, flat.size, 65536)])
-    records = np.empty(index.size, dtype=HIST_RECORD)
-    records["index"], records["count"] = index, flat[index]
-    records.tofile(counts_path)
+    count_dtype = f"<u{np.min_scalar_type(int(flat.max())).itemsize}"
+    bitmap, counts = [], []
+    for i in range(0, flat.size, 65536):    # 65 536 bins, 8 KiB of bitmap, at a time
+        occupied = flat[i:i + 65536] != 0
+        bitmap.append(np.packbits(occupied))
+        counts.append(flat[i:i + 65536][occupied].astype(count_dtype))
+    counts_path.write_bytes(b"".join(bitmap + counts))
     header = {
         "bins": hist.bins,
         "extent": hist.extent,
         "total": hist.total,
         "overflow": hist.overflow,
         "counts_file": counts_path.name,
-        "format": "<u4 index, <u8 count per occupied bin; row-major index ascending",
-        "occupied": int(index.size),
+        "format": "bins^2-bit row-major occupancy bitmap, MSB first; occupied counts",
+        "count_dtype": count_dtype,
+        "occupied": sum(c.size for c in counts),
     }
     if meta:
         header.update(meta)
@@ -132,34 +142,42 @@ def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
 
 
 def load_histogram(prefix) -> QuadratureHistogram:
-    """The histogram `save_histogram` wrote, its records checked against the header."""
+    """The histogram `save_histogram` wrote, its counts file checked against the header."""
     prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    # the header is checked before bins^2 counts are allocated
-    bins = field(header, "bins", int, lo=1, hi=MAX_BINS)
-    extent = field(header, "extent", float, positive=True)
-    overflow, total, occupied = (field(header, key, int, lo=0)
-                                 for key in ("overflow", "total", "occupied"))
-    path, cells = prefix.parent / header["counts_file"], bins ** 2
-    size = path.stat().st_size
-    if size % HIST_RECORD.itemsize:
-        raise ValueError(f"{path}: {size} bytes is not a whole number of "
-                         f"{HIST_RECORD.itemsize}-byte records")
-    records = np.fromfile(path, dtype=HIST_RECORD)
-    index, count = records["index"], records["count"]
-    if index.size != occupied:
-        raise ValueError(f"{path}: {index.size} records, header says "
-                         f"{occupied} occupied bins")
-    if np.any(index[1:] <= index[:-1]) or np.any(index >= cells):
-        raise ValueError(f"{path}: bin indices must ascend strictly below bins^2 = {cells}")
-    if np.any(count == 0):
-        raise ValueError(f"{path}: a record has a zero count")
+    json_path = prefix.with_suffix(".json")
+    header = json.loads(json_path.read_text())
+    try:    # the header is checked before bins^2 counts are allocated
+        bins = field(header, "bins", int, lo=1, hi=MAX_BINS)
+        extent = field(header, "extent", float, positive=True)
+        overflow, total, occupied = (field(header, key, int, lo=0)
+                                     for key in ("overflow", "total", "occupied"))
+        name, dtype = (field(header, key, str) for key in ("counts_file", "count_dtype"))
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"counts_file must be a bare file name, got {json.dumps(name)}")
+        if dtype not in ("<u1", "<u2", "<u4", "<u8"):
+            raise ValueError("count_dtype must be <u1, <u2, <u4 or <u8, "
+                             f"got {json.dumps(dtype)}")
+    except ValueError as exc:
+        raise ValueError(f"{json_path}: {exc}") from None
+    path, cells, width = prefix.parent / name, bins ** 2, int(dtype[2])
+    data, nbytes = path.read_bytes(), -(-cells // 8)
+    if len(data) != nbytes + occupied * width:
+        raise ValueError(f"{path}: {len(data)} bytes, header says ceil(bins^2 / 8) + "
+                         f"occupied x {width} = {nbytes + occupied * width}")
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes))
+    count = np.frombuffer(data, dtype, offset=nbytes)
+    if bits[cells:].any():
+        raise ValueError(f"{path}: a pad bit after bin bins^2 = {cells} is set")
+    if (popcount := np.count_nonzero(bits)) != occupied:
+        raise ValueError(f"{path}: {popcount} bits set, header says {occupied} occupied bins")
+    if not count.all():
+        raise ValueError(f"{path}: an occupied bin has a zero count")
     in_range, summed = total - overflow, int(count.sum())
     if summed != in_range:
         raise ValueError(f"{path}: counts sum to {summed}, header says "
                          f"total - overflow = {in_range}")
     hist = QuadratureHistogram(bins=bins, extent=extent)
-    hist.counts.reshape(-1)[index] = count
+    hist.counts.reshape(-1)[bits[:cells].view(bool)] = count
     hist.in_range, hist.overflow = summed, overflow
     return hist
 

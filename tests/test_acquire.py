@@ -254,6 +254,30 @@ class TestHistogramMoments:
         with pytest.raises(ValueError):
             histogram_moments(QuadratureHistogram(16, 1.0))
 
+    @staticmethod
+    def dense_moments(hist, order):
+        """The sums over every bin of the B x B grid, empty ones included."""
+        c = hist.centers()
+        grid = c[:, None] + 1j * c[None, :]
+        w = hist.counts / hist.in_range
+        powers = [np.ones_like(grid)]
+        for _ in range(order):
+            powers.append(powers[-1] * grid)
+        values = np.zeros((order + 1, order + 1), dtype=complex)
+        for n, m in moment_indices(order):
+            values[n, m] = np.sum(w * powers[n].conj() * powers[m])
+        values[0, 0] = 1.0
+        return values
+
+    @pytest.mark.parametrize("bins, order", [(1, 2), (7, 4), (256, 4), (300, 8)])
+    def test_occupied_bins_give_the_dense_sums(self, bins, order):
+        batch = sample_detector(prepare_superposition(1.0 / math.sqrt(2.0)),
+                                CHAIN, 50_000, seed=bins)
+        hist = QuadratureHistogram(bins=bins, extent=4.0 * SIGMA_VAC).add(batch)
+        assert 0 < np.count_nonzero(hist.counts) < hist.counts.size or bins == 1
+        np.testing.assert_allclose(histogram_moments(hist, order).values,
+                                   self.dense_moments(hist, order), rtol=1e-12, atol=0)
+
 
 class TestVacuumSigma:
     def test_array_path(self):

@@ -385,8 +385,8 @@ class TestExitCodes:
         files = json.loads((out / "manifest.json").read_text())["files"]
         assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in sorted(out.iterdir()) if p.name != "manifest.json"}
-        assert {"hist_signal.coo", "hist_vacuum.coo", "moments_vacuum.json"} <= set(files)
-        assert (out / "hist_vacuum.coo").stat().st_size == 0
+        assert {"hist_signal.occ", "hist_vacuum.occ", "moments_vacuum.json"} <= set(files)
+        assert (out / "hist_vacuum.occ").read_bytes() == bytes(2)   # 16 empty bins
         assert serialize.load_histogram(out / "hist_vacuum").overflow == 2000
 
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
@@ -493,13 +493,13 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, shots=5000, batches=5)
         out = tmp_path / "run"
         assert run(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        for name in ("hist_signal.json", "hist_signal.coo",
+        for name in ("hist_signal.json", "hist_signal.occ",
                      "moments_signal.json", "hist_vacuum.json",
                      "moments_vacuum.json", "manifest.json"):
             assert (out / name).exists(), name
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["derived"]["gain_true"] == 100.0
-        assert set(manifest["files"]) >= {"hist_signal.coo",
+        assert set(manifest["files"]) >= {"hist_signal.occ",
                                           "moments_signal.json"}
         sigma = manifest["derived"]["sigma_vac"]
         assert sigma == pytest.approx(math.sqrt(100.0 * 2.0 / 2.0), rel=0.05)
@@ -562,7 +562,7 @@ class TestSimulateCommand:
         finally:
             sys.setswitchinterval(interval)
         names = [f"{kind}_{run_}.{ext}" for run_ in ("signal", "vacuum")
-                 for kind, ext in (("hist", "coo"), ("hist", "json"), ("moments", "json"),
+                 for kind, ext in (("hist", "occ"), ("hist", "json"), ("moments", "json"),
                                    ("shots", "bin"), ("shots", "json"))]
         for name in names:
             assert (tmp_path / "default" / name).read_bytes() == \
@@ -963,9 +963,22 @@ CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b
 # were a validated matrix object of their own
 MOMENTS_SIGNAL_SHA256 = "adf85d0eebfbc77d0bd841cc8f45075a0eba43ae82781ba797140f163a310ae4"
 
-# hist_signal.coo of the same simulate, packed with struct from the occupied
-# bins of the dense uint64 counts file that histograms were stored as before
-HIST_SIGNAL_SHA256 = "8bd2cd84e49f58dee5aec87a0bc2a3cb37d32332b51803ca9ecf35fc70cad759"
+# hist_signal.occ of the same simulate, built in pure Python (a bit per bin, then
+# one byte per count) from the records of the hist_signal.coo pinned before it
+# (sha256 8bd2cd84e49f...), which was packed with struct from the occupied bins
+# of the dense uint64 counts file that histograms were stored as before that
+HIST_SIGNAL_SHA256 = "ed11ea44810a9a8a15eb222fe5014ecd1e3881d7deb4de0fad9a5ce43678c63c"
+
+# hist_signal.coo of the same simulate with --bins 5, as stored before the
+# bitmap: packed (index <u4, count <u8) records of the occupied bins; its
+# header said total 2003 and overflow 0
+OLD_HIST_SIGNAL_5_BINS = bytes.fromhex(
+    "010000000100000000000000020000000100000000000000030000000100000000000000"
+    "05000000010000000000000006000000320000000000000007000000ef00000000000000"
+    "0800000030000000000000000900000002000000000000000a0000000200000000000000"
+    "0b000000f6000000000000000c00000019030000000000000d000000fc00000000000000"
+    "100000003c0000000000000011000000f900000000000000120000003900000000000000"
+    "150000000100000000000000")
 
 
 def test_stored_moments_keep_their_bytes(tmp_path):
@@ -979,8 +992,21 @@ def test_stored_moments_keep_their_bytes(tmp_path):
 def test_stored_histogram_keeps_its_bytes(tmp_path):
     cfg = write_config(tmp_path, shots=2003, batches=4)
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    stored = (tmp_path / "run" / "hist_signal.coo").read_bytes()
+    stored = (tmp_path / "run" / "hist_signal.occ").read_bytes()
     assert hashlib.sha256(stored).hexdigest() == HIST_SIGNAL_SHA256
+
+
+def test_stored_histogram_decodes_to_the_old_records(tmp_path):
+    cfg = write_config(tmp_path, shots=2003, batches=4)
+    assert run(["simulate", "--config", str(cfg), "--bins", "5",
+                "--out", str(tmp_path / "run")]) == 0
+    raw = OLD_HIST_SIGNAL_5_BINS
+    old = {int.from_bytes(raw[k:k + 4], "little"): int.from_bytes(raw[k + 4:k + 12], "little")
+           for k in range(0, len(raw), 12)}
+    stored = serialize.load_histogram(tmp_path / "run" / "hist_signal")
+    flat = stored.counts.reshape(-1)
+    assert {int(i): int(flat[i]) for i in np.flatnonzero(flat)} == old
+    assert (stored.total, stored.overflow) == (2003, 0)
 
 
 def _save_calibration_pair(run_dir: Path) -> tuple[BatchMoments, BatchMoments]:

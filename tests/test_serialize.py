@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,10 +11,10 @@ import pytest
 from hettomo.acquire import QuadratureHistogram, StreamingMoments
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
                           noise_moments, prepare_superposition)
-from hettomo.serialize import (HIST_RECORD, load_batch_moments, load_histogram,
+from hettomo.serialize import (load_batch_moments, load_histogram,
                                load_report, load_shots, matrix_from_json,
                                matrix_to_json, save_batch_moments, save_histogram,
-                               save_report, save_shots, save_wigner)
+                               save_report, save_shots, save_wigner, typed)
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (InversionReport, forward_moments, invert_moments,
                           reconstruct_wigner)
@@ -24,6 +25,21 @@ def test_matrix_json_round_trip():
     v = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     back = matrix_from_json(json.loads(json.dumps(matrix_to_json(v))))
     assert np.array_equal(back, v)
+
+
+@pytest.mark.parametrize("kind", [complex, float])
+def test_matrix_from_json_keeps_the_per_entry_values(kind):
+    # signed zeros, subnormals, the extremes and integers beyond 2^53, as JSON
+    numbers = [-0.0, 0.0, 5e-324, -1e-310, 1e300, -1e300, sys.float_info.max,
+               0.1, 3, -2 ** 53 - 1, 2 ** 64 + 1, 10 ** 300]
+    rng = np.random.default_rng(7)
+    pick = (lambda: numbers[rng.integers(len(numbers))]) if kind is float else \
+        (lambda: [numbers[i] for i in rng.integers(len(numbers), size=2)])
+    rows = json.loads(json.dumps([[pick() for _ in range(9)] for _ in range(9)]))
+    alone = np.array([[typed(x, kind, "entry") for x in row] for row in rows], dtype=kind)
+    back = matrix_from_json(rows, kind=kind)
+    assert back.dtype == alone.dtype and back.shape == alone.shape == (9, 9)
+    assert back.tobytes() == alone.tobytes()
 
 
 def test_shots_round_trip(tmp_path):
@@ -78,24 +94,38 @@ def test_histogram_round_trip(tmp_path):
     assert back.extent == hist.extent and back.overflow == hist.overflow
 
 
-def test_histogram_file_holds_occupied_bins_in_index_order(tmp_path):
+def test_histogram_file_is_a_bitmap_then_counts(tmp_path):
     rng = np.random.default_rng(4)
-    hist = QuadratureHistogram(bins=8, extent=2.0).add(
+    hist = QuadratureHistogram(bins=7, extent=2.0).add(
         0.4 * (rng.normal(size=400) + 1j * rng.normal(size=400)))
     counts_path, json_path = save_histogram(tmp_path / "hist", hist)
     header = json.loads(json_path.read_text())
-    assert counts_path.name == header["counts_file"] == "hist.coo"
-    assert "dtype" not in header
-    flat = hist.counts.reshape(-1)
-    occupied = [(i, int(c)) for i, c in enumerate(flat) if c]
+    assert counts_path.name == header["counts_file"] == "hist.occ"
+    assert header["count_dtype"] == "<u1" and "dtype" not in header
+    occupied = [(i, int(c)) for i, c in enumerate(hist.counts.reshape(-1)) if c]
     assert header["occupied"] == len(occupied)
-    # packed little-endian (uint32 index, uint64 count), read without numpy
+    # 49 bits, most significant first, zero-padded to 7 bytes, then one byte
+    # per occupied bin's count; read without numpy
     raw = counts_path.read_bytes()
-    assert len(raw) == 12 * len(occupied)
-    records = [(int.from_bytes(raw[k:k + 4], "little"),
-                int.from_bytes(raw[k + 4:k + 12], "little"))
-               for k in range(0, len(raw), 12)]
-    assert records == occupied
+    assert len(raw) == 7 + len(occupied)
+    bits = [raw[k // 8] >> (7 - k % 8) & 1 for k in range(7 * 8)]
+    assert [k for k, bit in enumerate(bits) if bit] == [i for i, _ in occupied]
+    assert list(raw[7:]) == [c for _, c in occupied]
+
+
+@pytest.mark.parametrize("shots, count_dtype", [
+    (255, "<u1"), (256, "<u2"), (300, "<u2"), (65535, "<u2"), (65536, "<u4")])
+def test_histogram_counts_take_the_narrowest_width(tmp_path, shots, count_dtype):
+    hist = QuadratureHistogram(bins=4, extent=1.0).add(np.full(shots, 0.1 + 0.6j))
+    hist.add(np.array([-0.9 - 0.9j]))
+    counts_path, json_path = save_histogram(tmp_path / "hist", hist)
+    assert json.loads(json_path.read_text())["count_dtype"] == count_dtype
+    width, raw = int(count_dtype[2]), counts_path.read_bytes()
+    assert raw[:2] == bytes([0b10000000, 0b00010000])   # bins 0 and 2 * 4 + 3 of 16
+    assert len(raw) == 2 + 2 * width
+    assert [int.from_bytes(raw[k:k + width], "little")
+            for k in range(2, len(raw), width)] == [1, shots]
+    assert np.array_equal(load_histogram(tmp_path / "hist").counts, hist.counts)
 
 
 @pytest.mark.parametrize("bins", [255, 256, 257, 300])
@@ -105,9 +135,14 @@ def test_histogram_round_trip_across_scan_chunks(tmp_path, bins):
     hist = QuadratureHistogram(bins=bins, extent=3.0).add(
         rng.normal(size=200_000) + 1j * rng.normal(size=200_000))
     counts_path, _ = save_histogram(tmp_path / "hist", hist)
-    records = np.fromfile(counts_path, dtype=HIST_RECORD)
-    assert np.array_equal(records["index"], np.flatnonzero(hist.counts))
-    assert (records["index"] >= 65536).any() == (bins * bins > 65536)
+    raw = np.fromfile(counts_path, dtype=np.uint8)
+    cells = bins * bins
+    bits = np.unpackbits(raw[:-(-cells // 8)])
+    occupied = np.flatnonzero(bits[:cells])
+    assert np.array_equal(occupied, np.flatnonzero(hist.counts))
+    assert not bits[cells:].any()
+    assert (occupied >= 65536).any() == (cells > 65536)
+    assert np.array_equal(raw[-(-cells // 8):], hist.counts.reshape(-1)[occupied])
     assert np.array_equal(load_histogram(tmp_path / "hist").counts, hist.counts)
 
 
@@ -126,20 +161,21 @@ def test_histogram_save_copies_no_dense_array(tmp_path):
 
 
 def test_empty_histogram_round_trip(tmp_path):
-    # every shot outside +/-1e-12: no record, a 0-byte file
+    # every shot outside +/-1e-12: a bitmap of zeros and no count
     hist = QuadratureHistogram(bins=4, extent=1e-12).add(np.ones(50) + 1j)
-    counts_path, _ = save_histogram(tmp_path / "hist", hist)
-    assert counts_path.stat().st_size == 0
+    counts_path, json_path = save_histogram(tmp_path / "hist", hist)
+    assert counts_path.read_bytes() == bytes(2)
+    assert json.loads(json_path.read_text())["occupied"] == 0
     back = load_histogram(tmp_path / "hist")
     assert np.array_equal(back.counts, np.zeros((4, 4), dtype=np.uint64))
     assert (back.in_range, back.overflow, back.total) == (0, 50, 50)
 
 
-def _corrupt_records(edit):
+def _edit_file(edit):
     def corrupt(counts_path, header):
-        records = np.fromfile(counts_path, dtype=HIST_RECORD)
-        edit(records)
-        records.tofile(counts_path)
+        raw = bytearray(counts_path.read_bytes())
+        edit(raw)
+        counts_path.write_bytes(raw)
     return corrupt
 
 
@@ -149,29 +185,27 @@ def _set_header(key, change):
     return corrupt
 
 
-def _swap_first_two(records):
-    records[[0, 1]] = records[[1, 0]]
-
-
+# 16 x 16 bins: a 32-byte bitmap, whose first bit is the empty bin 0, then a
+# one-byte count per occupied bin
 @pytest.mark.parametrize("corrupt, message", [
     (lambda path, header: path.write_bytes(path.read_bytes()[:-1]),
-     "is not a whole number of 12-byte records"),
-    (_set_header("occupied", lambda n: n + 1), "records, header says"),
-    (_corrupt_records(_swap_first_two), "must ascend strictly"),
-    (_corrupt_records(lambda r: r["index"].__setitem__(1, r["index"][0])),
-     "must ascend strictly"),
-    (_corrupt_records(lambda r: r["index"].__setitem__(-1, 16 * 16)),
-     "below bins^2 = 256"),
-    (_corrupt_records(lambda r: r["count"].__setitem__(2, 0)), "a zero count"),
-    (_corrupt_records(lambda r: r["count"].__setitem__(2, r["count"][2] + 1)),
-     "counts sum to"),
+     "bytes, header says ceil(bins^2 / 8) + occupied x 1 = "),
+    (_set_header("occupied", lambda n: n + 1),
+     "bytes, header says ceil(bins^2 / 8) + occupied x 1 = "),
+    (_set_header("count_dtype", lambda _: "<u2"),
+     "bytes, header says ceil(bins^2 / 8) + occupied x 2 = "),
+    (_edit_file(lambda raw: raw.__setitem__(0, raw[0] | 0x80)),
+     "bits set, header says"),
+    (_edit_file(lambda raw: raw.__setitem__(-1, 0)), "an occupied bin has a zero count"),
+    (_edit_file(lambda raw: raw.__setitem__(-1, raw[-1] + 1)), "counts sum to"),
     (_set_header("overflow", lambda n: n + 1), "counts sum to"),
-], ids=["partial-record", "occupied", "descending", "repeated", "out-of-range",
-        "zero-count", "sum-records", "sum-header"])
+], ids=["length", "occupied", "width", "popcount", "zero-count", "sum-counts",
+        "sum-header"])
 def test_histogram_loader_refuses(tmp_path, corrupt, message):
     rng = np.random.default_rng(6)
     hist = QuadratureHistogram(bins=16, extent=5.0).add(
         rng.normal(size=300) + 1j * rng.normal(size=300))
+    assert hist.counts[0, 0] == 0 and hist.counts.max() < 255
     counts_path, json_path = save_histogram(tmp_path / "hist", hist)
     header = json.loads(json_path.read_text())
     corrupt(counts_path, header)
@@ -179,6 +213,53 @@ def test_histogram_loader_refuses(tmp_path, corrupt, message):
     with pytest.raises(ValueError, match=re.escape(str(counts_path))) as info:
         load_histogram(tmp_path / "hist")
     assert message in str(info.value)
+
+
+def test_histogram_loader_refuses_a_set_pad_bit(tmp_path):
+    # 5 x 5 bins fill 25 of the bitmap's 32 bits; a pad bit set, and one count
+    # appended so that the length and the popcount still agree
+    hist = QuadratureHistogram(bins=5, extent=1.0).add(np.array([0.0, 0.5j]))
+    counts_path, json_path = save_histogram(tmp_path / "hist", hist)
+    raw = bytearray(counts_path.read_bytes())
+    raw[3] |= 0x01
+    counts_path.write_bytes(bytes(raw) + bytes([1]))
+    header = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**header, "occupied": 3, "total": 3}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{counts_path}: a pad bit after bin bins^2 = 25 is set")):
+        load_histogram(tmp_path / "hist")
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("counts_file", 5, "counts_file must be a string, got 5"),
+    ("counts_file", None, "counts_file must be a string, got null"),
+    ("counts_file", _MISSING, "counts_file is mandatory"),
+    ("counts_file", "../other/hist.occ",
+     'counts_file must be a bare file name, got "../other/hist.occ"'),
+    ("count_dtype", "<i1", "count_dtype must be <u1, <u2, <u4 or <u8, got \"<i1\""),
+    ("count_dtype", ">u2", "count_dtype must be <u1, <u2, <u4 or <u8, got \">u2\""),
+    ("count_dtype", "<u3", "count_dtype must be <u1, <u2, <u4 or <u8, got \"<u3\""),
+    ("count_dtype", 1, "count_dtype must be a string, got 1"),
+], ids=["name-number", "name-null", "name-missing", "name-path", "dtype-signed",
+        "dtype-big-endian", "dtype-width", "dtype-number"])
+def test_histogram_loader_refuses_a_counts_field(tmp_path, key, value, message):
+    # a copy of the counts file one directory over, which a path could reach
+    run_dir, other = tmp_path / "run", tmp_path / "other"
+    run_dir.mkdir(), other.mkdir()
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    counts_path, json_path = save_histogram(run_dir / "hist", hist)
+    (other / "hist.occ").write_bytes(counts_path.read_bytes())
+    header = json.loads(json_path.read_text())
+    if value is _MISSING:
+        del header[key]
+    else:
+        header[key] = value
+    json_path.write_text(json.dumps(header))
+    with pytest.raises(ValueError, match=re.escape(f"{json_path}: {message}")):
+        load_histogram(run_dir / "hist")
 
 
 @pytest.mark.parametrize("key, value, message", [
