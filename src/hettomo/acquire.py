@@ -162,7 +162,8 @@ class StreamingMoments:
 
     def add_batch(self, n: int, leaves) -> "StreamingMoments":
         """Add one batch of n shots from the iterable of its leaves, cut as
-        `leaf_slices(n)` cuts it, each summed as it is drawn; drawn to its end."""
+        `leaf_slices(n)` cuts it, each summed as it is drawn. Only those leaves
+        are drawn, so one iterator can feed consecutive batches."""
         leaves = iter(leaves)
 
         def leaf_sums(cut: slice) -> np.ndarray:
@@ -173,8 +174,6 @@ class StreamingMoments:
             return _leaf_sums(s, self.order)
 
         sums = _pairwise(n, leaf_sums)
-        if next(leaves, None) is not None:
-            raise ValueError(f"more leaves than leaf_slices({n}) cuts")
         if not np.isfinite(sums).all():     # refused here, before the next batch
             raise ValueError("moment matrix contains non-finite entries")
         self.sums.append(sums)

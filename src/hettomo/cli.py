@@ -208,50 +208,48 @@ def _available_cpus() -> int:
         else os.cpu_count() or 1
 
 
-def _in_order(calls, workers: int, ahead: int):
+def _in_order(calls, workers: int):
     """The results of the zero-argument `calls`, in order, from a pool of `workers`
-    threads that runs at most `ahead` calls beyond the one whose result is awaited.
-    Closing the generator, or an error, shuts the pool down: no thread outlives it."""
+    threads that keeps `workers` calls in flight beyond the awaited one, each under
+    the caller's (per-thread) NumPy error state at its submission. Closing the
+    generator, or an error, shuts the pool down: no thread outlives it."""
     with ThreadPoolExecutor(workers) as pool:
         window = []
         for call in calls:
-            window.append(pool.submit(call))
-            if len(window) > ahead:
+            window.append(pool.submit(np.errstate(**np.geterr())(call)))
+            if len(window) > workers:
                 yield window.pop(0).result()
         yield from (future.result() for future in window)
 
 
-def _time_domain_batches(state: FockState, env: TemporalEnvelope,
-                         chain: AmplifierChain, sizes: list[int], seed):
-    """Matched-filtered batches in batch order, at most one per CPU in flight on
-    a thread pool; each keeps its own stream, so the CPU count changes no output.
-    A batch's records are made and filtered one row block at a time."""
-    workers = min(_available_cpus(), len(sizes))
-
-    @np.errstate(over="ignore", invalid="ignore")   # per thread, as on cmd_simulate
+def _time_domain_leaves(state: FockState, env: TemporalEnvelope,
+                        chain: AmplifierChain, sizes: list[int], seed):
+    """The leaves (`leaf_slices`) of the run's matched-filtered batches, in order.
+    The batches are made on a pool of one thread per CPU; each keeps its own
+    stream, so the CPU count changes no output. A batch's records are made and
+    filtered one row block at a time."""
     def make(b: int, size: int) -> np.ndarray:
         return np.concatenate([matched_filter(block, env) for block in simulate_time_trace(
             state, env, chain, size, seed=seed, stream=b)])
 
-    return _in_order((functools.partial(make, b, size) for b, size in enumerate(sizes)),
-                     workers, ahead=workers - 1)
+    batches = _in_order((functools.partial(make, b, size) for b, size in enumerate(sizes)),
+                        min(_available_cpus(), len(sizes)))
+    with closing(batches):
+        for batch in batches:
+            yield from (batch[cut] for cut in leaf_slices(batch.size))
 
 
-def _detector_leaves(state: FockState, chain: AmplifierChain, cuts: list[list[slice]],
-                     seed):
-    """The leaves of the run's batches (`cuts[b]` for batch b, on stream b), in
-    order, drawn on one draw thread one leaf ahead of the caller, across batch
-    edges. One thread runs the draws one at a time, so the streams are the
-    sequential ones and no generator is entered twice."""
+def _detector_leaves(state: FockState, chain: AmplifierChain, sizes: list[int], seed):
+    """The leaves (`leaf_slices`) of the run's batches, batch b on stream b, in
+    order to the stream's end, drawn on one draw thread one leaf ahead of the
+    caller, across batch edges. One thread runs the draws one at a time, so the
+    streams are the sequential ones and no generator is entered twice."""
     leaves = itertools.chain.from_iterable(
-        detector_blocks(state, chain, batch_cuts, seed, stream=b)
-        for b, batch_cuts in enumerate(cuts))
-
-    @np.errstate(over="ignore", invalid="ignore")   # per thread, as on cmd_simulate
-    def draw() -> np.ndarray:
-        return next(leaves)
-
-    return _in_order(itertools.repeat(draw, sum(map(len, cuts))), workers=1, ahead=1)
+        detector_blocks(state, chain, leaf_slices(size), seed, stream=b)
+        for b, size in enumerate(sizes))
+    drawn = _in_order(itertools.repeat(functools.partial(next, leaves, None)), workers=1)
+    with closing(drawn):
+        yield from itertools.takewhile(lambda leaf: leaf is not None, drawn)
 
 
 def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
@@ -262,26 +260,23 @@ def run_acquisition(state: FockState, cfg: ExperimentConfig, stage: int,
     overflow is checked once per batch."""
     hist = QuadratureHistogram(bins=cfg.bins, extent=extent)
     seed, sizes = [cfg.seed, stage], _batch_sizes(cfg.shots, cfg.batches)
-    cuts = [leaf_slices(size) for size in sizes]
-    if cfg.envelope is not None:
-        leaves = (batch[cut] for batch, batch_cuts in zip(_time_domain_batches(
-            state, cfg.envelope, cfg.chain, sizes, seed), cuts) for cut in batch_cuts)
-    else:   # one draw thread stays a leaf ahead: two leaves in flight, not two batches
-        leaves = _detector_leaves(state, cfg.chain, cuts, seed)
+    leaves = (_detector_leaves(state, cfg.chain, sizes, seed) if cfg.envelope is None
+              else _time_domain_leaves(state, cfg.envelope, cfg.chain, sizes, seed))
     moments = StreamingMoments(cfg.order)
     shots_kept: list[np.ndarray] = []
 
-    def binned(leaves):
-        for leaf in leaves:
-            hist.add(leaf)
-            if cfg.store_shots:
-                shots_kept.append(leaf)
-            yield leaf
-        hist.check_overflow()   # once the sums have drawn the batch's last leaf
+    def binned(leaf: np.ndarray) -> np.ndarray:
+        hist.add(leaf)
+        if cfg.store_shots:
+            shots_kept.append(leaf)
+        return leaf
 
     with closing(leaves):   # closing it shuts its pool down, also on an error
-        for size, batch_cuts in zip(sizes, cuts):
-            moments.add_batch(size, binned(itertools.islice(leaves, len(batch_cuts))))
+        for size in sizes:
+            moments.add_batch(size, map(binned, leaves))
+            hist.check_overflow()
+        if next(leaves, None) is not None:
+            raise ValueError("more leaves than leaf_slices cuts the run's batches into")
     out = {"hist": hist, "batch_moments": moments.result()}
     if cfg.store_shots:
         out["shots"] = np.concatenate(shots_kept)
@@ -559,11 +554,8 @@ def run(argv=None) -> int:
             if args.command == "calibrate":
                 stored = ("calibration" if (signal_dir / "moments_calibration.json").exists()
                           else "signal")
-                pair = _load_pair(signal_dir, stored, vacuum_dir)
-                if pair[0].order < 2:
-                    raise DataError(f"stored moments only go to order {pair[0].order}; "
-                                    "calibrate reads s(1,1)")
-                result = cmd_calibrate(*pair, Path(args.out))
+                result = cmd_calibrate(*_load_pair(signal_dir, stored, vacuum_dir, order=2),
+                                       Path(args.out))   # it reads s(0,1) and s(1,1)
             else:
                 gain = (_flag(args, "gain", float, positive=True) if args.gain is not None
                         else _read(signal_dir / "manifest.json", "manifest (or pass --gain)",

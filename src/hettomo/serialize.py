@@ -19,7 +19,7 @@ from .acquire import QuadratureHistogram
 from .moments import ANTINORMAL, NORMAL, BatchMoments, MomentMatrix
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
-MAX_BINS = 1 << 16  # the config's and the histogram header's largest `bins`
+MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint64 counts take <= 128 MiB
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",

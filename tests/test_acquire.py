@@ -210,12 +210,17 @@ class TestStreamingMoments:
         acc = StreamingMoments(4)
         with pytest.raises(ValueError, match=r"leaf of 40000 shots where leaf_slices"):
             acc.add_batch(40_000, [s])
-        with pytest.raises(ValueError, match=r"more leaves than leaf_slices\(20000\)"):
-            acc.add_batch(20_000, [s[:20_000], s[20_000:]])
         assert acc.counts == [] and acc.sums == []   # a refused batch adds no row
         acc.update(s)   # and leaves nothing behind: the next batch is stored alone
         assert acc.counts == [40_000]
         assert acc.sums[0].tobytes() == StreamingMoments(4).update(s).sums[0].tobytes()
+        # a batch draws only its own leaves, so one iterator feeds consecutive batches
+        t = gaussian_shots(20_000, seed=6)
+        shared, leaves = StreamingMoments(4), iter([s[:20_000], s[20_000:], t])
+        shared.add_batch(40_000, leaves).add_batch(20_000, leaves)
+        apart = StreamingMoments(4).update(s).update(t)
+        assert shared.counts == apart.counts == [40_000, 20_000]
+        assert np.array(shared.sums).tobytes() == np.array(apart.sums).tobytes()
 
     def test_empty_result_raises(self):
         with pytest.raises(ValueError):

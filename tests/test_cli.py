@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -61,9 +62,9 @@ class TestParseConfig:
             parse_config({**doc, "shots": largest + 1})
 
     def test_largest_histogram_parses(self):
-        # 65536^2 = 2^32 bins: the most a file's <u4 bin index can address
+        # 4096^2 dense uint64 counts are 128 MiB, the most a run may allocate
         doc = {"seed": 1, "shots": 100, "state": {"kind": "vacuum"}}
-        assert parse_config({**doc, "histogram": {"bins": 65536}}).bins == 65536
+        assert parse_config({**doc, "histogram": {"bins": 4096}}).bins == 4096
 
     def test_batches_default_to_at_most_one_per_shot(self):
         doc = {"seed": 1, "shots": 50, "state": {"kind": "vacuum"}}
@@ -228,14 +229,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
     @pytest.mark.parametrize("flag", [False, True])
-    def test_bins_above_65536_are_2(self, tmp_path, capsys, command, flag):
-        # refused at parse time, before a dense 65537^2 histogram is allocated
+    def test_bins_above_4096_are_2(self, tmp_path, capsys, command, flag):
+        # refused at parse time, before a dense 4097^2 histogram is allocated
         cfg = write_config(tmp_path, calibration={},
-                           histogram={"bins": 128 if flag else 65537})
+                           histogram={"bins": 128 if flag else 4097})
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg), "--out", str(out)]
-        assert run(argv + (["--bins", "65537"] if flag else [])) == 2
-        assert "histogram: bins must be an integer in [1, 65536], got 65537" \
+        assert run(argv + (["--bins", "4097"] if flag else [])) == 2
+        assert "histogram: bins must be an integer in [1, 4096], got 4097" \
             in capsys.readouterr().err
         assert not out.exists()
 
@@ -587,7 +588,7 @@ class TestSimulateCommand:
         chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
         tracemalloc.start()
         try:
-            shots, = cli._time_domain_batches(FockState.fock(1), env, chain, [2000], [7, 0])
+            shots, = cli._time_domain_leaves(FockState.fock(1), env, chain, [2000], [7, 0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -705,6 +706,57 @@ class TestSimulateCommand:
         assert hist.overflow == 80
         assert [str(w.message) for w in caught] == \
             ["histogram overflow fraction 1.22e-03 exceeds 1e-03"]
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def test_no_thread_outlives_a_refused_time_domain_run(self):
+        # the first batch's moment sums overflow while the pool makes the next
+        # batches; the kept traceback holds the run's frames, as above
+        cfg = parse_config({"seed": 3, "shots": 2000, "batches": 4,
+                            "state": {"kind": "fock", "k": 1},
+                            "time_domain": {"enabled": True, "kappa": 0.1, "bins": 64},
+                            "amplifier": {"gain": 1e300, "nbar": 1.0}})
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="non-finite") as refused:
+            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 1e200)
+        assert threading.active_count() == before, refused.traceback
+
+    def test_a_leaf_beyond_the_last_batch_is_refused(self, monkeypatch):
+        def surplus(state, chain, cuts, seed, stream=0):
+            yield from detector_blocks(state, chain, cuts, seed, stream)
+            if stream == 1:
+                yield np.zeros(5, dtype=complex)
+
+        monkeypatch.setattr(cli, "detector_blocks", surplus)
+        cfg = parse_config({"seed": 3, "shots": 2000, "batches": 2,
+                            "state": {"kind": "vacuum"}})
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="more leaves than leaf_slices cuts"):
+            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 10.0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_keeps_workers_calls_beyond_the_awaited_one(self, workers):
+        submitted = []
+
+        def calls():
+            for i in range(6):
+                submitted.append(i)
+                yield functools.partial(int, i)
+
+        for k, got in enumerate(cli._in_order(calls(), workers)):
+            assert got == k
+            assert len(submitted) == min(k + 1 + workers, 6)
+
+    def test_pool_calls_run_under_the_callers_error_state(self):
+        def overflow():
+            return np.full(3, 1e300) * 1e300
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            list(cli._in_order([overflow], 1))
+        with np.errstate(over="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, = cli._in_order([overflow], 1)
+        assert np.isposinf(got).all()
 
     @pytest.mark.parametrize("size", [32_768, 32_769, 65_540, 65_541, 400_000])
     @pytest.mark.parametrize("state", [
