@@ -47,6 +47,9 @@ STAGE_CALIBRATION = 2
 STAGE_PILOT = 3
 
 PILOT_SHOTS = 100_000
+# largest `wigner --resolution`: reconstruct_wigner and save_wigner peak at about
+# 88 and 183 B per grid point, so 2048 points a side take about 0.8 GB
+MAX_RESOLUTION = 2048
 
 
 class ConfigError(Exception):
@@ -90,13 +93,24 @@ def _require(cond: bool, path: str, message: str) -> None:
 
 @contextmanager
 def _block(name: str, error: type[Exception] = ConfigError):
-    """Report what a reader or constructor refuses as `error` (a ConfigError
-    by default, a DataError for stored files) naming the block or file."""
+    """Report what a reader or constructor refuses, or a file it cannot read, as
+    `error` (a ConfigError by default, a DataError for stored files) naming the
+    block or file."""
     try:
         yield
-    except (ValueError, TypeError, LookupError) as exc:
-        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    except (ValueError, TypeError, LookupError, OSError) as exc:
+        detail = (f"missing key {exc}" if isinstance(exc, KeyError) else
+                  f"not valid JSON: {exc}" if isinstance(exc, json.JSONDecodeError) else exc)
         raise error(f"{name}: {detail}") from exc
+
+
+def _read(path: Path, what: str, reader, error: type[Exception] = DataError):
+    """`reader(path)`, with a missing, unreadable or refused file reported as
+    `error` (a DataError by default, for stored files)."""
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    with _block(str(path), error):
+        return reader(path)
 
 
 def _object(doc: dict, key: str, default: dict) -> dict:
@@ -166,12 +180,7 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    doc = _read(Path(path), "config file", lambda p: json.loads(p.read_text()), ConfigError)
     return parse_config(doc, overrides)
 
 
@@ -372,14 +381,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     return moments
 
 
-def _read(path: Path, what: str, reader):
-    """`reader(path)`, with a missing or refused file reported as a DataError."""
-    if not path.exists():
-        raise DataError(f"missing {what}: {path}")
-    with _block(str(path), DataError):
-        return reader(path)
-
-
 def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
                order: int | None = None) -> list[BatchMoments]:
     """A signal run's and its vacuum run's batches, of one stored order, cut to
@@ -545,7 +546,7 @@ def run(argv=None) -> int:
                     cmd_simulate(cfg, out_dir, result)
         elif args.command == "wigner":
             extent = _flag(args, "extent", float, positive=True)
-            resolution = _flag(args, "resolution", int, lo=1)
+            resolution = _flag(args, "resolution", int, lo=1, hi=MAX_RESOLUTION)
             report = _read(Path(args.report), "inversion report", serialize.load_report)
             result = cmd_wigner(report, Path(args.out), extent, resolution)
         else:   # calibrate and analyze read a signal run and its vacuum run

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import ANTINORMAL, NORMAL, MomentMatrix, hermitize, moment_indices
+from .moments import NORMAL, MomentMatrix, hermitize, moment_indices
 
 DEFAULT_CUTOFF = 8
 
@@ -79,13 +79,6 @@ class FockState:
         """Same state on levels 0 .. support() only, renormalized."""
         rho = self.rho[: self.support() + 1, : self.support() + 1]
         return FockState(rho / np.trace(rho).real, profile=self.profile)
-
-    def padded(self, extra: int) -> "FockState":
-        """Same state embedded in a Fock space with `extra` more levels."""
-        dim = self.dim + extra
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[: self.dim, : self.dim] = self.rho
-        return FockState(rho, profile=self.profile)
 
     @classmethod
     def from_amplitudes(cls, amps, profile: tuple | None = None) -> "FockState":
@@ -207,31 +200,6 @@ def analytic_moments(state: FockState, order: int = 4) -> MomentMatrix:
     for n, m in moment_indices(order):
         values[n, m] = np.trace(state.rho @ ad_pow[n] @ a_pow[m])
     return MomentMatrix(hermitize(values), ordering=NORMAL)
-
-
-def antinormal_moments(state: FockState, order: int = 4) -> MomentMatrix:
-    """Antinormally ordered moments m(n, m) = Tr[rho a^n (a^dag)^m].
-
-    These are the moments of the state's own Q function:
-    integral of alpha^n conj(alpha)^m Q(alpha).  Computed in a padded basis
-    so intermediate raising never truncates.
-    """
-    padded = state.padded(order)
-    a = destroy(padded.dim)
-    ad = a.conj().T
-    values = np.zeros((order + 1, order + 1), dtype=complex)
-    for n, m in moment_indices(order):
-        op = np.linalg.matrix_power(a, n) @ np.linalg.matrix_power(ad, m)
-        values[n, m] = np.trace(padded.rho @ op)
-    return MomentMatrix(hermitize(values), ordering=ANTINORMAL)
-
-
-def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
-    """Antinormal thermal-noise moments <h^n (h^dag)^m> = delta_nm n! (nbar+1)^n."""
-    values = np.zeros((order + 1, order + 1), dtype=complex)
-    for n in range(order // 2 + 1):
-        values[n, n] = math.factorial(n) * (noise.nbar + 1.0) ** n
-    return MomentMatrix(values, ordering=ANTINORMAL)
 
 
 def husimi_q(state: FockState, alpha) -> np.ndarray | float:

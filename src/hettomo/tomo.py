@@ -70,11 +70,6 @@ class WignerGrid:
         i, j = np.unravel_index(np.argmin(self.values), self.values.shape)
         return float(self.values[i, j]), complex(self.xs[i], self.ps[j])
 
-    def integral(self) -> float:
-        dx = self.xs[1] - self.xs[0]
-        dp = self.ps[1] - self.ps[0]
-        return float(np.sum(self.values) * dx * dp)
-
 
 def _check_orders(*matrices) -> int:
     orders = {m.order for m in matrices}
@@ -141,11 +136,6 @@ def _noise_values(raw_vacuum: np.ndarray, gain: float) -> np.ndarray:
     return hermitize(values)
 
 
-def recover_noise_moments(raw_vacuum: MomentMatrix, gain: float) -> MomentMatrix:
-    """Antinormal noise moments from a vacuum-reference run."""
-    return MomentMatrix(_noise_values(raw_vacuum.values, gain), ordering=ANTINORMAL)
-
-
 def _solve(op: np.ndarray, raw: np.ndarray, gain: float) -> np.ndarray:
     """Signal moments m from s = D_G B m, given B = op, by forward substitution.
 
@@ -169,7 +159,7 @@ def invert_moments(raw_signal: MomentMatrix, raw_vacuum: MomentMatrix,
     inverse of forward_moments.
     """
     _check_orders(raw_signal, raw_vacuum)
-    noise = recover_noise_moments(raw_vacuum, gain)
+    noise = MomentMatrix(_noise_values(raw_vacuum.values, gain), ANTINORMAL)
     signal = _solve(_binomial_operator(noise.values), raw_signal.values, gain)
     return InversionReport(moments=MomentMatrix(hermitize(signal), ordering=NORMAL),
                            gain=gain, noise=noise, errors=errors)
@@ -291,8 +281,6 @@ def reconstruct_wigner(moments: MomentMatrix, errors: np.ndarray,
                        resolution: int = WIGNER_RESOLUTION) -> WignerGrid:
     """Wigner function from normally ordered moments on a square grid, truncated
     by `truncation_order` against the moments' `errors`."""
-    if moments.ordering != NORMAL:
-        raise ValueError("reconstruction needs normally ordered moments")
     truncation = truncation_order(moments, errors)
     xs = ps = np.linspace(-extent, extent, resolution)
     grid = xs[:, None] + 1j * ps[None, :]

@@ -7,16 +7,51 @@ quadrature.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from hettomo.fock import FockState, destroy
-from hettomo.moments import hermitize
+from hettomo.fock import FockState, NoiseModel, destroy
+from hettomo.moments import ANTINORMAL, MomentMatrix, hermitize, moment_indices
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> FockState:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return FockState(rho / np.trace(rho).real)
+
+
+def padded(state: FockState, extra: int) -> FockState:
+    """Same state embedded in a Fock space with `extra` more levels."""
+    dim = state.dim + extra
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[: state.dim, : state.dim] = state.rho
+    return FockState(rho, profile=state.profile)
+
+
+def antinormal_moments(state: FockState, order: int = 4) -> MomentMatrix:
+    """Antinormally ordered moments m(n, m) = Tr[rho a^n (a^dag)^m].
+
+    These are the moments of the state's own Q function:
+    integral of alpha^n conj(alpha)^m Q(alpha).  Computed in a padded basis
+    so intermediate raising never truncates.
+    """
+    wide = padded(state, order)
+    a = destroy(wide.dim)
+    ad = a.conj().T
+    values = np.zeros((order + 1, order + 1), dtype=complex)
+    for n, m in moment_indices(order):
+        op = np.linalg.matrix_power(a, n) @ np.linalg.matrix_power(ad, m)
+        values[n, m] = np.trace(wide.rho @ op)
+    return MomentMatrix(hermitize(values), ordering=ANTINORMAL)
+
+
+def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
+    """Antinormal thermal-noise moments <h^n (h^dag)^m> = delta_nm n! (nbar+1)^n."""
+    values = np.zeros((order + 1, order + 1), dtype=complex)
+    for n in range(order // 2 + 1):
+        values[n, n] = math.factorial(n) * (noise.nbar + 1.0) ** n
+    return MomentMatrix(values, ordering=ANTINORMAL)
 
 
 def husimi_q_einsum(state: FockState, alpha):

@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import StreamingMoments, combine_batches, vacuum_sigma
-from hettomo.fock import (FockState, NoiseModel, analytic_moments,
-                          coherent_state, loss_channel, noise_moments,
-                          prepare_superposition, wigner_oracle)
+from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
+                          loss_channel, prepare_superposition, wigner_oracle)
 from hettomo.moments import DETECTOR, MomentMatrix, moment_indices
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope,
                               matched_filter, overlap, sample_detector,
@@ -22,7 +21,7 @@ from hettomo.tomo import (estimate_gain, forward_moments, invert_moments,
                           reconstruct_wigner, truncation_order,
                           wigner_from_moments)
 
-from conftest import fock_power_moments, random_moment_matrix
+from conftest import fock_power_moments, noise_moments, random_moment_matrix
 
 SEED = 12345
 TWO_OVER_PI = 2.0 / math.pi

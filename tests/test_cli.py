@@ -20,14 +20,15 @@ from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batc
                              leaf_slices)
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
-from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
-                          noise_moments)
+from hettomo.fock import FockState, NoiseModel, analytic_moments, coherent_state
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
                               matched_filter, sample_detector, simulate_time_trace)
 from hettomo.tomo import InversionReport, estimate_gain
+
+from conftest import noise_moments
 
 
 def write_config(tmp_path, **extra):
@@ -258,6 +259,42 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run([*argv, *inputs[argv[0]], "--out", str(out)]) == 2
         assert f"{flag}: " in capsys.readouterr().err
+        assert not any(tmp_path.glob("out*"))
+
+    def test_resolution_above_the_cap_is_2(self, tmp_path, capsys):
+        # refused before the report is read or any grid point allocated
+        save_report(tmp_path / "report.json", InversionReport(
+            moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
+            noise=noise_moments(NoiseModel(0.0), 4), errors=np.zeros((5, 5))))
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run(["wigner", "--report", str(tmp_path / "report.json"), "--resolution",
+                        str(cli.MAX_RESOLUTION + 1), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"--resolution: value must be an integer in [1, {cli.MAX_RESOLUTION}], " \
+            f"got {cli.MAX_RESOLUTION + 1}" in capsys.readouterr().err
+        assert peak < 1e6    # the refused grid would take 2049^2 x 88 B, about 370 MB
+        assert not any(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("unreadable", ["directory", "not UTF-8"])
+    @pytest.mark.parametrize("argv, code", [(["simulate", "--config"], 2),
+                                            (["wigner", "--report"], 3)],
+                             ids=["config", "report"])
+    def test_unreadable_input_file_is_2_or_3(self, tmp_path, capsys, argv, code,
+                                             unreadable):
+        # a config file that cannot be read is a config error, a stored file a data error
+        path = tmp_path / "input.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": "\xff"}')
+        out = tmp_path / "out"
+        assert run([*argv, str(path), "--out", str(out)]) == code
+        assert f"{path}: " in capsys.readouterr().err
         assert not any(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("argv, name, corrupt", [
@@ -1188,6 +1225,16 @@ def test_cli_import_leaves_out_scipy_optimize_and_constants():
                 for dep in _project()["dependencies"]}
     outside = set(imported) - set(sys.stdlib_module_names) - {"hettomo"}
     assert outside <= declared, outside - declared
+
+
+def test_package_import_loads_no_submodule():
+    # each caller imports the module it needs; the package itself re-exports nothing
+    probe = ("import json, sys; import hettomo; "
+             "print(json.dumps(sorted(m for m in sys.modules if m.startswith('hettomo.'))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_python_dash_m_help():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from hettomo.fock import (FockState, NoiseModel, _laguerre, analytic_moments,
-                          antinormal_moments, coherent_state, husimi_q,
-                          loss_channel, noise_moments, prepare_superposition,
-                          thermal_state, wigner_oracle)
+                          coherent_state, husimi_q, loss_channel,
+                          prepare_superposition, thermal_state, wigner_oracle)
 from hettomo.moments import moment_indices
 
-from conftest import husimi_q_einsum, random_density_matrix, \
-    random_pure_state, thermal_antinormal_oracle
+from conftest import antinormal_moments, husimi_q_einsum, noise_moments, padded, \
+    random_density_matrix, random_pure_state, thermal_antinormal_oracle
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -300,7 +299,7 @@ class TestWignerOracle:
         # doubling the padding must not move the value at the grid edge
         state = FockState.fock(1, cutoff=2)
         w1 = wigner_oracle(state, 3.0)
-        w2 = wigner_oracle(state.padded(30), 3.0)
+        w2 = wigner_oracle(padded(state, 30), 3.0)
         assert w1 == pytest.approx(w2, abs=1e-8)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from hettomo.acquire import QuadratureHistogram, StreamingMoments
 from hettomo.fock import (FockState, NoiseModel, analytic_moments,
-                          noise_moments, prepare_superposition)
+                          prepare_superposition)
 from hettomo.serialize import (load_batch_moments, load_histogram,
                                load_report, load_shots, matrix_from_json,
                                matrix_to_json, save_batch_moments, save_histogram,
@@ -18,6 +18,8 @@ from hettomo.serialize import (load_batch_moments, load_histogram,
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (InversionReport, forward_moments, invert_moments,
                           reconstruct_wigner)
+
+from conftest import noise_moments
 
 
 def test_matrix_json_round_trip():

@@ -8,10 +8,8 @@ import pytest
 
 from hettomo import simulate
 from hettomo.acquire import leaf_slices
-from hettomo.fock import (FockState, NoiseModel, analytic_moments,
-                          antinormal_moments, coherent_state, husimi_q,
-                          loss_channel, noise_moments, prepare_superposition,
-                          thermal_state)
+from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
+                          husimi_q, loss_channel, prepare_superposition, thermal_state)
 from hettomo.moments import moment_indices
 from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope,
                               _complex_normal, _envelope_candidates, _proposal,
@@ -19,7 +17,7 @@ from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope
                               sample_q, simulate_time_trace, stream_rng)
 from hettomo.tomo import forward_moments
 
-from conftest import random_density_matrix
+from conftest import antinormal_moments, noise_moments, random_density_matrix
 
 CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
 QUIET = AmplifierChain(gain=1.0, noise=NoiseModel(0.0))
