@@ -533,22 +533,50 @@ def _flag(args, name: str, kind: type, **bounds):
         return typed(getattr(args, name), kind, "value", **bounds)
 
 
+# what each command writes at --out: a run directory (no files), or the files at
+# --out with each suffix ("" for --out itself)
+_OUT_FILES = {"simulate": (), "full-run": (), "analyze": ("", ".txt"),
+              "calibrate": ("",), "wigner": (".csv", ".json")}
+
+
+def _out_path(args) -> Path:
+    """--out, refused as a ConfigError naming it, before any work, where the command
+    could not write. A run directory is made with its parents, so the nearest path
+    that exists must be a writable directory; each file must be in one, be no other
+    output's file, and not be a directory or a file that cannot be written."""
+    out = Path(args.out)
+    with _block(f"--out {out}"):
+        files = [out.with_suffix(suffix) if suffix else out
+                 for suffix in _OUT_FILES[args.command]]
+        if len(set(files)) < len(files):    # analyze --out x.txt: the table over the report
+            raise ValueError("two outputs would be written to one file")
+        for path in files:
+            if path.is_dir() or path.exists() and not os.access(path, os.W_OK):
+                raise ValueError(f"{path} cannot be written as a file")
+        dirs = ({path.parent for path in files} if files
+                else {next(path for path in (out, *out.parents) if path.exists())})
+        for where in dirs:
+            if not where.is_dir() or not os.access(where, os.W_OK | os.X_OK):
+                raise ValueError(f"{where} is not a writable directory")
+    return out
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        out = _out_path(args)
         if args.command in ("simulate", "full-run"):
             cfg = load_config(args.config, _overrides(args))
-            out_dir = Path(args.out)
             if args.command == "full-run":
-                result = cmd_full_run(cfg, out_dir)
+                result = cmd_full_run(cfg, out)
             else:
-                with _run_dir(cfg, out_dir) as result:
-                    cmd_simulate(cfg, out_dir, result)
+                with _run_dir(cfg, out) as result:
+                    cmd_simulate(cfg, out, result)
         elif args.command == "wigner":
             extent = _flag(args, "extent", float, positive=True)
             resolution = _flag(args, "resolution", int, lo=1, hi=MAX_RESOLUTION)
             report = _read(Path(args.report), "inversion report", serialize.load_report)
-            result = cmd_wigner(report, Path(args.out), extent, resolution)
+            result = cmd_wigner(report, out, extent, resolution)
         else:   # calibrate and analyze read a signal run and its vacuum run
             signal_dir = Path(args.signal)
             vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
@@ -556,14 +584,14 @@ def run(argv=None) -> int:
                 stored = ("calibration" if (signal_dir / "moments_calibration.json").exists()
                           else "signal")
                 result = cmd_calibrate(*_load_pair(signal_dir, stored, vacuum_dir, order=2),
-                                       Path(args.out))   # it reads s(0,1) and s(1,1)
+                                       out)   # it reads s(0,1) and s(1,1)
             else:
                 gain = (_flag(args, "gain", float, positive=True) if args.gain is not None
                         else _read(signal_dir / "manifest.json", "manifest (or pass --gain)",
                                    _manifest_gain))
                 pair = _load_pair(signal_dir, "signal", vacuum_dir,
                                   _flag(args, "order", int, lo=1))
-                result = cmd_analyze(*pair, gain, Path(args.out))
+                result = cmd_analyze(*pair, gain, out)
         print(format_moment_table(result) if args.command == "analyze"
               else json.dumps(result, indent=2))
     except (ConfigError, DataError, NumericError) as exc:

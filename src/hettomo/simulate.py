@@ -69,7 +69,7 @@ def stream_rng(seed, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy + list(path)))
 
 
-_TRACE_ROW_BLOCK = 256   # records rows made at once (1.6 MB at 400 bins)
+_TRACE_ROW_BLOCK = 64   # records rows made at once (0.4 MB at 400 bins)
 
 
 def _complex_normal(rng: np.random.Generator, n: int, var_per_quad: float) -> np.ndarray:

@@ -367,6 +367,36 @@ class TestExitCodes:
             assert "holds no batches" in err
         assert not any(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("command, out", [
+        ("simulate", "a_file"), ("full-run", "a_file/run"),
+        ("analyze", "missing/report.json"), ("analyze", "report.txt"), ("calibrate", "a_dir"),
+        ("wigner", "missing/w")])
+    def test_unwritable_out_is_2_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                 command, out):
+        # a run directory on or below a file, an output file in a missing directory or
+        # on a directory, or analyze's table on its own report: refused before any
+        # input is read, leaving nothing behind
+        (tmp_path / "a_file").write_text("kept")
+        (tmp_path / "a_dir").mkdir()
+        for run_name, s01, s11 in (("signal", 1.0, 3.0), ("calibration", 1.0, 3.0),
+                                   ("vacuum", 0.0, 2.0)):
+            save_batch_moments(tmp_path / f"moments_{run_name}.json",
+                               _order2_run([_order2_batch(s01, s11)] * 20))
+        save_report(tmp_path / "report.json", InversionReport(
+            moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
+            noise=noise_moments(NoiseModel(0.0), 4), errors=np.full((5, 5), 0.01)))
+        cfg = write_config(tmp_path, shots=2000, batches=4, calibration={})
+        inputs = {"simulate": ["--config", str(cfg)], "full-run": ["--config", str(cfg)],
+                  "analyze": ["--signal", ".", "--gain", "1.0", "--order", "2"],
+                  "calibrate": ["--signal", "."], "wigner": ["--report", "report.json"]}
+        before = {path: path.is_file() and path.read_bytes() for path in tmp_path.rglob("*")}
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_read", lambda *args: pytest.fail("input read first"))
+        assert run([command, *inputs[command], "--out", out]) == 2
+        assert f"error [{command}]: --out {out}: " in capsys.readouterr().err
+        assert {path: path.is_file() and path.read_bytes()
+                for path in tmp_path.rglob("*")} == before
+
     @pytest.mark.parametrize("gain", [0.0, -100.0])
     def test_non_positive_manifest_gain_is_3(self, tmp_path, capsys, gain):
         # the gain comes from the stored run, so no flag is at fault

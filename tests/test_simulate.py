@@ -458,6 +458,22 @@ class TestTimeTrace:
         assert [block.shape for block in blocks] == [
             (_TRACE_ROW_BLOCK, 300), (_TRACE_ROW_BLOCK, 300), (3, 300)]
 
+    def test_batch_records_and_filter_peak_at_cache_sized_blocks(self):
+        # one 2000-shot batch at 400 bins, made and filtered block by block as a
+        # time-domain pool worker does: each block and its noise draw stay within L2
+        env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
+        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        tracemalloc.start()
+        try:
+            shots = np.concatenate([matched_filter(block, env) for block in
+                                    simulate_time_trace(FockState.fock(1), env, chain,
+                                                        2000, [7, 0])])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert shots.shape == (2000,)
+        assert peak < 2.5e6, peak
+
     def test_matched_filter_matches_plain_sum(self):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=800)
         rec = np.concatenate(list(simulate_time_trace(FockState.fock(1), env, CHAIN, 300,
