@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 
-from .moments import DETECTOR, BatchMoments, MomentMatrix, hermitize, moment_indices
+from .moments import BatchMoments, MomentMatrix, hermitize, moment_indices
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
@@ -86,7 +86,8 @@ def _count_weighted_mean(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def combine_batches(batches: BatchMoments) -> MomentMatrix:
-    return MomentMatrix(_count_weighted_mean(batches.values, batches.counts), DETECTOR)
+    """A run's detector moments: the count-weighted mean of its batches'."""
+    return MomentMatrix(_count_weighted_mean(batches.values, batches.counts))
 
 
 def resample_batches(runs: list[BatchMoments], n_boot: int,
@@ -193,7 +194,7 @@ class StreamingMoments:
 
 
 def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> MomentMatrix:
-    """Moments from binned counts at bin centers (midpoint rule); mirrors
+    """Detector moments from binned counts at bin centers (midpoint rule); mirrors
     a histogram-based hardware pathway and carries its quantization bias."""
     if hist.in_range == 0:
         raise ValueError("empty histogram")
@@ -205,7 +206,7 @@ def histogram_moments(hist: QuadratureHistogram, order: int = 4) -> MomentMatrix
     for n, m in moment_indices(order):
         values[n, m] = np.sum(w * powers[n].conj() * powers[m]) if n <= m else 0.0
     values[0, 0] = 1.0
-    return MomentMatrix(hermitize(values), DETECTOR)
+    return MomentMatrix(hermitize(values))
 
 
 def vacuum_sigma(data) -> float:

@@ -29,11 +29,11 @@ import numpy as np
 from . import __version__
 from .acquire import (DEFAULT_BINS, QuadratureHistogram, StreamingMoments,
                       combine_batches, leaf_slices, vacuum_sigma)
-from .fock import (FockState, NoiseModel, coherent_state, loss_channel,
-                   prepare_superposition, thermal_state)
+from .fock import (FockState, coherent_state, loss_channel, prepare_superposition,
+                   thermal_state)
 from .moments import BatchMoments, moment_indices
 from .simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
-                       matched_filter, sample_detector, simulate_time_trace)
+                       matched_filter, sample_detector, simulate_time_trace, thermal_nbar)
 from .tomo import (WIGNER_EXTENT, WIGNER_KERNEL_MAX_ORDER, WIGNER_RESOLUTION,
                    InversionReport, bootstrap_errors, estimate_gain, invert_moments,
                    reconstruct_wigner)
@@ -86,11 +86,6 @@ class ExperimentConfig:
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
-
-
 @contextmanager
 def _block(name: str, error: type[Exception] = ConfigError):
     """Report what a reader or constructor refuses, or a file it cannot read, as
@@ -113,20 +108,13 @@ def _read(path: Path, what: str, reader, error: type[Exception] = DataError):
         return reader(path)
 
 
-def _object(doc: dict, key: str, default: dict) -> dict:
-    block = doc.get(key, default)
-    _require(isinstance(block, dict), key, "must be an object")
-    return block
-
-
-def _noise_model(amp: dict) -> NoiseModel:
+def _nbar(amp: dict) -> float:
     if "nbar" in amp:
-        return NoiseModel(field(amp, "nbar", float))
+        return field(amp, "nbar", float)
     if "temperature_K" not in amp or "frequency_Hz" not in amp:
         raise ValueError("need either nbar or temperature_K + frequency_Hz")
-    return NoiseModel.from_temperature(
-        field(amp, "temperature_K", float), field(amp, "frequency_Hz", float),
-        rayleigh_jeans=field(amp, "rayleigh_jeans", bool, False))
+    return thermal_nbar(field(amp, "temperature_K", float), field(amp, "frequency_Hz", float),
+                        rayleigh_jeans=field(amp, "rayleigh_jeans", bool, False))
 
 
 def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -135,42 +123,39 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
     doc = dict(doc)
     for key, value in (overrides or {}).items():
         if isinstance(value, dict):     # flags for one block merge into it
-            value = {**_object(doc, key, {}), **value}
+            with _block(key):
+                value = {**field(doc, key, dict, {}), **value}
         if value is not None:
             doc[key] = value
-    _require("seed" in doc, "seed", "is mandatory (no wall-clock default)")
     with _block("config"):
         seed = field(doc, "seed", int, lo=0)
         shots = field(doc, "shots", int, lo=1)
         batches = field(doc, "batches", int, min(100, shots), lo=1, hi=shots)
         order = field(doc, "order", int, 4, lo=2, hi=WIGNER_KERNEL_MAX_ORDER)
         store_shots = field(doc, "store_shots", bool, False)
-    spec = _object(doc, "state", None)
-    amp = _object(doc, "amplifier", {"gain": 1.0, "nbar": 0.0})
-    hist = _object(doc, "histogram", {})
-    td = _object(doc, "time_domain", {})
-    cal = doc.get("calibration")
-    _require(cal is None or isinstance(cal, dict), "calibration", "must be an object")
-
     with _block("state"):
-        state = build_state(spec)
+        state = build_state(field(doc, "state", dict))
     with _block("amplifier"):
-        chain = AmplifierChain(gain=field(amp, "gain", float, 1.0), noise=_noise_model(amp))
+        amp = field(doc, "amplifier", dict, {"gain": 1.0, "nbar": 0.0})
+        chain = AmplifierChain(gain=field(amp, "gain", float, 1.0), nbar=_nbar(amp))
     with _block("histogram"):
+        hist = field(doc, "histogram", dict, {})
         bins = field(hist, "bins", int, DEFAULT_BINS, lo=1, hi=serialize.MAX_BINS)
         extent = field(hist, "range", float, None, positive=True)
     envelope = calibration = None
     with _block("time_domain"):
+        td = field(doc, "time_domain", dict, {})
         if field(td, "enabled", bool, False):
             envelope = TemporalEnvelope(kappa=field(td, "kappa", float, 1.0 / 40.0),
                                         dt=field(td, "dt", float, 1.0),
                                         n_bins=field(td, "bins", int, 400))
     # the largest draw of a batch, 2 normals per shot and time bin, must be indexable
     draws = -(-shots // batches) * 2 * (envelope.n_bins if envelope else 1)
-    _require(draws <= np.iinfo(np.intp).max, "config", f"shots {shots} in {batches} "
-             f"batches need {draws} noise draws per batch, more than numpy can index")
-    if cal is not None:
-        with _block("calibration"):
+    if draws > np.iinfo(np.intp).max:
+        raise ConfigError(f"config: shots {shots} in {batches} batches need {draws} "
+                          "noise draws per batch, more than numpy can index")
+    with _block("calibration"):
+        if (cal := field(doc, "calibration", dict, None)) is not None:
             calibration = build_state({"beta": 1.0 / math.sqrt(2.0), "phase": math.pi,
                                        **cal, "kind": "superposition"})
     return ExperimentConfig(seed=seed, shots=shots, state=state, chain=chain,
@@ -347,7 +332,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     moments by run name, and enters each derived value into `derived` as soon
     as it is known. The histograms are not kept."""
     extent = auto_extent(cfg)
-    derived.update(extent=extent, gain_true=cfg.chain.gain, nbar=cfg.chain.noise.nbar)
+    derived.update(extent=extent, gain_true=cfg.chain.gain, nbar=cfg.chain.nbar)
 
     runs = [("signal", cfg.state, STAGE_SIGNAL),
             ("vacuum", FockState.vacuum(), STAGE_VACUUM)]
@@ -443,8 +428,9 @@ def cmd_full_run(cfg: ExperimentConfig, out_dir: Path) -> dict:
     before's result in memory; the manifest is written once, also on failure."""
     if cfg.calibration is None:
         raise ConfigError("calibration: block is required for full-run")
-    _require(cfg.batches >= 2, "config", "batches must be >= 2 for full-run, whose "
-             f"bootstrap resamples batches, got {cfg.batches}")
+    if cfg.batches < 2:
+        raise ConfigError("config: batches must be >= 2 for full-run, whose bootstrap "
+                          f"resamples batches, got {cfg.batches}")
     with _run_dir(cfg, out_dir) as derived:
         moments = cmd_simulate(cfg, out_dir, derived)
         calib = cmd_calibrate(moments["calibration"], moments["vacuum"],
@@ -533,10 +519,10 @@ def _flag(args, name: str, kind: type, **bounds):
         return typed(getattr(args, name), kind, "value", **bounds)
 
 
-# what each command writes at --out: a run directory (no files), or the files at
-# --out with each suffix ("" for --out itself)
-_OUT_FILES = {"simulate": (), "full-run": (), "analyze": ("", ".txt"),
-              "calibrate": ("",), "wigner": (".csv", ".json")}
+# the files each command writes at --out, none for a run directory
+_OUT_FILES = {"simulate": lambda out: (), "full-run": lambda out: (),
+              "analyze": lambda out: (out, out.with_suffix(".txt")),
+              "calibrate": lambda out: (out,), "wigner": serialize.wigner_paths}
 
 
 def _out_path(args) -> Path:
@@ -546,8 +532,7 @@ def _out_path(args) -> Path:
     output's file, and not be a directory or a file that cannot be written."""
     out = Path(args.out)
     with _block(f"--out {out}"):
-        files = [out.with_suffix(suffix) if suffix else out
-                 for suffix in _OUT_FILES[args.command]]
+        files = _OUT_FILES[args.command](out)
         if len(set(files)) < len(files):    # analyze --out x.txt: the table over the report
             raise ValueError("two outputs would be written to one file")
         for path in files:

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import NORMAL, MomentMatrix, hermitize, moment_indices
+from .moments import MomentMatrix, hermitize, moment_indices
 
 DEFAULT_CUTOFF = 8
-
-# exact in the SI since 2019
-PLANCK = 6.62607015e-34     # J s
-BOLTZMANN = 1.380649e-23    # J / K
 
 _TRACE_TOL = 1e-12
 _EIG_TOL = -1e-10
@@ -101,31 +97,6 @@ class FockState:
         return cls.from_amplitudes(c, profile=("fock", k))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Thermal occupation of the amplifier noise mode h."""
-
-    nbar: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.nbar) or self.nbar < 0:
-            raise ValueError("mean thermal photon number must be >= 0")
-        object.__setattr__(self, "nbar", float(self.nbar))
-
-    @classmethod
-    def from_temperature(cls, temperature_k: float, frequency_hz: float,
-                         rayleigh_jeans: bool = False) -> "NoiseModel":
-        """Bose-Einstein occupation at (T, nu); Rayleigh-Jeans kT/(h nu) on request."""
-        if temperature_k < 0 or frequency_hz <= 0:
-            raise ValueError("need T >= 0 and nu > 0")
-        if temperature_k == 0:
-            return cls(0.0)
-        x = PLANCK * frequency_hz / (BOLTZMANN * temperature_k)
-        if rayleigh_jeans:
-            return cls(1.0 / x)
-        return cls(1.0 / math.expm1(x))
-
-
 def prepare_superposition(beta: complex, admixture_error: float = 0.0,
                           cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Ideal qubit-to-field map producing alpha|0> + beta|1>, optionally
@@ -199,7 +170,7 @@ def analytic_moments(state: FockState, order: int = 4) -> MomentMatrix:
     values = np.zeros((order + 1, order + 1), dtype=complex)
     for n, m in moment_indices(order):
         values[n, m] = np.trace(state.rho @ ad_pow[n] @ a_pow[m])
-    return MomentMatrix(hermitize(values), ordering=NORMAL)
+    return MomentMatrix(hermitize(values))
 
 
 def husimi_q(state: FockState, alpha) -> np.ndarray | float:

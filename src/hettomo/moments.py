@@ -4,12 +4,12 @@ Conventions
 -----------
 A moment matrix of order cap ``K`` stores complex entries ``m(n, m)`` for
 all ``0 <= n + m <= K``.  Entries with ``n + m > K`` are kept at zero and
-are not part of the contract.  The ordering tag distinguishes normally
-ordered signal moments ``<(a^dag)^n a^m>``, antinormally ordered noise
-moments ``<h^n (h^dag)^m>`` and estimated detector moments
-``<(S*)^n S^m>``; all three pass the same checks on construction.  A run's
-per-batch detector moments travel as one `BatchMoments` stack, whose
-matrices pass those checks one by one.
+are not part of the contract.  A matrix holds normally ordered signal
+moments ``<(a^dag)^n a^m>``, antinormally ordered noise moments
+``<h^n (h^dag)^m>`` or estimated detector moments ``<(S*)^n S^m>``, as the
+function that makes or takes it names; all three pass the same checks on
+construction.  A run's per-batch detector moments travel as one
+`BatchMoments` stack, whose matrices pass those checks one by one.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-NORMAL = "normal"
-ANTINORMAL = "antinormal"
-DETECTOR = "detector"
-
-_ORDERINGS = (NORMAL, ANTINORMAL, DETECTOR)
-
 
 def moment_indices(order: int) -> list[tuple[int, int]]:
     """All (n, m) index pairs with n + m <= order, in increasing total order."""
@@ -70,17 +63,14 @@ def _checked(values, ndim: int) -> np.ndarray:
 class MomentMatrix:
     """Moment matrix of a single bosonic mode.
 
-    ``values[n, m]`` is ``<(a^dag)^n a^m>`` for normal ordering,
-    ``<h^n (h^dag)^m>`` for antinormal ordering or ``<(S*)^n S^m>`` for
-    detector moments, checked on construction as `_checked` describes.
+    ``values[n, m]`` is ``<(a^dag)^n a^m>`` for signal moments,
+    ``<h^n (h^dag)^m>`` for noise moments or ``<(S*)^n S^m>`` for detector
+    moments, checked on construction as `_checked` describes.
     """
 
     values: np.ndarray
-    ordering: str = NORMAL
 
     def __post_init__(self):
-        if self.ordering not in _ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
         object.__setattr__(self, "values", _checked(self.values, 2))
 
     @property

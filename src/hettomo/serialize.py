@@ -16,14 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .acquire import QuadratureHistogram
-from .moments import ANTINORMAL, NORMAL, BatchMoments, MomentMatrix
+from .moments import BatchMoments, MomentMatrix
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
 MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint64 counts take <= 128 MiB
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
-          complex: "a pair [re, im] of finite numbers", str: "a string", list: "a list"}
+          complex: "a pair [re, im] of finite numbers", str: "a string", list: "a list",
+          dict: "an object"}
 _MANDATORY = object()
 
 
@@ -213,23 +214,27 @@ def save_report(path, report: InversionReport) -> None:
 def load_report(path) -> InversionReport:
     doc = json.loads(Path(path).read_text())
     order = field(doc, "order", int, lo=0, hi=WIGNER_KERNEL_MAX_ORDER)
-    moments = MomentMatrix(matrix_from_json(doc["moments"], "moments"), ordering=NORMAL)
+    moments = MomentMatrix(matrix_from_json(doc["moments"], "moments"))
     if moments.order != order:
         raise ValueError(f"order {order} disagrees with moments of order {moments.order}")
     return InversionReport(
         moments=moments,
         gain=field(doc, "gain", float),
-        noise=MomentMatrix(matrix_from_json(doc["noise_moments"], "noise_moments"),
-                           ordering=ANTINORMAL),
+        noise=MomentMatrix(matrix_from_json(doc["noise_moments"], "noise_moments")),
         errors=matrix_from_json(doc["errors"], "errors", float),
     )
 
 
 # -- Wigner grids ------------------------------------------------------------
 
-def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
+def wigner_paths(prefix) -> tuple[Path, Path]:
+    """The grid's CSV and JSON header files: .csv and .json after the prefix's full name."""
     prefix = Path(prefix)
-    csv_path = prefix.with_suffix(".csv")
+    return prefix.with_name(prefix.name + ".csv"), prefix.with_name(prefix.name + ".json")
+
+
+def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
+    csv_path, json_path = wigner_paths(prefix)
     x, p = np.meshgrid(grid.xs, grid.ps, indexing="ij")
     rows = np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()])
     # np.savetxt's bytes, from one format over the flat values in place of one per row
@@ -241,6 +246,5 @@ def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
         "truncation_order": grid.truncation,
         "csv_file": csv_path.name,
     }
-    json_path = prefix.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2))
     return csv_path, json_path

@@ -20,20 +20,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import FockState, NoiseModel, husimi_q, loss_channel
+from .fock import FockState, husimi_q, loss_channel
+
+# exact in the SI since 2019
+PLANCK = 6.62607015e-34     # J s
+BOLTZMANN = 1.380649e-23    # J / K
 
 
 @dataclass(frozen=True)
 class AmplifierChain:
-    """Phase-insensitive amplifier: effective power gain plus thermal noise."""
+    """Phase-insensitive amplifier: effective power gain plus thermal noise of
+    mean occupation nbar in the noise mode h."""
 
     gain: float
-    noise: NoiseModel
+    nbar: float
 
     def __post_init__(self):
         if not (math.isfinite(self.gain) and self.gain > 0):
             raise ValueError("gain must be > 0")
+        if not (math.isfinite(self.nbar) and self.nbar >= 0):
+            raise ValueError("mean thermal photon number must be >= 0")
         object.__setattr__(self, "gain", float(self.gain))
+        object.__setattr__(self, "nbar", float(self.nbar))
+
+
+def thermal_nbar(temperature_k: float, frequency_hz: float,
+                 rayleigh_jeans: bool = False) -> float:
+    """Bose-Einstein occupation at (T, nu); Rayleigh-Jeans kT/(h nu) on request."""
+    if temperature_k < 0 or frequency_hz <= 0:
+        raise ValueError("need T >= 0 and nu > 0")
+    if temperature_k == 0:
+        return 0.0
+    x = PLANCK * frequency_hz / (BOLTZMANN * temperature_k)
+    return 1.0 / x if rayleigh_jeans else 1.0 / math.expm1(x)
 
 
 @dataclass(frozen=True)
@@ -130,7 +149,7 @@ def _sample_q_rejection(target: FockState, weights: np.ndarray, n: int,
 def sample_q(state: FockState, n: int, seed, stream: int = 0) -> np.ndarray:
     """Draw n i.i.d. samples from the state's Husimi Q distribution: `sample_detector`
     through a noiseless unit-gain chain, S = alpha."""
-    return sample_detector(state, AmplifierChain(1.0, NoiseModel(0.0)), n, seed, stream)
+    return sample_detector(state, AmplifierChain(1.0, 0.0), n, seed, stream)
 
 
 def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
@@ -143,7 +162,7 @@ def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
     generator on the same stream draws them again next to the uniforms. A state
     without an exact sampler (one pass, see the module docstring) is drawn whole
     and cut."""
-    n, nbar, rng = cuts[-1].stop, chain.noise.nbar, stream_rng(seed, stream)
+    n, nbar, rng = cuts[-1].stop, chain.nbar, stream_rng(seed, stream)
     if n < 1:
         raise ValueError("need n >= 1")
     if state.profile is None:
@@ -191,8 +210,8 @@ def simulate_time_trace(state: FockState, env: TemporalEnvelope,
     noise = stream_rng(seed, stream, 1)
     for i in range(0, n, _TRACE_ROW_BLOCK):
         block = alpha[i:i + _TRACE_ROW_BLOCK, None] * env.f
-        if chain.noise.nbar > 0:
-            block += _complex_normal(noise, block.size, chain.noise.nbar /
+        if chain.nbar > 0:
+            block += _complex_normal(noise, block.size, chain.nbar /
                                      (2.0 * env.dt)).reshape(block.shape)
         block *= math.sqrt(chain.gain)
         yield block

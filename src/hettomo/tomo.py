@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquire import combine_batches, resample_batches
-from .moments import (ANTINORMAL, DETECTOR, NORMAL, BatchMoments, MomentMatrix,
-                      hermitize, moment_indices)
+from .moments import BatchMoments, MomentMatrix, hermitize, moment_indices
 
 WIGNER_KERNEL_MAX_ORDER = 8
 WIGNER_EXTENT, WIGNER_RESOLUTION = 3.0, 121   # default grid |X|, |P| <= 3, 121 points a side
@@ -29,7 +28,8 @@ MAX_FAILED_REPLICA_FRACTION = 0.1   # calibration fails above this share of gain
 
 @dataclass(frozen=True)
 class InversionReport:
-    """Recovered signal moments in units of mode a, with provenance."""
+    """Recovered normally ordered signal moments in units of mode a, with
+    provenance: the gain and the antinormally ordered noise moments."""
 
     moments: MomentMatrix
     gain: float
@@ -37,10 +37,6 @@ class InversionReport:
     errors: np.ndarray
 
     def __post_init__(self):
-        if self.moments.ordering != NORMAL:
-            raise ValueError("recovered moments must be normally ordered")
-        if self.noise.ordering != ANTINORMAL:
-            raise ValueError("noise moments must be antinormally ordered")
         _check_orders(self.moments, self.noise)
         if not 0 < self.gain < math.inf:
             raise ValueError("gain must be finite and > 0")
@@ -109,20 +105,19 @@ def _gain_diagonal(order: int, gain: float) -> tuple[np.ndarray, np.ndarray, np.
 
 def forward_moments(signal: MomentMatrix, noise: MomentMatrix,
                     gain: float) -> MomentMatrix:
-    """Detector moments from signal and noise moments, s = D_G B(h) m:
+    """Detector moments from normally ordered signal and antinormally ordered
+    noise moments, s = D_G B(h) m:
 
     s(n, m) = G^{(n+m)/2} sum_{i<=n, j<=m} C(n,i) C(m,j)
               <(a^dag)^i a^j> <h^{n-i} (h^dag)^{m-j}>.
     """
     if gain <= 0:
         raise ValueError("gain must be > 0")
-    if signal.ordering != NORMAL or noise.ordering != ANTINORMAL:
-        raise ValueError("expected normal signal and antinormal noise moments")
     order = _check_orders(signal, noise)
     n, m, g = _gain_diagonal(order, gain)
     values = np.zeros((order + 1, order + 1), dtype=complex)
     values[n, m] = g * (_binomial_operator(noise.values) @ signal.values[n, m])
-    return MomentMatrix(hermitize(values), DETECTOR)
+    return MomentMatrix(hermitize(values))
 
 
 def _noise_values(raw_vacuum: np.ndarray, gain: float) -> np.ndarray:
@@ -159,9 +154,9 @@ def invert_moments(raw_signal: MomentMatrix, raw_vacuum: MomentMatrix,
     inverse of forward_moments.
     """
     _check_orders(raw_signal, raw_vacuum)
-    noise = MomentMatrix(_noise_values(raw_vacuum.values, gain), ANTINORMAL)
+    noise = MomentMatrix(_noise_values(raw_vacuum.values, gain))
     signal = _solve(_binomial_operator(noise.values), raw_signal.values, gain)
-    return InversionReport(moments=MomentMatrix(hermitize(signal), ordering=NORMAL),
+    return InversionReport(moments=MomentMatrix(hermitize(signal)),
                            gain=gain, noise=noise, errors=errors)
 
 
@@ -223,15 +218,13 @@ def estimate_gain(sup: BatchMoments, vac: BatchMoments) -> dict:
 
 
 def truncation_order(moments: MomentMatrix, errors: np.ndarray) -> int:
-    """Moment order retained in the Wigner sum.
+    """Moment order retained in the Wigner sum of normally ordered moments.
 
     Each diagonal m(N, N) is tested against its own limit max(0.1, 3 err(N, N)).
     If the smallest N with |m(N, N)| below its limit exists, all moments with
     n+m >= 2N-1 vanish identically, so orders up to 2N-2 are kept; otherwise
     the full order cap is used.
     """
-    if moments.ordering != NORMAL:
-        raise ValueError("truncation rule applies to normally ordered moments")
     for n in range(1, moments.order // 2 + 1):
         if abs(moments.values[n, n]) < max(0.1, 3.0 * errors[n, n]):
             return 2 * n - 2

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from hettomo.fock import FockState, NoiseModel, destroy
-from hettomo.moments import ANTINORMAL, MomentMatrix, hermitize, moment_indices
+from hettomo.fock import FockState, destroy
+from hettomo.moments import MomentMatrix, hermitize, moment_indices
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> FockState:
@@ -43,15 +43,15 @@ def antinormal_moments(state: FockState, order: int = 4) -> MomentMatrix:
     for n, m in moment_indices(order):
         op = np.linalg.matrix_power(a, n) @ np.linalg.matrix_power(ad, m)
         values[n, m] = np.trace(wide.rho @ op)
-    return MomentMatrix(hermitize(values), ordering=ANTINORMAL)
+    return MomentMatrix(hermitize(values))
 
 
-def noise_moments(noise: NoiseModel, order: int = 4) -> MomentMatrix:
+def noise_moments(nbar: float, order: int = 4) -> MomentMatrix:
     """Antinormal thermal-noise moments <h^n (h^dag)^m> = delta_nm n! (nbar+1)^n."""
     values = np.zeros((order + 1, order + 1), dtype=complex)
     for n in range(order // 2 + 1):
-        values[n, n] = math.factorial(n) * (noise.nbar + 1.0) ** n
-    return MomentMatrix(values, ordering=ANTINORMAL)
+        values[n, n] = math.factorial(n) * (nbar + 1.0) ** n
+    return MomentMatrix(values)
 
 
 def husimi_q_einsum(state: FockState, alpha):

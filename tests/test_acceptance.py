@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import StreamingMoments, combine_batches, vacuum_sigma
-from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
+from hettomo.fock import (FockState, analytic_moments, coherent_state,
                           loss_channel, prepare_superposition, wigner_oracle)
-from hettomo.moments import DETECTOR, MomentMatrix, moment_indices
+from hettomo.moments import MomentMatrix, moment_indices
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope,
                               matched_filter, overlap, sample_detector,
-                              simulate_time_trace)
+                              simulate_time_trace, thermal_nbar)
 from hettomo.tomo import (estimate_gain, forward_moments, invert_moments,
                           reconstruct_wigner, truncation_order,
                           wigner_from_moments)
@@ -43,8 +43,7 @@ def batched_moments(state, chain, total, stage, n_batches=100, order=4):
 
 def test_a1_vacuum_noise_floor():
     t0 = time.monotonic()
-    noise = NoiseModel.from_temperature(21.0, 6.77e9)
-    chain = AmplifierChain(gain=1.0, noise=noise)
+    chain = AmplifierChain(gain=1.0, nbar=thermal_nbar(21.0, 6.77e9))
     batch = sample_detector(FockState.vacuum(), chain, 1_000_000,
                             seed=[SEED, 10])
     sigma = vacuum_sigma(batch)
@@ -56,7 +55,7 @@ def test_a1_vacuum_noise_floor():
 
 def test_a2_moment_recovery():
     t0 = time.monotonic()
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    chain = AmplifierChain(gain=1.0e4, nbar=2.0)
     shots = 10_000_000
     vac = combine_batches(batched_moments(FockState.vacuum(), chain, shots, 20))
 
@@ -101,14 +100,14 @@ def test_a2_moment_recovery():
 
 def test_a3_error_scaling():
     nbar = 64.0
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
+    chain = AmplifierChain(gain=1.0e4, nbar=nbar)
     shots = 100_000_000
     n_batches = 100
     sig = batched_moments(FockState.fock(1), chain, shots, 30, n_batches)
     vac = batched_moments(FockState.vacuum(), chain, shots, 31, n_batches)
     # paired per-batch inversions capture signal and reference fluctuations
     recovered = np.array([
-        invert_moments(MomentMatrix(s, DETECTOR), MomentMatrix(v, DETECTOR),
+        invert_moments(MomentMatrix(s), MomentMatrix(v),
                        chain.gain, np.zeros((5, 5))).moments.values
         for s, v in zip(sig.values, vac.values)])
     spread = np.sqrt(np.mean(np.abs(recovered - recovered.mean(axis=0)) ** 2,
@@ -155,7 +154,7 @@ def test_a4_inversion_exactness():
     # 1e-10 round trip is checked in the unit tests instead
     t0 = time.monotonic()
     rng = np.random.default_rng(SEED)
-    noise = noise_moments(NoiseModel(2.0), 4)
+    noise = noise_moments(2.0, 4)
     vac = forward_moments(analytic_moments(FockState.vacuum(), 4), noise, 1.0e4)
     worst = 0.0
     for _ in range(100):
@@ -219,7 +218,7 @@ def test_a5_wigner_correctness():
 
 
 def test_a6_gain_calibration_pipeline():
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
+    chain = AmplifierChain(gain=1.0e4, nbar=64.0)
     shots = 10_000_000
     cal_batches = batched_moments(
         prepare_superposition(1.0 / math.sqrt(2.0)), chain, shots, 60)
@@ -244,7 +243,7 @@ def test_a6_gain_calibration_pipeline():
 
 
 def test_a7_mode_matching():
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    chain = AmplifierChain(gain=1.0e4, nbar=2.0)
     env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
     state = prepare_superposition(1.0 / math.sqrt(2.0))
     shots, n_chunks = 1_000_000, 50

@@ -8,14 +8,14 @@ import pytest
 
 from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batches,
                              histogram_moments, resample_batches, vacuum_sigma)
-from hettomo.fock import FockState, NoiseModel, prepare_superposition
+from hettomo.fock import FockState, prepare_superposition
 from hettomo.moments import BatchMoments, moment_indices
 from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
 
 from conftest import random_moment_matrix
 
-CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
+CHAIN = AmplifierChain(gain=1.0e4, nbar=64.0)
 SIGMA_VAC = math.sqrt(1.0e4 * 65.0 / 2.0)
 
 

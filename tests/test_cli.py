@@ -20,12 +20,13 @@ from hettomo.acquire import (QuadratureHistogram, StreamingMoments, combine_batc
                              leaf_slices)
 from hettomo.cli import (ConfigError, build_state, cmd_wigner, load_config,
                          parse_config, run)
-from hettomo.fock import FockState, NoiseModel, analytic_moments, coherent_state
+from hettomo.fock import FockState, analytic_moments, coherent_state
 from hettomo.moments import BatchMoments
 from hettomo.serialize import (load_batch_moments, load_report, save_batch_moments,
                                save_report)
 from hettomo.simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
-                              matched_filter, sample_detector, simulate_time_trace)
+                              matched_filter, sample_detector, simulate_time_trace,
+                              thermal_nbar)
 from hettomo.tomo import InversionReport, estimate_gain
 
 from conftest import noise_moments
@@ -51,7 +52,7 @@ class TestParseConfig:
     def test_minimal(self):
         cfg = parse_config({"seed": 1, "shots": 100,
                             "state": {"kind": "vacuum"}})
-        assert cfg.chain.gain == 1.0 and cfg.chain.noise.nbar == 0.0
+        assert cfg.chain.gain == 1.0 and cfg.chain.nbar == 0.0
         assert cfg.order == 4 and cfg.envelope is None and cfg.calibration is None
 
     def test_largest_batch_numpy_can_index_parses(self):
@@ -112,16 +113,19 @@ class TestParseConfig:
                                                                  expected):
         cfg = parse_config({"seed": 1, "shots": 100, "state": {"kind": "vacuum"},
                             block: value})
-        read = (cfg.chain.gain, cfg.chain.noise.nbar) if block == "amplifier" \
+        read = (cfg.chain.gain, cfg.chain.nbar) if block == "amplifier" \
             else cfg.extent
         assert repr(read) == repr(expected)     # numbers come back as floats
 
-    def test_nbar_from_temperature(self):
-        cfg = parse_config({"seed": 1, "shots": 100,
-                            "state": {"kind": "vacuum"},
-                            "amplifier": {"gain": 1.0, "temperature_K": 21.0,
-                                          "frequency_Hz": 6.77e9}})
-        assert cfg.chain.noise.nbar == pytest.approx(64.1, abs=0.5)
+    @pytest.mark.parametrize("rayleigh_jeans, nbar", [(False, 64.13481983080844),
+                                                      (True, 64.63353051549174)])
+    def test_nbar_from_temperature(self, rayleigh_jeans, nbar):
+        # the occupation thermal_nbar gives at (T, nu), bit for bit
+        amp = {"gain": 1.0, "temperature_K": 21.0, "frequency_Hz": 6.77e9,
+               "rayleigh_jeans": rayleigh_jeans}
+        cfg = parse_config({"seed": 1, "shots": 100, "state": {"kind": "vacuum"},
+                            "amplifier": amp})
+        assert cfg.chain.nbar == thermal_nbar(21.0, 6.77e9, rayleigh_jeans) == nbar
 
     def test_overrides_take_precedence(self):
         cfg = parse_config({"seed": 1, "shots": 100,
@@ -228,6 +232,33 @@ class TestExitCodes:
         assert f"{block}: " in capsys.readouterr().err
         assert not out.exists()     # refused before the pilot run
 
+    @pytest.mark.parametrize("key, value, flags, named", [
+        ("state", 3, [], "state: "),
+        ("amplifier", "x", [], "amplifier: "),
+        ("histogram", 3, [], "histogram: "),
+        ("time_domain", [True], [], "time_domain: "),
+        ("calibration", 0.5, [], "calibration: "),
+        ("histogram", 3, ["--bins", "8"], "histogram: "),   # the flag merges into no object
+        ("state", None, [], "state: "),     # None: the key is left out
+        ("seed", None, [], "seed"),
+        ("config", None, [], "config: "),   # the top level is a list
+    ])
+    def test_non_object_or_missing_block_is_2_and_named(self, tmp_path, capsys, key,
+                                                        value, flags, named):
+        path = write_config(tmp_path)
+        doc = json.loads(path.read_text())
+        if key == "config":
+            doc = [doc]
+        elif value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(path), *flags, "--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
     @pytest.mark.parametrize("flag", [False, True])
     def test_bins_above_4096_are_2(self, tmp_path, capsys, command, flag):
@@ -253,7 +284,7 @@ class TestExitCodes:
                                _order2_run([_order2_batch(s01, s11)] * 4))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 4), errors=np.zeros((5, 5))))
+            noise=noise_moments(0.0, 4), errors=np.zeros((5, 5))))
         inputs = {"analyze": ["--signal", str(tmp_path)],
                   "wigner": ["--report", str(tmp_path / "report.json")]}
         out = tmp_path / "out"
@@ -265,7 +296,7 @@ class TestExitCodes:
         # refused before the report is read or any grid point allocated
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 4), errors=np.zeros((5, 5))))
+            noise=noise_moments(0.0, 4), errors=np.zeros((5, 5))))
         out = tmp_path / "out"
         tracemalloc.start()
         try:
@@ -355,7 +386,7 @@ class TestExitCodes:
                                _order2_run([_order2_batch(s01, s11)] * 20))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 4), errors=np.full((5, 5), 0.01)))
+            noise=noise_moments(0.0, 4), errors=np.full((5, 5), 0.01)))
         doc = json.loads((tmp_path / name).read_text())
         corrupt(doc)
         (tmp_path / name).write_text(json.dumps(doc))
@@ -370,21 +401,22 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, out", [
         ("simulate", "a_file"), ("full-run", "a_file/run"),
         ("analyze", "missing/report.json"), ("analyze", "report.txt"), ("calibrate", "a_dir"),
-        ("wigner", "missing/w")])
+        ("wigner", "missing/w"), ("wigner", "w.1")])
     def test_unwritable_out_is_2_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                  command, out):
         # a run directory on or below a file, an output file in a missing directory or
-        # on a directory, or analyze's table on its own report: refused before any
-        # input is read, leaving nothing behind
+        # on a directory (wigner --out w.1 writes w.1.csv), or analyze's table on its
+        # own report: refused before any input is read, leaving nothing behind
         (tmp_path / "a_file").write_text("kept")
         (tmp_path / "a_dir").mkdir()
+        (tmp_path / "w.1.csv").mkdir()
         for run_name, s01, s11 in (("signal", 1.0, 3.0), ("calibration", 1.0, 3.0),
                                    ("vacuum", 0.0, 2.0)):
             save_batch_moments(tmp_path / f"moments_{run_name}.json",
                                _order2_run([_order2_batch(s01, s11)] * 20))
         save_report(tmp_path / "report.json", InversionReport(
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 4), errors=np.full((5, 5), 0.01)))
+            noise=noise_moments(0.0, 4), errors=np.full((5, 5), 0.01)))
         cfg = write_config(tmp_path, shots=2000, batches=4, calibration={})
         inputs = {"simulate": ["--config", str(cfg)], "full-run": ["--config", str(cfg)],
                   "analyze": ["--signal", ".", "--gain", "1.0", "--order", "2"],
@@ -506,7 +538,7 @@ class TestExitCodes:
         path = tmp_path / "report.json"
         save_report(path, InversionReport(
             moments=analytic_moments(coherent_state(1.5, cutoff=30), 10), gain=1.0,
-            noise=noise_moments(NoiseModel(0.0), 10), errors=np.zeros((11, 11))))
+            noise=noise_moments(0.0, 10), errors=np.zeros((11, 11))))
         assert run(["wigner", "--report", str(path), "--out", str(tmp_path / "w")]) == 3
         assert f"{path}: order must be an integer in [0, 8], got 10" \
             in capsys.readouterr().err
@@ -652,7 +684,7 @@ class TestSimulateCommand:
         # one 2000 x 400 batch: its whole records would take 12.8 MB
         monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
         env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        chain = AmplifierChain(gain=1.0e4, nbar=2.0)
         tracemalloc.start()
         try:
             shots, = cli._time_domain_leaves(FockState.fock(1), env, chain, [2000], [7, 0])
@@ -964,6 +996,22 @@ class TestPipelineCommands:
         doc = json.loads(capsys.readouterr().out)
         assert "min_w" in doc and "truncation_order" in doc
 
+    def test_wigner_prefixes_differing_after_a_dot_keep_their_files(self, full_run,
+                                                                    tmp_path, capsys):
+        _, out = full_run
+        resolutions = {"maps.1": 21, "maps.2": 31}
+        for prefix, resolution in resolutions.items():
+            assert run(["wigner", "--report", str(out / "report.json"), "--resolution",
+                        str(resolution), "--out", str(tmp_path / prefix)]) == 0
+        for prefix, resolution in resolutions.items():
+            header = json.loads((tmp_path / f"{prefix}.json").read_text())
+            assert header["resolution"] == resolution
+            assert header["csv_file"] == f"{prefix}.csv"
+            lines = (tmp_path / f"{prefix}.csv").read_text().splitlines()
+            assert len(lines) == 1 + resolution ** 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "maps.1.csv", "maps.1.json", "maps.2.csv", "maps.2.json"]
+
     def test_outputs_keep_their_bytes(self, full_run):
         _, out = full_run
         for name, digest in FULL_RUN_SHA256.items():
@@ -1165,7 +1213,7 @@ def test_wigner_truncation_tests_each_diagonal_against_its_own_error(tmp_path):
     errors = np.full((9, 9), 0.01)
     errors[3, 3], errors[4, 4] = 0.4, 2.08
     report = InversionReport(moments=analytic_moments(FockState.fock(1), 8),
-                             gain=1.0, noise=noise_moments(NoiseModel(0.0), 8),
+                             gain=1.0, noise=noise_moments(0.0, 8),
                              errors=errors)
     result = cmd_wigner(report, tmp_path / "w", extent=1.0, resolution=21)
     assert result["truncation_order"] == 2

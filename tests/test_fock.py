@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hettomo.fock import (FockState, NoiseModel, _laguerre, analytic_moments,
+from hettomo.fock import (FockState, _laguerre, analytic_moments,
                           coherent_state, husimi_q, loss_channel,
                           prepare_superposition, thermal_state, wigner_oracle)
 from hettomo.moments import moment_indices
@@ -144,44 +144,23 @@ class TestAnalyticMoments:
             assert m1[n, mm] == pytest.approx(expected, abs=1e-12)
 
 
-class TestNoiseModel:
-    def test_bose_einstein_21k(self):
-        model = NoiseModel.from_temperature(21.0, 6.77e9)
-        assert model.nbar == pytest.approx(64.1, abs=0.5)
-
-    def test_rayleigh_jeans_close_at_high_t(self):
-        be = NoiseModel.from_temperature(21.0, 6.77e9)
-        rj = NoiseModel.from_temperature(21.0, 6.77e9, rayleigh_jeans=True)
-        assert rj.nbar == pytest.approx(be.nbar, rel=0.01)
-
-    def test_exact_si_constants_keep_occupations_bit_for_bit(self):
-        # h and k_B are exact in the SI; these are the values scipy.constants gave
-        assert NoiseModel.from_temperature(21.0, 6.77e9).nbar == 64.13481983080844
-        assert NoiseModel.from_temperature(
-            21.0, 6.77e9, rayleigh_jeans=True).nbar == 64.63353051549174
-
-    def test_rejects_negative_nbar(self):
-        with pytest.raises(ValueError):
-            NoiseModel(-0.1)
-
-
 class TestNoiseMoments:
     def test_vacuum_antinormal_commutator(self):
-        m = noise_moments(NoiseModel(0.0), 2)
+        m = noise_moments(0.0, 2)
         assert m[1, 1] == pytest.approx(1.0)
 
     def test_thermal_values(self):
-        m = noise_moments(NoiseModel(64.0), 4)
+        m = noise_moments(64.0, 4)
         assert m[1, 1].real == pytest.approx(65.0)
         assert m[2, 2].real == pytest.approx(2.0 * 65.0 ** 2)
 
     def test_off_diagonals_zero(self):
-        m = noise_moments(NoiseModel(3.0), 4)
+        m = noise_moments(3.0, 4)
         assert m[0, 1] == 0.0 and m[1, 0] == 0.0
 
     @pytest.mark.parametrize("nbar", [0.0, 0.5, 1.0, 2.0])
     def test_against_fock_trace_oracle(self, nbar):
-        m = noise_moments(NoiseModel(nbar), 4)
+        m = noise_moments(nbar, 4)
         for n, mm in moment_indices(4):
             oracle = thermal_antinormal_oracle(nbar, n, mm)
             assert m[n, mm] == pytest.approx(oracle, abs=1e-6)

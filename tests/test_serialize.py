@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import QuadratureHistogram, StreamingMoments
-from hettomo.fock import (FockState, NoiseModel, analytic_moments,
-                          prepare_superposition)
+from hettomo.fock import FockState, analytic_moments, prepare_superposition
 from hettomo.serialize import (load_batch_moments, load_histogram,
                                load_report, load_shots, matrix_from_json,
                                matrix_to_json, save_batch_moments, save_histogram,
@@ -45,7 +44,7 @@ def test_matrix_from_json_keeps_the_per_entry_values(kind):
 
 
 def test_shots_round_trip(tmp_path):
-    chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
+    chain = AmplifierChain(gain=100.0, nbar=1.0)
     shots = sample_detector(FockState.fock(1), chain, 1000, seed=5, stream=3)
     bin_path, _ = save_shots(tmp_path / "shots", shots, gain=chain.gain, seed=[5, 3])
     back = load_shots(tmp_path / "shots")
@@ -58,7 +57,7 @@ def test_shots_round_trip(tmp_path):
 
 def test_shots_length_mismatch_detected(tmp_path):
     shots = sample_detector(FockState.vacuum(),
-                            AmplifierChain(1.0, NoiseModel(0.0)), 100, seed=1)
+                            AmplifierChain(1.0, 0.0), 100, seed=1)
     bin_path, _ = save_shots(tmp_path / "shots", shots)
     data = np.fromfile(bin_path, dtype="<f8")
     data[:-2].tofile(bin_path)
@@ -308,7 +307,7 @@ def test_histogram_loader_refuses_an_overflow_that_is_not_a_count(tmp_path, over
 
 
 def test_batch_moments_round_trip(tmp_path):
-    chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
+    chain = AmplifierChain(gain=10.0, nbar=0.5)
     acc = StreamingMoments(2)
     for i in range(4):
         acc.update(sample_detector(FockState.vacuum(), chain, 500, seed=8, stream=i))
@@ -321,7 +320,7 @@ def test_batch_moments_round_trip(tmp_path):
 
 def test_report_round_trip(tmp_path):
     state = prepare_superposition(1.0 / math.sqrt(2.0))
-    noise = noise_moments(NoiseModel(2.0), 4)
+    noise = noise_moments(2.0, 4)
     raw = forward_moments(analytic_moments(state, 4), noise, 100.0)
     raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
                               noise, 100.0)

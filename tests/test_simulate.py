@@ -8,20 +8,38 @@ import pytest
 
 from hettomo import simulate
 from hettomo.acquire import leaf_slices
-from hettomo.fock import (FockState, NoiseModel, analytic_moments, coherent_state,
+from hettomo.fock import (FockState, analytic_moments, coherent_state,
                           husimi_q, loss_channel, prepare_superposition, thermal_state)
 from hettomo.moments import moment_indices
 from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope,
                               _complex_normal, _envelope_candidates, _proposal,
                               detector_blocks, matched_filter, overlap, sample_detector,
-                              sample_q, simulate_time_trace, stream_rng)
+                              sample_q, simulate_time_trace, stream_rng, thermal_nbar)
 from hettomo.tomo import forward_moments
 
 from conftest import antinormal_moments, noise_moments, random_density_matrix
 
-CHAIN = AmplifierChain(gain=1.0e4, noise=NoiseModel(64.0))
-QUIET = AmplifierChain(gain=1.0, noise=NoiseModel(0.0))
+CHAIN = AmplifierChain(gain=1.0e4, nbar=64.0)
+QUIET = AmplifierChain(gain=1.0, nbar=0.0)
 
+
+class TestAmplifierChain:
+    def test_bose_einstein_21k(self):
+        assert thermal_nbar(21.0, 6.77e9) == pytest.approx(64.1, abs=0.5)
+
+    def test_rayleigh_jeans_close_at_high_t(self):
+        rj = thermal_nbar(21.0, 6.77e9, rayleigh_jeans=True)
+        assert rj == pytest.approx(thermal_nbar(21.0, 6.77e9), rel=0.01)
+
+    def test_exact_si_constants_keep_occupations_bit_for_bit(self):
+        # h and k_B are exact in the SI; these are the values scipy.constants gave
+        assert thermal_nbar(21.0, 6.77e9) == 64.13481983080844
+        assert thermal_nbar(21.0, 6.77e9, rayleigh_jeans=True) == 64.63353051549174
+
+    @pytest.mark.parametrize("nbar", [-0.1, math.nan, math.inf])
+    def test_rejects_nbar_that_is_negative_or_not_finite(self, nbar):
+        with pytest.raises(ValueError, match="mean thermal photon number must be >= 0"):
+            AmplifierChain(gain=1.0, nbar=nbar)
 
 class TestStreamRng:
     def test_deterministic(self):
@@ -145,10 +163,9 @@ class TestRejectionEnvelope:
 def test_detector_moments_match_forward_model(name, nbar):
     """One-pass loss-channel draw has the law of sqrt(G) (alpha + nu)."""
     state = REJECTION_STATES[name]()
-    noise = NoiseModel(nbar)
-    chain = AmplifierChain(gain=9.0e3, noise=noise)
+    chain = AmplifierChain(gain=9.0e3, nbar=nbar)
     s = sample_detector(state, chain, 300_000, seed=[43, int(nbar)], stream=2)
-    truth = forward_moments(analytic_moments(state, 4), noise_moments(noise, 4), chain.gain)
+    truth = forward_moments(analytic_moments(state, 4), noise_moments(nbar, 4), chain.gain)
     _assert_moments_match(s, truth, 4)
 
 
@@ -170,7 +187,7 @@ def test_exact_samplers_keep_their_bytes(name):
              "coherent": coherent_state(0.8 - 0.3j), "thermal": thermal_state(0.5),
              "vacuum-noiseless": FockState.vacuum()}[name]
     nbar = 0.0 if name.endswith("noiseless") else 2.0
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
+    chain = AmplifierChain(gain=1.0e4, nbar=nbar)
     s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
     assert hashlib.sha256(s.tobytes()).hexdigest() == EXACT_PATH_SHA256[name]
 
@@ -179,7 +196,7 @@ def test_exact_samplers_keep_their_bytes(name):
 def test_fock_batch_holds_no_gammas_whole(k):
     # one 400 000-shot batch, drawn leaf by leaf as fock-order8 draws it: its
     # gammas held whole would take 3.2 MB beside the leaves
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    chain = AmplifierChain(gain=1.0e4, nbar=2.0)
     tracemalloc.start()
     try:
         for _ in detector_blocks(FockState.fock(k), chain, leaf_slices(400_000), [7, 0]):
@@ -206,7 +223,7 @@ def test_rejection_sampler_keeps_its_bytes(name):
     if name == "q":
         s = sample_q(state, 4099, [17, 2], stream=5)
     else:
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(float(name[-1])))
+        chain = AmplifierChain(gain=1.0e4, nbar=float(name[-1]))
         s = sample_detector(state, chain, 4099, seed=[17, 2], stream=5)
     assert hashlib.sha256(s.tobytes()).hexdigest() == REJECTION_PATH_SHA256[name]
 
@@ -242,7 +259,7 @@ def test_rejection_targets_keep_their_bytes(name, monkeypatch):
     monkeypatch.setattr(simulate, "_envelope_candidates", counted)
     if name == "K2-lossy":
         state = loss_channel(FockState.fock(2), 0.5)
-        s = sample_detector(state, AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0)), 4099,
+        s = sample_detector(state, AmplifierChain(gain=1.0e4, nbar=2.0), 4099,
                             seed=[17, 2], stream=5)
         assert len(_proposal(state, 1.0 / 3.0)[1]) == 3
     elif name == "K3-empty-level":
@@ -315,7 +332,7 @@ def test_sample_q_keeps_its_bytes(name, n):
 @pytest.mark.parametrize("path", ["detector", "time-trace"])
 def test_proposal_is_built_once_per_state_and_eta(path, monkeypatch):
     env = TemporalEnvelope(kappa=0.05, dt=1.0, n_bins=400)
-    chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+    chain = AmplifierChain(gain=1.0e4, nbar=2.0)
     calls = Counter()
 
     def counted(name, fn):
@@ -344,7 +361,7 @@ def test_proposal_is_built_once_per_state_and_eta(path, monkeypatch):
 def test_cached_proposal_follows_eta():
     state = prepare_superposition(0.6j, 0.2)
     for nbar in (2.0, 64.0, 0.0):
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(nbar))
+        chain = AmplifierChain(gain=1.0e4, nbar=nbar)
         reused = sample_detector(state, chain, 64, seed=[51, 0])
         fresh = sample_detector(prepare_superposition(0.6j, 0.2), chain, 64, seed=[51, 0])
         assert np.array_equal(reused, fresh), nbar
@@ -438,7 +455,7 @@ class TestTimeTrace:
         prepare_superposition(1.0 / math.sqrt(2.0))], ids=["vacuum", "fock1", "super"])
     def test_records_bit_equal_to_signal_plus_noise(self, state, nbar):
         env = TemporalEnvelope(kappa=0.05, dt=0.5, n_bins=300)
-        chain = AmplifierChain(gain=9.0e3, noise=NoiseModel(nbar))
+        chain = AmplifierChain(gain=9.0e3, nbar=nbar)
         n = 2 * _TRACE_ROW_BLOCK + 3    # last row block is partial
         rec = np.concatenate(list(simulate_time_trace(state, env, chain, n, seed=[21, 0],
                                                       stream=4)))
@@ -462,7 +479,7 @@ class TestTimeTrace:
         # one 2000-shot batch at 400 bins, made and filtered block by block as a
         # time-domain pool worker does: each block and its noise draw stay within L2
         env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        chain = AmplifierChain(gain=1.0e4, nbar=2.0)
         tracemalloc.start()
         try:
             shots = np.concatenate([matched_filter(block, env) for block in

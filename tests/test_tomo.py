@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hettomo.acquire import StreamingMoments, combine_batches
-from hettomo.fock import (FockState, NoiseModel, analytic_moments,
+from hettomo.fock import (FockState, analytic_moments,
                           coherent_state, prepare_superposition, wigner_oracle)
-from hettomo.moments import NORMAL, BatchMoments, MomentMatrix, hermitize, moment_indices
+from hettomo.moments import BatchMoments, MomentMatrix, hermitize, moment_indices
 from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
                           bootstrap_errors, estimate_gain, forward_moments, gain_terms,
@@ -57,14 +57,14 @@ class TestForwardMoments:
         rng = np.random.default_rng(17)
         state = random_density_matrix(rng, 4)
         raw = forward_moments(analytic_moments(state, 4),
-                              noise_moments(NoiseModel(nbar), 4), gain)
+                              noise_moments(nbar, 4), gain)
         for n, m in moment_indices(4):
             oracle = two_mode_raw_oracle(state.rho, nbar, gain, n, m)
             scale = max(1.0, abs(oracle))
             assert abs(raw[n, m] - oracle) / scale < 1e-8
 
     def test_vacuum_signal_gives_pure_noise(self):
-        noise = noise_moments(NoiseModel(2.0), 4)
+        noise = noise_moments(2.0, 4)
         raw = forward_moments(analytic_moments(FockState.vacuum(), 4),
                               noise, 100.0)
         recovered = invert_moments(raw, raw, 100.0, np.zeros((5, 5))).noise
@@ -73,19 +73,8 @@ class TestForwardMoments:
     def test_first_moment_scales_with_root_gain(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
         raw = forward_moments(analytic_moments(state, 4),
-                              noise_moments(NoiseModel(64.0), 4), 1.0e4)
+                              noise_moments(64.0, 4), 1.0e4)
         assert raw[0, 1] == pytest.approx(100.0 * 0.5, abs=1e-9)
-
-    def test_rejects_ordering_mismatch(self):
-        m = analytic_moments(FockState.vacuum(), 4)
-        with pytest.raises(ValueError):
-            forward_moments(m, m, 1.0)
-
-    def test_rejects_detector_moments_as_signal(self):
-        noise = noise_moments(NoiseModel(2.0), 4)
-        raw = forward_moments(analytic_moments(FockState.vacuum(), 4), noise, 100.0)
-        with pytest.raises(ValueError, match="expected normal signal"):
-            forward_moments(raw, noise, 100.0)
 
 
 @pytest.mark.parametrize("k, expected", [(1, (3.0, 16.0)), (0, (2.0, 8.0))])
@@ -104,7 +93,7 @@ class TestInvertMoments:
         (order, 2.0) for order in range(1, 9)])
     def test_exact_round_trip_random_moments(self, order, nbar):
         rng = np.random.default_rng(23)
-        noise = noise_moments(NoiseModel(nbar), order)
+        noise = noise_moments(nbar, order)
         worst = 0.0
         for _ in range(100):
             signal = MomentMatrix(random_moment_matrix(rng, order))
@@ -133,7 +122,7 @@ class TestInvertMoments:
             assert _solve(op, raw, gain).tobytes() == want.tobytes()
 
     def test_single_photon_from_simulated_shots(self):
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        chain = AmplifierChain(gain=1.0e4, nbar=2.0)
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=31)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=32)
         report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
@@ -142,10 +131,10 @@ class TestInvertMoments:
         assert abs(report.moments[0, 1]) < 0.02
 
     def test_rejects_order_mismatch(self):
-        noise = noise_moments(NoiseModel(1.0), 4)
+        noise = noise_moments(1.0, 4)
         raw4 = forward_moments(analytic_moments(FockState.vacuum(), 4), noise, 1.0)
         raw2 = forward_moments(analytic_moments(FockState.vacuum(), 2),
-                               noise_moments(NoiseModel(1.0), 2), 1.0)
+                               noise_moments(1.0, 2), 1.0)
         with pytest.raises(ValueError):
             invert_moments(raw4, raw2, 1.0, np.zeros((5, 5)))
 
@@ -158,7 +147,7 @@ def two_batches(first: np.ndarray, second: np.ndarray) -> BatchMoments:
 class TestEstimateGain:
     def test_exact_moments(self):
         state = prepare_superposition(1.0 / math.sqrt(2.0))
-        noise = noise_moments(NoiseModel(64.0), 4)
+        noise = noise_moments(64.0, 4)
         raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
                                   noise, 1.0e4).values
@@ -168,7 +157,7 @@ class TestEstimateGain:
     def test_insensitive_to_admixture(self):
         # vacuum admixture scales <a> and <a^dag a> alike, G is unchanged
         state = prepare_superposition(1.0 / math.sqrt(2.0), admixture_error=0.2)
-        noise = noise_moments(NoiseModel(64.0), 4)
+        noise = noise_moments(64.0, 4)
         raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
                                   noise, 1.0e4).values
@@ -193,7 +182,7 @@ class TestEstimateGain:
         # combined |s(0, 1)| is half the exact one, and the replicas, which
         # draw the batches with replacement, spread it by about 4.5 times it
         state = prepare_superposition(1.0 / math.sqrt(2.0))
-        noise = noise_moments(NoiseModel(64.0), 4)
+        noise = noise_moments(64.0, 4)
         raw = forward_moments(analytic_moments(state, 4), noise, 1.0e4).values
         raw_vac = forward_moments(analytic_moments(FockState.vacuum(), 4),
                                   noise, 1.0e4).values
@@ -234,7 +223,7 @@ class TestBootstrapErrors:
         assert hashlib.sha256(err.tobytes()).hexdigest() == BOOTSTRAP_SHA256[order]
 
     def test_tracks_batch_spread(self):
-        chain = AmplifierChain(gain=100.0, noise=NoiseModel(1.0))
+        chain = AmplifierChain(gain=100.0, nbar=1.0)
         sig = batch_moments((
             sample_detector(FockState.fock(1), chain, 20_000, seed=41, stream=i)
             for i in range(20)), 4)
@@ -253,7 +242,7 @@ class TestBootstrapErrors:
         # mean, A = D_G B(h), and the spread is sqrt(diag(A^-1 C A^-H)) with
         # C the batches' population covariance of s over the batch count
         order, gain, n_boot = 4, 100.0, 400
-        chain = AmplifierChain(gain=gain, noise=NoiseModel(1.0))
+        chain = AmplifierChain(gain=gain, nbar=1.0)
         sig = batch_moments((
             sample_detector(FockState.fock(1), chain, 20_000, seed=44, stream=i)
             for i in range(20)), order)
@@ -277,7 +266,7 @@ class TestBootstrapErrors:
                 delta[k], rel=4.0 / math.sqrt(2.0 * n_boot)), (n, m)
 
     def test_deterministic_given_seed(self):
-        chain = AmplifierChain(gain=10.0, noise=NoiseModel(0.5))
+        chain = AmplifierChain(gain=10.0, nbar=0.5)
         sig = batch_moments((
             sample_detector(FockState.vacuum(), chain, 5000, seed=43, stream=i)
             for i in range(5)), 2)
@@ -306,10 +295,6 @@ class TestTruncationOrder:
         assert truncation_order(m, errors) == 2
         errors[1, 1] = 0.34     # 3 err(1, 1) = 1.02 > m(1, 1)
         assert truncation_order(m, errors) == 0
-
-    def test_rejects_antinormal(self):
-        with pytest.raises(ValueError):
-            truncation_order(noise_moments(NoiseModel(1.0), 4), np.zeros((5, 5)))
 
 
 class TestWignerKernel:
@@ -383,14 +368,10 @@ class TestWignerReconstruction:
         grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)))
         assert grid.truncation == 2
 
-    def test_rejects_antinormal_moments(self):
-        with pytest.raises(ValueError):
-            reconstruct_wigner(noise_moments(NoiseModel(1.0), 4), np.zeros((5, 5)))
-
 
 class TestEndToEndMomentsToWigner:
     def test_simulated_single_photon_negativity(self):
-        chain = AmplifierChain(gain=1.0e4, noise=NoiseModel(2.0))
+        chain = AmplifierChain(gain=1.0e4, nbar=2.0)
         sig = sample_detector(FockState.fock(1), chain, 400_000, seed=51)
         vac = sample_detector(FockState.vacuum(), chain, 400_000, seed=52)
         report = invert_moments(combined_moments(sig, 4), combined_moments(vac, 4),
