@@ -32,7 +32,7 @@ class QuadratureHistogram:
         self.bins = bins
         self.extent = float(extent)
         self._edges = np.linspace(-self.extent, self.extent, bins + 1)
-        self.counts = np.zeros((bins, bins), dtype=np.uint64)   # add() fills a flat view
+        self.counts = np.zeros((bins, bins), dtype=np.uint32)   # add() fills a flat view
         self.in_range = self.overflow = 0
         self._warned = False
 
@@ -51,6 +51,11 @@ class QuadratureHistogram:
         e = self.edges()
         return 0.5 * (e[:-1] + e[1:])
 
+    def widen_for(self, in_range: int) -> None:
+        """Widen the counts to uint64 if `in_range` shots could pass a bin's uint32."""
+        if in_range > np.iinfo(self.counts.dtype).max:
+            self.counts = self.counts.astype(np.uint64)
+
     def _bin_index(self, v: np.ndarray) -> np.ndarray:
         # bins as np.histogram2d assigns them: e[i] <= v < e[i+1], +extent in the last
         e, last = self._edges, self.bins - 1
@@ -64,7 +69,8 @@ class QuadratureHistogram:
         s = _as_samples(data)
         inside = (np.abs(s.real) <= self.extent) & (np.abs(s.imag) <= self.extent)
         ix, iy = (self._bin_index(v[inside]) for v in (s.real, s.imag))
-        np.add.at(self.counts.reshape(-1), ix * self.bins + iy, np.uint64(1))
+        self.widen_for(self.in_range + ix.size)
+        np.add.at(self.counts.reshape(-1), ix * self.bins + iy, self.counts.dtype.type(1))
         self.in_range += ix.size
         self.overflow += s.size - ix.size
         return self

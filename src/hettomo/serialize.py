@@ -19,7 +19,7 @@ from .acquire import QuadratureHistogram
 from .moments import BatchMoments, MomentMatrix
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
-MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint64 counts take <= 128 MiB
+MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint32 counts take <= 64 MiB
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -178,6 +178,7 @@ def load_histogram(prefix) -> QuadratureHistogram:
         raise ValueError(f"{path}: counts sum to {summed}, header says "
                          f"total - overflow = {in_range}")
     hist = QuadratureHistogram(bins=bins, extent=extent)
+    hist.widen_for(summed)
     hist.counts.reshape(-1)[bits[:cells].view(bool)] = count
     hist.in_range, hist.overflow = summed, overflow
     return hist

@@ -49,10 +49,14 @@ def thermal_nbar(temperature_k: float, frequency_hz: float,
     """Bose-Einstein occupation at (T, nu); Rayleigh-Jeans kT/(h nu) on request."""
     if temperature_k < 0 or frequency_hz <= 0:
         raise ValueError("need T >= 0 and nu > 0")
-    if temperature_k == 0:
-        return 0.0
-    x = PLANCK * frequency_hz / (BOLTZMANN * temperature_k)
-    return 1.0 / x if rayleigh_jeans else 1.0 / math.expm1(x)
+    kt = BOLTZMANN * temperature_k
+    x = PLANCK * frequency_hz / kt if kt else math.inf   # T = 0, or kT below float range
+    if x == 0 or 1.0 / x == math.inf:   # 1 / expm1(x) <= 1 / x
+        raise ValueError(f"h nu / kT = {x:.3g} underflows: the occupation is not finite")
+    try:
+        return 1.0 / x if rayleigh_jeans else 1.0 / math.expm1(x)
+    except OverflowError:   # e^x past float range, where the occupation exp(-x) is 0.0
+        return math.exp(-x)
 
 
 @dataclass(frozen=True)

@@ -86,14 +86,12 @@ def _binomial_table(order: int) -> tuple[np.ndarray, ...]:
 
 
 def _binomial_operator(noise: np.ndarray) -> np.ndarray:
-    """Unit lower-triangular B(h) with s = D_G B(h) m over moment_indices,
-    stacked over any leading axes of the noise moments h."""
+    """Unit lower-triangular B(h) with s = D_G B(h) m over moment_indices."""
     order = noise.shape[-1] - 1
     rows, cols, coeffs, flat = _binomial_table(order)
-    h = noise.reshape(*noise.shape[:-2], -1)
     size = (order + 1) * (order + 2) // 2
-    op = np.zeros((*h.shape[:-1], size, size), dtype=complex)
-    op[..., rows, cols] = coeffs * h[..., flat]
+    op = np.zeros((size, size), dtype=complex)
+    op[rows, cols] = coeffs * noise.reshape(-1)[flat]
     return op
 
 
@@ -171,8 +169,8 @@ def bootstrap_errors(signal_batches: BatchMoments, vacuum_batches: BatchMoments,
     _check_orders(signal_batches, vacuum_batches)
     signal, vacuum = resample_batches([signal_batches, vacuum_batches], n_boot,
                                       seed=[seed, 0xB007])
-    ops = _binomial_operator(_noise_values(vacuum, gain))
-    moments = np.array([_solve(op, sig, gain) for op, sig in zip(ops, signal)])
+    moments = np.array([_solve(_binomial_operator(h), sig, gain)    # one B(h) at a time
+                        for h, sig in zip(_noise_values(vacuum, gain), signal)])
     return np.sqrt(np.mean(np.abs(moments - moments.mean(axis=0)) ** 2, axis=0))
 
 

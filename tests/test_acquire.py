@@ -72,10 +72,25 @@ class TestQuadratureHistogram:
             warnings.simplefilter("ignore")
             h.add(x + 1j * y)
             ref, _, _ = np.histogram2d(x, y, bins=bins, range=[[-extent, extent]] * 2)
-        assert h.counts.dtype == np.uint64
+        assert h.counts.dtype == np.uint32
         assert np.array_equal(h.counts, ref.astype(np.uint64))
         assert h.overflow == x.size - int(ref.sum())
         assert h.in_range == int(ref.sum())
+
+    def test_counts_are_uint32(self):
+        # a bin never holds more than the run's in-range shots, so 4 B a bin
+        counts = QuadratureHistogram(1024, 6.0).counts
+        assert counts.dtype == np.uint32 and counts.nbytes == 1024 ** 2 * 4
+
+    @pytest.mark.parametrize("shots, dtype", [(2, np.uint32), (5, np.uint64)])
+    def test_counts_widen_before_a_bin_could_pass_uint32(self, shots, dtype):
+        h = QuadratureHistogram(bins=4, extent=1.0).add(np.zeros(3))
+        h.in_range = 2 ** 32 - 3    # as if 2^32 - 6 more shots had gone elsewhere
+        h.add(np.full(shots, 0.5 + 0.5j))
+        assert h.counts.dtype == dtype and h.in_range == 2 ** 32 - 3 + shots
+        expected = np.zeros((4, 4), dtype=np.uint64)
+        expected[2, 2], expected[3, 3] = 3, shots
+        assert np.array_equal(h.counts, expected)
 
     def test_counts_survive_reload(self, tmp_path):
         m = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(900, 22))

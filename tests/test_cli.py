@@ -64,7 +64,7 @@ class TestParseConfig:
             parse_config({**doc, "shots": largest + 1})
 
     def test_largest_histogram_parses(self):
-        # 4096^2 dense uint64 counts are 128 MiB, the most a run may allocate
+        # 4096^2 dense uint32 counts are 64 MiB, the most a run may allocate
         doc = {"seed": 1, "shots": 100, "state": {"kind": "vacuum"}}
         assert parse_config({**doc, "histogram": {"bins": 4096}}).bins == 4096
 
@@ -126,6 +126,13 @@ class TestParseConfig:
         cfg = parse_config({"seed": 1, "shots": 100, "state": {"kind": "vacuum"},
                             "amplifier": amp})
         assert cfg.chain.nbar == thermal_nbar(21.0, 6.77e9, rayleigh_jeans) == nbar
+
+    def test_occupation_past_float_range_simulates_as_zero(self, tmp_path):
+        # h nu / kT = 28 795: e^x overflows a float, where the occupation is 0.0
+        amp = {"gain": 100.0, "temperature_K": 1e-5, "frequency_Hz": 6e9}
+        path = write_config(tmp_path, amplifier=amp)
+        assert load_config(path).chain.nbar == 0.0
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_overrides_take_precedence(self):
         cfg = parse_config({"seed": 1, "shots": 100,
@@ -223,6 +230,10 @@ class TestExitCodes:
         # time-domain record's 2 x 400 normals per shot are too many
         ("config", {"shots": 10 ** 30, "batches": 1}),
         ("config", {"shots": 2 ** 54, "batches": 1, "time_domain": {"enabled": True}}),
+        # h nu / kT underflows to 0: no finite occupation, either way
+        ("amplifier", {"temperature_K": 1e300, "frequency_Hz": 1e-300}),
+        ("amplifier", {"temperature_K": 1e300, "frequency_Hz": 1e-300,
+                       "rayleigh_jeans": True}),
     ])
     def test_bad_config_block_is_2(self, tmp_path, capsys, block, value):
         # "config" names the top level: its keys are set directly
@@ -706,7 +717,7 @@ class TestSimulateCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - cfg.bins ** 2 * 8 < 22.8e6 / 2, peak
+        assert peak - cfg.bins ** 2 * 4 < 22.8e6 / 2, peak     # 4 B a uint32 bin
 
     def test_draw_thread_keeps_the_sequential_bytes_under_fast_switching(self):
         # three Fock |2> batches of four leaves each: the draw thread crosses batch

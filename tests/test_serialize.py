@@ -148,7 +148,7 @@ def test_histogram_round_trip_across_scan_chunks(tmp_path, bins):
 
 
 def test_histogram_save_copies_no_dense_array(tmp_path):
-    # 1024^2 uint64 bins are 8 MB; a few thousand occupied ones need ~100 kB
+    # 1024^2 uint32 bins are 4 MB; a few thousand occupied ones need ~100 kB
     rng = np.random.default_rng(5)
     hist = QuadratureHistogram(bins=1024, extent=4.0).add(
         rng.normal(size=5000) + 1j * rng.normal(size=5000))
@@ -159,6 +159,18 @@ def test_histogram_save_copies_no_dense_array(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < hist.counts.nbytes / 8
+
+
+def test_histogram_loader_widens_counts_past_uint32(tmp_path):
+    # one bin of 2^32 + 5 counts, as save_histogram writes it: bitmap, then <u8
+    count = 2 ** 32 + 5
+    (tmp_path / "hist.occ").write_bytes(b"\x80" + count.to_bytes(8, "little"))
+    (tmp_path / "hist.json").write_text(json.dumps({
+        "bins": 1, "extent": 1.0, "total": count, "overflow": 0,
+        "counts_file": "hist.occ", "count_dtype": "<u8", "occupied": 1}))
+    hist = load_histogram(tmp_path / "hist")
+    assert hist.counts.dtype == np.uint64 and int(hist.counts[0, 0]) == count
+    assert hist.in_range == count
 
 
 def test_empty_histogram_round_trip(tmp_path):
@@ -289,7 +301,7 @@ def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, val
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1e6, peak     # 4097^2 uint64 counts would be 134 MB
+    assert peak < 1e6, peak     # 4097^2 uint32 counts would be 67 MB
 
 
 @pytest.mark.parametrize("overflow, shown", [(-3, "-3"), (0.5, "0.5"), (True, "true")])

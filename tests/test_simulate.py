@@ -36,6 +36,15 @@ class TestAmplifierChain:
         assert thermal_nbar(21.0, 6.77e9) == 64.13481983080844
         assert thermal_nbar(21.0, 6.77e9, rayleigh_jeans=True) == 64.63353051549174
 
+    @pytest.mark.parametrize("rayleigh_jeans", [False, True])
+    def test_occupation_past_float_range(self, rayleigh_jeans):
+        # h nu / kT = 28 795 overflows e^x: the Bose-Einstein occupation is 0.0
+        expected = pytest.approx(1.0 / 28795.0, rel=1e-4) if rayleigh_jeans else 0.0
+        assert thermal_nbar(1e-5, 6e9, rayleigh_jeans) == expected
+        assert thermal_nbar(1e-310, 6e9, rayleigh_jeans) == 0.0     # kT underflows to 0
+        with pytest.raises(ValueError, match="occupation is not finite"):
+            thermal_nbar(1e300, 1e-300, rayleigh_jeans)     # h nu / kT underflows to 0
+
     @pytest.mark.parametrize("nbar", [-0.1, math.nan, math.inf])
     def test_rejects_nbar_that_is_negative_or_not_finite(self, nbar):
         with pytest.raises(ValueError, match="mean thermal photon number must be >= 0"):

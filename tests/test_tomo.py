@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestBootstrapErrors:
     def test_keeps_its_bytes(self, order):
         err = bootstrap_errors(*_synthetic_runs(order), 3.0, n_boot=64, seed=11)
         assert hashlib.sha256(err.tobytes()).hexdigest() == BOOTSTRAP_SHA256[order]
+
+    def test_builds_one_operator_at_a_time(self):
+        # 200 stacked order-8 operators, (200, 45, 45) complex, peaked near 10.6 MB
+        rng = np.random.default_rng(3)
+        values = 0.1 * np.array([random_moment_matrix(rng, 8) for _ in range(10)])
+        values[:, 0, 0] = 1.0
+        run = BatchMoments(values, np.full(10, 1000))
+        tracemalloc.start()
+        try:
+            bootstrap_errors(run, run, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6, peak
 
     def test_tracks_batch_spread(self):
         chain = AmplifierChain(gain=100.0, nbar=1.0)
