@@ -47,9 +47,15 @@ STAGE_CALIBRATION = 2
 STAGE_PILOT = 3
 
 PILOT_SHOTS = 100_000
-# largest `wigner --resolution`: reconstruct_wigner and save_wigner peak at about
-# 88 and 183 B per grid point, so 2048 points a side take about 0.8 GB
+# largest `wigner --resolution`: reconstruct_wigner peaks at about 88 B per grid
+# point (save_wigner at under 1 MB), so 2048 points a side take about 0.37 GB
 MAX_RESOLUTION = 2048
+# largest thermal `state.nbar`: its dense rho of thermal_cutoff(50) + 1 = 698 levels
+# takes 7.8 MB, and building and checking it peaks at about 24 MB
+MAX_THERMAL_NBAR = 50
+# largest `time_domain.bins`: a 64-row block of records, its noise draw and its
+# matched filter peak at about 3.2 KB per bin, about 52 MB at 16384
+MAX_TIME_BINS = 16384
 
 
 class ConfigError(Exception):
@@ -148,7 +154,8 @@ def parse_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
         if field(td, "enabled", bool, False):
             envelope = TemporalEnvelope(kappa=field(td, "kappa", float, 1.0 / 40.0),
                                         dt=field(td, "dt", float, 1.0),
-                                        n_bins=field(td, "bins", int, 400))
+                                        n_bins=field(td, "bins", int, 400, lo=1,
+                                                     hi=MAX_TIME_BINS))
     # the largest draw of a batch, 2 normals per shot and time bin, must be indexable
     draws = -(-shots // batches) * 2 * (envelope.n_bins if envelope else 1)
     if draws > np.iinfo(np.intp).max:
@@ -179,7 +186,7 @@ def build_state(spec: dict) -> FockState:
         pair = isinstance(spec.get("alpha"), list)   # [x, p]
         return coherent_state(field(spec, "alpha", complex if pair else float, 1.0))
     if kind == "thermal":
-        return thermal_state(field(spec, "nbar", float, 1.0))
+        return thermal_state(field(spec, "nbar", float, 1.0, lo=0, hi=MAX_THERMAL_NBAR))
     if kind != "superposition":
         raise ValueError("kind must be one of vacuum|fock|coherent|superposition|thermal")
     phase = field(spec, "phase", float, 0.0)
@@ -383,6 +390,7 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
     return [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts) for run in pair]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the report's checks decide
 def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
                 out_path: Path) -> InversionReport:
     try:

@@ -120,7 +120,8 @@ def prepare_superposition(beta: complex, admixture_error: float = 0.0,
 def coherent_state(alpha: complex, cutoff: int = DEFAULT_CUTOFF) -> FockState:
     """Truncated coherent state |alpha>, renormalized after truncation."""
     alpha = complex(alpha)
-    if abs(alpha) ** 2 > cutoff / 4.0:
+    # a part past the cutoff is refused before abs(alpha) ** 2 could overflow
+    if max(abs(alpha.real), abs(alpha.imag)) > cutoff or abs(alpha) ** 2 > cutoff / 4.0:
         raise ValueError("cutoff too small for requested coherent amplitude")
     k = np.arange(cutoff + 1)
     logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff + 1)))))

@@ -2,14 +2,15 @@
 
 Complex numbers are stored as [re, im] pairs in JSON.  Bulk data uses flat
 little-endian binary with a JSON sidecar/header: float64 (re, im) pairs for
-shots, and for a histogram a bitmap of its occupied bins, then their counts at
-the narrowest unsigned width that holds the largest.
+shots, and for a histogram one zlib stream of a bitmap of its occupied bins,
+then their counts at the narrowest unsigned width that holds the largest.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import zlib
 from contextlib import suppress
 from pathlib import Path
 
@@ -115,31 +116,55 @@ def load_shots(prefix) -> np.ndarray:
 
 def save_histogram(prefix, hist: QuadratureHistogram, meta: dict | None = None
                    ) -> tuple[Path, Path]:
+    """Write the counts as one zlib stream, read 65 536 bins at a time for the bitmap
+    and again for the counts, and the header beside it."""
     prefix = Path(prefix)
     counts_path = prefix.with_suffix(".occ")
     flat = hist.counts.reshape(-1)      # a view: counts are C-contiguous
     count_dtype = f"<u{np.min_scalar_type(int(flat.max())).itemsize}"
-    bitmap, counts = [], []
-    for i in range(0, flat.size, 65536):    # 65 536 bins, 8 KiB of bitmap, at a time
-        occupied = flat[i:i + 65536] != 0
-        bitmap.append(np.packbits(occupied))
-        counts.append(flat[i:i + 65536][occupied].astype(count_dtype))
-    counts_path.write_bytes(b"".join(bitmap + counts))
+    chunks = [flat[i:i + 65536] for i in range(0, flat.size, 65536)]   # 8 KiB of bitmap each
+    deflate, occupied = zlib.compressobj(strategy=zlib.Z_RLE), 0
+    with counts_path.open("wb") as out:
+        for chunk in chunks:
+            out.write(deflate.compress(np.packbits(chunk != 0)))
+        for chunk in chunks:
+            counts = chunk[chunk != 0].astype(count_dtype)
+            occupied += counts.size
+            out.write(deflate.compress(counts))
+        out.write(deflate.flush())
     header = {
         "bins": hist.bins,
         "extent": hist.extent,
         "total": hist.total,
         "overflow": hist.overflow,
         "counts_file": counts_path.name,
-        "format": "bins^2-bit row-major occupancy bitmap, MSB first; occupied counts",
+        "format": "zlib stream of a bins^2-bit row-major occupancy bitmap, MSB first; "
+                  "occupied counts",
         "count_dtype": count_dtype,
-        "occupied": sum(c.size for c in counts),
+        "occupied": occupied,
     }
     if meta:
         header.update(meta)
     json_path = prefix.with_suffix(".json")
     json_path.write_text(json.dumps(header, indent=2))
     return counts_path, json_path
+
+
+def _inflate(path: Path, size: int) -> bytes:
+    """The payload of `path`, refused unless it is exactly one complete zlib stream
+    that inflates to `size` bytes; at most size + 1 bytes are inflated."""
+    inflate = zlib.decompressobj()
+    try:
+        data = inflate.decompress(path.read_bytes(), size + 1)
+    except zlib.error as exc:
+        raise ValueError(f"{path}: not a zlib stream ({exc})") from None
+    if len(data) > size:
+        raise ValueError(f"{path}: inflates past the {size} bytes the header implies")
+    if not inflate.eof:
+        raise ValueError(f"{path}: the zlib stream is cut short after {len(data)} bytes")
+    if inflate.unused_data:
+        raise ValueError(f"{path}: {len(inflate.unused_data)} bytes follow the zlib stream")
+    return data
 
 
 def load_histogram(prefix) -> QuadratureHistogram:
@@ -152,6 +177,8 @@ def load_histogram(prefix) -> QuadratureHistogram:
         extent = field(header, "extent", float, positive=True)
         overflow, total, occupied = (field(header, key, int, lo=0)
                                      for key in ("overflow", "total", "occupied"))
+        if occupied > bins ** 2:
+            raise ValueError(f"occupied {occupied} is more than bins^2 = {bins ** 2}")
         name, dtype = (field(header, key, str) for key in ("counts_file", "count_dtype"))
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValueError(f"counts_file must be a bare file name, got {json.dumps(name)}")
@@ -161,10 +188,11 @@ def load_histogram(prefix) -> QuadratureHistogram:
     except ValueError as exc:
         raise ValueError(f"{json_path}: {exc}") from None
     path, cells, width = prefix.parent / name, bins ** 2, int(dtype[2])
-    data, nbytes = path.read_bytes(), -(-cells // 8)
+    nbytes = -(-cells // 8)
+    data = _inflate(path, nbytes + occupied * width)
     if len(data) != nbytes + occupied * width:
-        raise ValueError(f"{path}: {len(data)} bytes, header says ceil(bins^2 / 8) + "
-                         f"occupied x {width} = {nbytes + occupied * width}")
+        raise ValueError(f"{path}: inflates to {len(data)} bytes, header says ceil(bins^2 / 8)"
+                         f" + occupied x {width} = {nbytes + occupied * width}")
     bits = np.unpackbits(np.frombuffer(data, np.uint8, nbytes))
     count = np.frombuffer(data, dtype, offset=nbytes)
     if bits[cells:].any():
@@ -236,11 +264,14 @@ def wigner_paths(prefix) -> tuple[Path, Path]:
 
 def save_wigner(prefix, grid: WignerGrid) -> tuple[Path, Path]:
     csv_path, json_path = wigner_paths(prefix)
-    x, p = np.meshgrid(grid.xs, grid.ps, indexing="ij")
-    rows = np.column_stack([x.ravel(), p.ravel(), grid.values.ravel()])
-    # np.savetxt's bytes, from one format over the flat values in place of one per row
-    text = "%.9g,%.9g,%.12g\n" * len(rows) % tuple(rows.ravel().tolist())
-    csv_path.write_text("x,p,w\n" + text)
+    step = max(1, 4096 // len(grid.ps))     # x values per block: a few thousand points
+    with csv_path.open("w") as out:
+        out.write("x,p,w\n")
+        for i in range(0, len(grid.xs), step):
+            x, p = np.meshgrid(grid.xs[i:i + step], grid.ps, indexing="ij")
+            rows = np.column_stack([x.ravel(), p.ravel(), grid.values[i:i + step].ravel()])
+            # np.savetxt's bytes, from one format over the flat values in place of one per row
+            out.write("%.9g,%.9g,%.12g\n" * len(rows) % tuple(rows.ravel().tolist()))
     header = {
         "extent": grid.extent,
         "resolution": len(grid.xs),

@@ -10,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,9 @@ class TestExitCodes:
         ("amplifier", {"temperature_K": 1e300, "frequency_Hz": 1e-300}),
         ("amplifier", {"temperature_K": 1e300, "frequency_Hz": 1e-300,
                        "rayleigh_jeans": True}),
+        # |alpha|^2 past float range: too large, not an OverflowError
+        ("state", {"kind": "coherent", "alpha": 1e300}),
+        ("state", {"kind": "coherent", "alpha": [1e308, 1e308]}),
     ])
     def test_bad_config_block_is_2(self, tmp_path, capsys, block, value):
         # "config" names the top level: its keys are set directly
@@ -281,6 +285,28 @@ class TestExitCodes:
         assert run(argv + (["--bins", "4097"] if flag else [])) == 2
         assert "histogram: bins must be an integer in [1, 4096], got 4097" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("block, value, message", [
+        ("state", {"kind": "thermal", "nbar": 1e12},
+         f"nbar must be a finite number in [0, {cli.MAX_THERMAL_NBAR}], got 1000000000000.0"),
+        ("time_domain", {"enabled": True, "bins": 10 ** 12},
+         f"bins must be an integer in [1, {cli.MAX_TIME_BINS}], got 1000000000000"),
+    ])
+    def test_sizes_above_their_cap_are_2_before_allocating(self, tmp_path, capsys, block,
+                                                           value, message):
+        # 1e12 photons need a dense rho of 1.4e13 levels; 1e12 time bins a 16 TB envelope
+        cfg = write_config(tmp_path, **{block: value})
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--config", str(cfg), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"{block}: {message}" in capsys.readouterr().err
+        assert peak < 1e6
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", [
@@ -497,7 +523,8 @@ class TestExitCodes:
         assert files == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in sorted(out.iterdir()) if p.name != "manifest.json"}
         assert {"hist_signal.occ", "hist_vacuum.occ", "moments_vacuum.json"} <= set(files)
-        assert (out / "hist_vacuum.occ").read_bytes() == bytes(2)   # 16 empty bins
+        # 16 empty bins
+        assert zlib.decompress((out / "hist_vacuum.occ").read_bytes()) == bytes(2)
         assert serialize.load_histogram(out / "hist_vacuum").overflow == 2000
 
     @pytest.mark.parametrize("command", ["simulate", "full-run"])
@@ -1141,8 +1168,8 @@ CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b
 # were a validated matrix object of their own
 MOMENTS_SIGNAL_SHA256 = "adf85d0eebfbc77d0bd841cc8f45075a0eba43ae82781ba797140f163a310ae4"
 
-# hist_signal.occ of the same simulate, built in pure Python (a bit per bin, then
-# one byte per count) from the records of the hist_signal.coo pinned before it
+# hist_signal.occ of the same simulate, inflated: built in pure Python (a bit per bin,
+# then one byte per count) from the records of the hist_signal.coo pinned before it
 # (sha256 8bd2cd84e49f...), which was packed with struct from the occupied bins
 # of the dense uint64 counts file that histograms were stored as before that
 HIST_SIGNAL_SHA256 = "ed11ea44810a9a8a15eb222fe5014ecd1e3881d7deb4de0fad9a5ce43678c63c"
@@ -1170,7 +1197,7 @@ def test_stored_moments_keep_their_bytes(tmp_path):
 def test_stored_histogram_keeps_its_bytes(tmp_path):
     cfg = write_config(tmp_path, shots=2003, batches=4)
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-    stored = (tmp_path / "run" / "hist_signal.occ").read_bytes()
+    stored = zlib.decompress((tmp_path / "run" / "hist_signal.occ").read_bytes())
     assert hashlib.sha256(stored).hexdigest() == HIST_SIGNAL_SHA256
 
 
@@ -1329,3 +1356,30 @@ def test_package_import_loads_no_submodule():
 def test_python_dash_m_help():
     for module in ("hettomo", "hettomo.cli"):
         _assert_help([sys.executable, "-m", module], _src_env())
+
+
+# the README config at 2000 shots; each fuzz case sets one of its fields, other than
+# shots and batches, to one of FUZZ_VALUES
+README_CONFIG = {"seed": 12345, "shots": 2000, "batches": 100, "order": 4,
+                 "state": {"kind": "superposition", "beta": 0.7071, "phase": 0.0},
+                 "amplifier": {"gain": 10000.0, "nbar": 2.0},
+                 "histogram": {"bins": 1024, "range": None},
+                 "calibration": {"beta": 0.7071, "phase": 3.14159}}
+FUZZ_VALUES = [0, -1, 1e300, -1e300, 1e-300, "x", True, None, [], {}, [1e308, 1e308]]
+FUZZ_FIELDS = [(key,) for key in README_CONFIG if key not in ("shots", "batches")] + [
+    (key, sub) for key, block in README_CONFIG.items() if isinstance(block, dict)
+    for sub in block]
+
+
+@pytest.mark.parametrize("path", FUZZ_FIELDS, ids=".".join)
+@pytest.mark.parametrize("value", FUZZ_VALUES, ids=json.dumps)
+def test_config_fuzz_exits_with_a_documented_code(tmp_path, capsys, path, value):
+    doc = json.loads(json.dumps(README_CONFIG))
+    *blocks, key = path
+    (doc[blocks[0]] if blocks else doc)[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # the overflow-fraction warning
+        code = run(["full-run", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code in (0, 2, 3, 4)

@@ -78,6 +78,19 @@ class TestCoherentState:
         with pytest.raises(ValueError):
             coherent_state(2.0, cutoff=8)
 
+    def test_cutoff_guard_at_its_boundary(self):
+        # |alpha|^2 > cutoff / 4 in float: sqrt(2)^2 rounds to 2.0000000000000004
+        below = np.nextafter(math.sqrt(2.0), 0.0)
+        assert coherent_state(below, cutoff=8).profile == ("coherent", below)
+        with pytest.raises(ValueError, match="cutoff too small"):
+            coherent_state(math.sqrt(2.0), cutoff=8)
+
+    @pytest.mark.parametrize("alpha", [1e300, -1e300, 1e300j, complex(1e308, 1e308)])
+    def test_cutoff_guard_past_float_range(self, alpha):
+        # |alpha|^2 overflows a float, where it is refused as too large
+        with pytest.raises(ValueError, match="cutoff too small"):
+            coherent_state(alpha)
+
 
 class TestThermalState:
     def test_zero_nbar_is_vacuum(self):

@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -103,11 +104,12 @@ def test_histogram_file_is_a_bitmap_then_counts(tmp_path):
     header = json.loads(json_path.read_text())
     assert counts_path.name == header["counts_file"] == "hist.occ"
     assert header["count_dtype"] == "<u1" and "dtype" not in header
+    assert header["format"].startswith("zlib stream of ")
     occupied = [(i, int(c)) for i, c in enumerate(hist.counts.reshape(-1)) if c]
     assert header["occupied"] == len(occupied)
     # 49 bits, most significant first, zero-padded to 7 bytes, then one byte
-    # per occupied bin's count; read without numpy
-    raw = counts_path.read_bytes()
+    # per occupied bin's count, as one zlib stream; read without numpy
+    raw = zlib.decompress(counts_path.read_bytes())
     assert len(raw) == 7 + len(occupied)
     bits = [raw[k // 8] >> (7 - k % 8) & 1 for k in range(7 * 8)]
     assert [k for k, bit in enumerate(bits) if bit] == [i for i, _ in occupied]
@@ -121,7 +123,7 @@ def test_histogram_counts_take_the_narrowest_width(tmp_path, shots, count_dtype)
     hist.add(np.array([-0.9 - 0.9j]))
     counts_path, json_path = save_histogram(tmp_path / "hist", hist)
     assert json.loads(json_path.read_text())["count_dtype"] == count_dtype
-    width, raw = int(count_dtype[2]), counts_path.read_bytes()
+    width, raw = int(count_dtype[2]), zlib.decompress(counts_path.read_bytes())
     assert raw[:2] == bytes([0b10000000, 0b00010000])   # bins 0 and 2 * 4 + 3 of 16
     assert len(raw) == 2 + 2 * width
     assert [int.from_bytes(raw[k:k + width], "little")
@@ -136,7 +138,7 @@ def test_histogram_round_trip_across_scan_chunks(tmp_path, bins):
     hist = QuadratureHistogram(bins=bins, extent=3.0).add(
         rng.normal(size=200_000) + 1j * rng.normal(size=200_000))
     counts_path, _ = save_histogram(tmp_path / "hist", hist)
-    raw = np.fromfile(counts_path, dtype=np.uint8)
+    raw = np.frombuffer(zlib.decompress(counts_path.read_bytes()), dtype=np.uint8)
     cells = bins * bins
     bits = np.unpackbits(raw[:-(-cells // 8)])
     occupied = np.flatnonzero(bits[:cells])
@@ -164,7 +166,7 @@ def test_histogram_save_copies_no_dense_array(tmp_path):
 def test_histogram_loader_widens_counts_past_uint32(tmp_path):
     # one bin of 2^32 + 5 counts, as save_histogram writes it: bitmap, then <u8
     count = 2 ** 32 + 5
-    (tmp_path / "hist.occ").write_bytes(b"\x80" + count.to_bytes(8, "little"))
+    (tmp_path / "hist.occ").write_bytes(zlib.compress(b"\x80" + count.to_bytes(8, "little")))
     (tmp_path / "hist.json").write_text(json.dumps({
         "bins": 1, "extent": 1.0, "total": count, "overflow": 0,
         "counts_file": "hist.occ", "count_dtype": "<u8", "occupied": 1}))
@@ -177,7 +179,7 @@ def test_empty_histogram_round_trip(tmp_path):
     # every shot outside +/-1e-12: a bitmap of zeros and no count
     hist = QuadratureHistogram(bins=4, extent=1e-12).add(np.ones(50) + 1j)
     counts_path, json_path = save_histogram(tmp_path / "hist", hist)
-    assert counts_path.read_bytes() == bytes(2)
+    assert zlib.decompress(counts_path.read_bytes()) == bytes(2)
     assert json.loads(json_path.read_text())["occupied"] == 0
     back = load_histogram(tmp_path / "hist")
     assert np.array_equal(back.counts, np.zeros((4, 4), dtype=np.uint64))
@@ -186,9 +188,9 @@ def test_empty_histogram_round_trip(tmp_path):
 
 def _edit_file(edit):
     def corrupt(counts_path, header):
-        raw = bytearray(counts_path.read_bytes())
+        raw = bytearray(zlib.decompress(counts_path.read_bytes()))
         edit(raw)
-        counts_path.write_bytes(raw)
+        counts_path.write_bytes(zlib.compress(raw))
     return corrupt
 
 
@@ -199,9 +201,9 @@ def _set_header(key, change):
 
 
 # 16 x 16 bins: a 32-byte bitmap, whose first bit is the empty bin 0, then a
-# one-byte count per occupied bin
+# one-byte count per occupied bin; a file is edited on its inflated payload
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda path, header: path.write_bytes(path.read_bytes()[:-1]),
+    (_edit_file(lambda raw: raw.__delitem__(-1)),
      "bytes, header says ceil(bins^2 / 8) + occupied x 1 = "),
     (_set_header("occupied", lambda n: n + 1),
      "bytes, header says ceil(bins^2 / 8) + occupied x 1 = "),
@@ -233,13 +235,62 @@ def test_histogram_loader_refuses_a_set_pad_bit(tmp_path):
     # appended so that the length and the popcount still agree
     hist = QuadratureHistogram(bins=5, extent=1.0).add(np.array([0.0, 0.5j]))
     counts_path, json_path = save_histogram(tmp_path / "hist", hist)
-    raw = bytearray(counts_path.read_bytes())
+    raw = bytearray(zlib.decompress(counts_path.read_bytes()))
     raw[3] |= 0x01
-    counts_path.write_bytes(bytes(raw) + bytes([1]))
+    counts_path.write_bytes(zlib.compress(bytes(raw) + bytes([1])))
     header = json.loads(json_path.read_text())
     json_path.write_text(json.dumps({**header, "occupied": 3, "total": 3}))
     with pytest.raises(ValueError, match=re.escape(
             f"{counts_path}: a pad bit after bin bins^2 = 25 is set")):
+        load_histogram(tmp_path / "hist")
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (zlib.decompress, "not a zlib stream"),   # the payload, stored uncompressed
+    (lambda raw: raw[:-1], "the zlib stream is cut short after 38 bytes"),   # its checksum
+    (lambda raw: raw[:len(raw) // 2], "the zlib stream is cut short after "),
+    (lambda raw: raw + b"\x00", "1 bytes follow the zlib stream"),
+    (lambda raw: raw + raw, "bytes follow the zlib stream"),
+], ids=["not-zlib", "no-checksum", "half", "trailing-byte", "two-streams"])
+def test_histogram_loader_refuses_all_but_one_complete_stream(tmp_path, corrupt, message):
+    # 16 x 16 bins, 6 of them occupied: 32 bytes of bitmap and 6 one-byte counts
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    counts_path, _ = save_histogram(tmp_path / "hist", hist)
+    assert len(zlib.decompress(counts_path.read_bytes())) == 38
+    counts_path.write_bytes(corrupt(counts_path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(f"{counts_path}: ")) as info:
+        load_histogram(tmp_path / "hist")
+    assert message in str(info.value)
+
+
+def test_histogram_loader_inflates_at_most_one_byte_past_the_header(tmp_path):
+    # a valid header over a stream of 64 MiB of zeros: inflating it would take 64 MB
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    counts_path, _ = save_histogram(tmp_path / "hist", hist)
+    deflate = zlib.compressobj(9)
+    with counts_path.open("wb") as out:
+        for _ in range(64):
+            out.write(deflate.compress(bytes(1 << 20)))
+        out.write(deflate.flush())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{counts_path}: inflates past the 38 bytes the header implies")):
+            load_histogram(tmp_path / "hist")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6, peak
+
+
+def test_histogram_loader_refuses_more_occupied_bins_than_bins(tmp_path):
+    # checked in the header, before a size of 10^30 bytes is asked of zlib
+    hist = QuadratureHistogram(bins=16, extent=5.0).add(np.arange(8) * (0.5 + 0.25j))
+    _, json_path = save_histogram(tmp_path / "hist", hist)
+    header = json.loads(json_path.read_text())
+    json_path.write_text(json.dumps({**header, "occupied": 10 ** 30}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{json_path}: occupied {10 ** 30} is more than bins^2 = 256")):
         load_histogram(tmp_path / "hist")
 
 
@@ -366,6 +417,19 @@ def test_wigner_files(tmp_path):
     assert csv_path.read_text() == "x,p,w\n" + "".join(
         f"{x:.9g},{p:.9g},{w:.12g}\n"
         for x, row in zip(grid.xs, grid.values) for p, w in zip(grid.ps, row))
+
+
+def test_wigner_csv_is_written_in_blocks(tmp_path):
+    # formatting the whole grid at once peaks at about 200 B per point here
+    grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)),
+                              extent=3.0, resolution=256)
+    tracemalloc.start()
+    try:
+        save_wigner(tmp_path / "wigner", grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 256 ** 2, peak
 
 
 def test_wigner_csv_keeps_savetxt_bytes(tmp_path):
