@@ -1,7 +1,9 @@
 """Config-driven command line front end for the simulation/tomography pipeline.
 
 Subcommands: simulate, analyze, calibrate, wigner, full-run.
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric/consistency failure.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric/consistency failure;
+`run` runs each command with NumPy's floating-point warnings off, so that the
+finiteness checks decide, and a ValueError that reaches it is exit 4.
 Simulation randomness derives from the config seed through documented
 SeedSequence paths ([seed, stage, batch]); the bootstrap replicas of analyze
 and calibrate use the fixed streams [0, 0xB007] and [0, 0xCA1]. So runs are
@@ -332,7 +334,6 @@ def write_manifest(out_dir: Path, cfg: ExperimentConfig, derived: dict, t0: floa
 
 # -- commands ----------------------------------------------------------------
 
-@np.errstate(over="ignore", invalid="ignore")   # the finiteness checks decide
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
                  derived: dict) -> dict[str, BatchMoments]:
     """Simulate and store each run into `out_dir`; returns each run's batch
@@ -390,14 +391,10 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
     return [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts) for run in pair]
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")   # the report's checks decide
 def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
                 out_path: Path) -> InversionReport:
-    try:
-        errors = bootstrap_errors(sig, vac, gain)
-        report = invert_moments(combine_batches(sig), combine_batches(vac), gain, errors)
-    except ValueError as exc:
-        raise NumericError(str(exc)) from exc
+    errors = bootstrap_errors(sig, vac, gain)
+    report = invert_moments(combine_batches(sig), combine_batches(vac), gain, errors)
     serialize.save_report(out_path, report)
     out_path.with_suffix(".txt").write_text(format_moment_table(report))
     return report
@@ -413,11 +410,8 @@ def format_moment_table(report: InversionReport) -> str:
 
 
 def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
-    try:
-        result = estimate_gain(sup, vac)
-    except ValueError as exc:
-        raise NumericError(str(exc)) from exc
-    out_path.write_text(json.dumps(result, indent=2))
+    result = estimate_gain(sup, vac)
+    out_path.write_text(json.dumps(result, indent=2, allow_nan=False))
     return result
 
 
@@ -554,6 +548,7 @@ def _out_path(args) -> Path:
     return out
 
 
+@np.errstate(all="ignore")   # the finiteness checks decide, whatever the caller set
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -587,9 +582,10 @@ def run(argv=None) -> int:
                 result = cmd_analyze(*pair, gain, out)
         print(format_moment_table(result) if args.command == "analyze"
               else json.dumps(result, indent=2))
-    except (ConfigError, DataError, NumericError) as exc:
+    except (ConfigError, DataError, NumericError, ValueError) as exc:
+        # outside inputs are read through _block, _read and _flag: a ValueError is numeric
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return getattr(exc, "exit_code", NumericError.exit_code)
     return 0
 
 

@@ -180,8 +180,7 @@ def gain_terms(raw_super: np.ndarray, raw_vacuum: np.ndarray) -> tuple[np.ndarra
     s01 = raw_super[..., 0, 1]
     m1 = np.hypot(s01.real, s01.imag)
     m2 = (raw_super[..., 1, 1] - raw_vacuum[..., 1, 1]).real
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return m1, m2, np.float_power(m2 / m1, 2)
+    return m1, m2, np.float_power(m2 / m1, 2)
 
 
 def estimate_gain(sup: BatchMoments, vac: BatchMoments) -> dict:
@@ -190,22 +189,23 @@ def estimate_gain(sup: BatchMoments, vac: BatchMoments) -> dict:
 
     For states with |<a>| = <a^dag a> = x the first moment scales as
     sqrt(G) x and the noise-subtracted second moment as G x, so
-    G = (M2 / M1)^2 (`gain_terms`). Refuses an M1 below 5 times its error, and a
-    gain that more than `MAX_FAILED_REPLICA_FRACTION` of the replicas lack.
+    G = (M2 / M1)^2 (`gain_terms`). Refuses an M1 below 5 times its error, a gain that
+    is not finite and > 0, and one that more than `MAX_FAILED_REPLICA_FRACTION` lack.
     """
     _check_orders(sup, vac)
     replicas = resample_batches([sup, vac], BOOTSTRAP_REPLICAS, seed=[0, 0xCA1])
     # the combined runs lead their replicas, so one test finds where G is no gain
     m1, m2, gains = gain_terms(*(np.concatenate([combine_batches(run).values[None], boot])
                                  for run, boot in zip((sup, vac), replicas)))
-    ok = (m1 > 0) & (m2 > 0)
+    ok = (m1 > 0) & (m2 > 0) & np.isfinite(gains)
     m1_err = float(np.std(m1[1:]))
     if m1[0] < 5.0 * m1_err:
         raise ValueError("phase reference too weak: |<S>| below 5x its "
                          "standard error")
     if not ok[0]:
-        raise ValueError("degenerate phase reference: |<S>| = 0" if m1[0] <= 0
-                         else "noise-subtracted second moment is not positive")
+        raise ValueError("degenerate phase reference: |<S>| = 0" if m1[0] <= 0 else
+                         "noise-subtracted second moment is not positive" if m2[0] <= 0 else
+                         "gain estimate is not finite")
     failed = BOOTSTRAP_REPLICAS - int(np.count_nonzero(ok[1:]))
     if failed > MAX_FAILED_REPLICA_FRACTION * BOOTSTRAP_REPLICAS:
         raise ValueError(f"gain estimate failed on {failed} of "

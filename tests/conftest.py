@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 
+from hettomo import cli
+from hettomo.acquire import combine_batches
 from hettomo.fock import FockState, destroy
 from hettomo.moments import MomentMatrix, hermitize, moment_indices
+from hettomo.tomo import bootstrap_errors, estimate_gain, invert_moments
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> FockState:
@@ -142,3 +145,29 @@ def wigner_kernel_quadrature(n: int, m: int, alpha: complex,
                  * np.exp(-0.5 * np.abs(lam) ** 2
                           + alpha * np.conj(lam) - np.conj(alpha) * lam))
     return complex(np.sum(integrand) * d * d / np.pi ** 2)
+
+
+def pipeline_over_seeds(config: dict, seeds) -> dict[str, np.ndarray]:
+    """The pipeline's own stage functions, in memory, once per seed of `config`: the
+    signal, vacuum and calibration runs (`cli.run_acquisition`), the calibrated gain
+    (`estimate_gain`), and the moments inverted with the true gain against their
+    bootstrap errors (`bootstrap_errors`, `invert_moments`). Returns per-seed stacks
+    `moments`, `errors`, `gain` and `gain_stderr`."""
+    out: dict[str, list] = {"moments": [], "errors": [], "gain": [], "gain_stderr": []}
+    extent = None
+    for seed in seeds:
+        cfg = cli.parse_config({**config, "seed": seed})
+        extent = extent or cli.auto_extent(cfg)     # the histogram axes move no moment
+        sig, vac, cal = (cli.run_acquisition(state, cfg, stage, extent)["batch_moments"]
+                         for state, stage in ((cfg.state, cli.STAGE_SIGNAL),
+                                              (FockState.vacuum(), cli.STAGE_VACUUM),
+                                              (cfg.calibration, cli.STAGE_CALIBRATION)))
+        calibration = estimate_gain(cal, vac)
+        gain = cfg.chain.gain
+        report = invert_moments(combine_batches(sig), combine_batches(vac), gain,
+                                bootstrap_errors(sig, vac, gain))
+        out["moments"].append(report.moments.values)
+        out["errors"].append(report.errors)
+        out["gain"].append(calibration["gain"])
+        out["gain_stderr"].append(calibration["gain_stderr"])
+    return {key: np.array(value) for key, value in out.items()}

@@ -1159,6 +1159,59 @@ def test_calibrate_counts_failed_replicas(tmp_path, capsys, poison, code):
         assert doc["gain"] == pytest.approx(((17.0 + poison) / 20.0) ** 2)
 
 
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} in a written JSON file")
+
+
+def test_calibrate_refuses_a_gain_that_is_not_finite(tmp_path, capsys):
+    # s(1,1) = 1e300 in every calibration batch: M2 / M1 is finite, its square is not
+    save_batch_moments(tmp_path / "moments_calibration.json",
+                       _order2_run([_order2_batch(1.0, 1e300)] * 20))
+    save_batch_moments(tmp_path / "moments_vacuum.json",
+                       _order2_run([_order2_batch(0.0, 2.0)] * 20))
+    out = tmp_path / "calibration.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 4
+    assert "gain estimate is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k_fail", [4, 2])
+def test_calibrate_counts_replicas_whose_gain_overflows(tmp_path, capsys, k_fail):
+    # as above, with the poisoned batch at s(1,1) = 2 + y: a replica that draws it k
+    # times has M1 = 1 and M2 = (20 - k + k y) / 20, so its gain M2^2 overflows from
+    # k = k_fail on, while the combined run's (19 + y)^2 / 400 stays finite; the
+    # finite gains then lie near the float maximum, so their spread overflows
+    y = 20.0 * math.sqrt(np.finfo(float).max) / (k_fail - 0.5)
+    pair = (_order2_run([_order2_batch(1.0, 3.0)] * 19 + [_order2_batch(1.0, 2.0 + y)]),
+            _order2_run([_order2_batch(0.0, 2.0)] * 20))
+    for name, batches in zip(("calibration", "vacuum"), pair):
+        save_batch_moments(tmp_path / f"moments_{name}.json", batches)
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0xCA1]))
+    expected = 0
+    for _ in range(200):   # the documented draw order: calibration, then vacuum
+        expected += np.count_nonzero(rng.integers(0, 20, 20) == 19) >= k_fail
+        rng.integers(0, 20, 20)
+    assert 0 < expected
+    assert (expected > 20) == (k_fail == 2)
+
+    out = tmp_path / "calibration.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 4
+    assert not out.exists()
+    if k_fail == 2:
+        assert f"failed on {expected} of 200" in capsys.readouterr().err
+    else:
+        with np.errstate(all="ignore"):
+            result = estimate_gain(*pair)
+        assert (result["n_bootstrap_failed"], result["n_bootstrap"]) == (expected,
+                                                                         200 - expected)
+        assert result["gain"] == pytest.approx(((19.0 + y) / 20.0) ** 2, rel=1e-12)
+        assert math.isinf(result["gain_stderr"])
+
+
 # gain_stderr and m1_stderr of calibrate on the run below, taken while every
 # replica gain came from its own estimate_gain call
 CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b53cc7b"
@@ -1383,3 +1436,120 @@ def test_config_fuzz_exits_with_a_documented_code(tmp_path, capsys, path, value)
         warnings.simplefilter("ignore", UserWarning)    # the overflow-fraction warning
         code = run(["full-run", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert code in (0, 2, 3, 4)
+
+
+# five more base configs for the config fuzz, each through simulate: every field but
+# shots and batches set to each of FUZZ_VALUES
+FUZZ_BASES = {
+    "fock": {"seed": 3, "shots": 2000, "batches": 20, "order": 4,
+             "state": {"kind": "fock", "k": 1}, "amplifier": {"gain": 100.0, "nbar": 1.0},
+             "histogram": {"bins": 64}},
+    "coherent": {"seed": 3, "shots": 2000, "batches": 20, "order": 4,
+                 "state": {"kind": "coherent", "alpha": [0.5, 0.3]},
+                 "amplifier": {"gain": 100.0, "nbar": 1.0}, "histogram": {"bins": 64}},
+    "thermal": {"seed": 3, "shots": 2000, "batches": 20, "order": 4,
+                "state": {"kind": "thermal", "nbar": 1.0},
+                "amplifier": {"gain": 100.0, "nbar": 1.0}, "histogram": {"bins": 64}},
+    "lossy-superposition": {
+        "seed": 3, "shots": 2000, "batches": 20, "order": 4,
+        "state": {"kind": "superposition", "beta": 0.7071, "phase": 0.5,
+                  "admixture": 0.1, "loss_eta": 0.8},
+        "amplifier": {"gain": 100.0, "temperature_K": 0.2, "frequency_Hz": 6e9},
+        "histogram": {"bins": 64}},
+    "time-domain": {"seed": 3, "shots": 400, "batches": 4, "order": 4,
+                    "state": {"kind": "fock", "k": 1},
+                    "amplifier": {"gain": 100.0, "nbar": 1.0}, "histogram": {"bins": 64},
+                    "time_domain": {"enabled": True, "kappa": 0.1, "bins": 64}},
+}
+BASE_FUZZ_CASES = [
+    pytest.param(base, path, value, id=f"{base}-{'.'.join(path)}-{json.dumps(value)}")
+    for base, doc in FUZZ_BASES.items()
+    for path in [(key,) for key in doc if key not in ("shots", "batches")] + [
+        (key, sub) for key, block in doc.items() if isinstance(block, dict) for sub in block]
+    for value in FUZZ_VALUES]
+
+
+@pytest.mark.parametrize("base, path, value", BASE_FUZZ_CASES)
+def test_config_fuzz_on_more_bases_exits_with_a_documented_code(tmp_path, capsys, base,
+                                                                 path, value):
+    doc = json.loads(json.dumps(FUZZ_BASES[base]))
+    *blocks, key = path
+    (doc[blocks[0]] if blocks else doc)[key] = value
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # the overflow-fraction warning
+        code = run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def stored_run(tmp_path_factory):
+    """A small README full-run: 20 000 shots in 4 batches."""
+    base = tmp_path_factory.mktemp("stored")
+    cfg = base / "config.json"
+    cfg.write_text(json.dumps({**README_CONFIG, "shots": 20_000, "batches": 4,
+                               "histogram": {"bins": 64}}))
+    assert run(["full-run", "--config", str(cfg), "--out", str(base / "run")]) == 0
+    return base / "run"
+
+
+FUZZ_NUMBERS = ["0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "1.7e308", "nan", "inf",
+                "x"]
+COMMAND_FUZZ_CASES = (
+    [pytest.param(None, "analyze", ["--gain", v], id=f"analyze-gain-{v}") for v in FUZZ_NUMBERS]
+    + [pytest.param(None, "wigner", ["--extent", v], id=f"wigner-extent-{v}")
+       for v in FUZZ_NUMBERS]
+    + [pytest.param(None, "analyze", ["--order", v], id=f"analyze-order-{v}")
+       for v in ["-1", "0", "1", "2", "4", "5", "9", "1e3", "x"]]
+    + [pytest.param(None, "wigner", ["--resolution", v], id=f"wigner-resolution-{v}")
+       for v in ["-1", "0", "1", "2", "2049", "1e3", "x"]]
+    # stored s(1,1) of every batch of one run, for each command that reads that run
+    + [pytest.param((run_name, s11), command, [], id=f"{command}-{run_name}-s11-{s11:g}")
+       for command, runs in (("calibrate", ("calibration", "vacuum")),
+                             ("analyze", ("signal", "vacuum")))
+       for run_name in runs for s11 in (1e308, -1e308, 1e300, 1e-300)])
+
+
+@pytest.mark.parametrize("stored_s11, command, flags", COMMAND_FUZZ_CASES)
+def test_command_fuzz_exits_with_a_documented_code(stored_run, tmp_path, capsys,
+                                                   stored_s11, command, flags):
+    run_dir = stored_run
+    if stored_s11 is not None:
+        run_name, s11 = stored_s11
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("manifest.json", "moments_calibration.json", "moments_signal.json",
+                     "moments_vacuum.json"):
+            shutil.copy(stored_run / name, run_dir)
+        path = run_dir / f"moments_{run_name}.json"
+        batches = json.loads(path.read_text())
+        for batch in batches:
+            batch["values"][1][1] = [s11, 0.0]
+        path.write_text(json.dumps(batches))
+    out = tmp_path / "out"
+    out.mkdir()
+    source = (["--report", str(run_dir / "report.json")] if command == "wigner"
+              else ["--signal", str(run_dir)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = run([command, *source, *flags, "--out", str(out / f"{command}.json")])
+        except SystemExit as exc:   # argparse refusing a flag it cannot convert
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
+def test_run_keeps_its_error_state_under_a_raising_caller(stored_run, tmp_path, capsys):
+    # W's Gaussian underflows at extent 30, and its polynomial overflows at 1e300
+    report = str(stored_run / "report.json")
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["wigner", "--report", report, "--extent", "30",
+                    "--out", str(tmp_path / "w30")]) == 0
+        assert run(["wigner", "--report", report, "--extent", "1e300",
+                    "--out", str(tmp_path / "w1e300")]) == 4
+        assert set(np.geterr().values()) == {"raise"}
+    assert "Wigner grid contains non-finite values" in capsys.readouterr().err

@@ -15,8 +15,8 @@ from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
                           invert_moments, reconstruct_wigner, truncation_order,
                           wigner_from_moments, wigner_kernel)
 
-from conftest import (fock_power_moments, noise_moments, random_density_matrix,
-                      random_moment_matrix, two_mode_raw_oracle,
+from conftest import (fock_power_moments, noise_moments, pipeline_over_seeds,
+                      random_density_matrix, random_moment_matrix, two_mode_raw_oracle,
                       wigner_kernel_quadrature)
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -395,3 +395,41 @@ class TestEndToEndMomentsToWigner:
         w_min, at = grid.minimum()
         assert w_min < -0.4
         assert abs(at) < 0.2
+
+
+# the README config at 2e5 shots in 50 batches, and 24 seeds used by no other test
+SPREAD_CONFIG = {"shots": 200_000, "batches": 50, "order": 4,
+                 "state": {"kind": "superposition", "beta": 0.7071, "phase": 0.0},
+                 "amplifier": {"gain": 10000.0, "nbar": 2.0},
+                 "histogram": {"bins": 1024, "range": None},
+                 "calibration": {"beta": 0.7071, "phase": 3.14159}}
+SPREAD_SEEDS = range(37001, 37025)
+# a ratio of spread over K seeds to the reported sigma reads with a standard deviation
+# of about 1 / sqrt(2 (K - 1)), 0.147 at 24 seeds; the bound is 3 of those, fixed
+# before the run
+SPREAD_RATIO_BOUND = 3.0 / math.sqrt(2 * (len(SPREAD_SEEDS) - 1))
+
+
+@pytest.fixture(scope="module")
+def over_seeds():
+    return pipeline_over_seeds(SPREAD_CONFIG, SPREAD_SEEDS)
+
+
+class TestReportedErrorsOverSeeds:
+    """Each reported error against the spread of its value over seeds."""
+
+    def test_m11_spread_matches_its_error(self, over_seeds):
+        spread = np.std(over_seeds["moments"][:, 1, 1].real, ddof=1)
+        ratio = spread / np.median(over_seeds["errors"][:, 1, 1])
+        assert abs(ratio - 1.0) < SPREAD_RATIO_BOUND, ratio
+
+    def test_m01_complex_rms_spread_matches_its_error(self, over_seeds):
+        # `errors` holds the complex RMS of each moment's spread
+        m01 = over_seeds["moments"][:, 0, 1]
+        spread = math.sqrt(np.sum(np.abs(m01 - m01.mean()) ** 2) / (m01.size - 1))
+        ratio = spread / np.median(over_seeds["errors"][:, 0, 1])
+        assert abs(ratio - 1.0) < SPREAD_RATIO_BOUND, ratio
+
+    def test_calibrated_gain_spread_matches_its_error(self, over_seeds):
+        ratio = np.std(over_seeds["gain"], ddof=1) / np.median(over_seeds["gain_stderr"])
+        assert abs(ratio - 1.0) < SPREAD_RATIO_BOUND, ratio
