@@ -375,20 +375,24 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
 
 
 def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
-               order: int | None = None) -> list[BatchMoments]:
+               order: int) -> list[BatchMoments]:
     """A signal run's and its vacuum run's batches, of one stored order, cut to
-    `order` where that is lower."""
-    pair = [_read(run_dir / f"moments_{name}.json", f"{name} moments",
-                  serialize.load_batch_moments)
-            for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum"))]
+    `order` where that is lower. A run whose count-weighted mean is not finite is a
+    NumericError naming its file."""
+    paths = [run_dir / f"moments_{name}.json"
+             for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum"))]
+    pair = [_read(path, "stored moments", serialize.load_batch_moments) for path in paths]
     stored = pair[0].order
     if pair[1].order != stored:
         raise DataError("signal and vacuum runs have different moment orders")
-    if order is None or order == stored:
-        return pair
     if stored < order:
         raise DataError(f"stored moments only go to order {stored}")
-    return [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts) for run in pair]
+    pair = [BatchMoments(run.values[:, : order + 1, : order + 1], run.counts)
+            if order < stored else run for run in pair]
+    for path, run in zip(paths, pair):
+        with _block(f"{path}: count-weighted mean", NumericError):
+            combine_batches(run)
+    return pair
 
 
 def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
@@ -411,6 +415,9 @@ def format_moment_table(report: InversionReport) -> str:
 
 def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
     result = estimate_gain(sup, vac)
+    for key in ("gain_stderr", "m1_stderr"):
+        if not math.isfinite(result[key]):
+            raise NumericError(f"{key} is {result[key]}: the replicas' spread is not finite")
     out_path.write_text(json.dumps(result, indent=2, allow_nan=False))
     return result
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .acquire import QuadratureHistogram
-from .moments import BatchMoments, MomentMatrix
+from .moments import BatchMoments, MomentMatrix, moment_indices
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
 MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint32 counts take <= 64 MiB
@@ -214,19 +214,36 @@ def load_histogram(prefix) -> QuadratureHistogram:
 
 # -- moments and reports -----------------------------------------------------
 
+def _lower(order: int) -> np.ndarray:
+    """The (n, m) of `moment_indices(order)` with n >= m, as rows n and m: the entries
+    a batch's moment sums fill, which fix its matrix."""
+    return np.array([nm for nm in moment_indices(order) if nm[0] >= nm[1]]).T
+
+
 def save_batch_moments(path, batches: BatchMoments) -> None:
-    doc = [{"count": int(count), "provenance": "streaming", "values": matrix_to_json(values)}
-           for values, count in zip(batches.values, batches.counts)]
-    Path(path).write_text(json.dumps(doc))
+    """Write the order and each batch's count and its entries at `_lower(order)`."""
+    n, m = _lower(batches.order)
+    doc = [{"count": int(count), "values": values}
+           for values, count in zip(matrix_to_json(batches.values[:, n, m]), batches.counts)]
+    Path(path).write_text(json.dumps({"order": batches.order, "batches": doc}))
 
 
 def load_batch_moments(path) -> BatchMoments:
+    """The stack `save_batch_moments` wrote: each entry above the diagonal is the
+    conjugate of its mirror, and each above the order cap is zero."""
     doc = json.loads(Path(path).read_text())
-    counts = [field(b, "count", int, lo=1) for b in doc]
-    values = [matrix_from_json(b["values"], "values") for b in doc]
-    if len({v.shape for v in values}) > 1:
-        raise ValueError("batches of different moment orders")
-    return BatchMoments(np.array(values), np.array(counts))
+    if isinstance(doc, list):
+        raise ValueError("a list of full matrices is the layout before {order, batches}")
+    order = field(doc, "order", int, lo=0, hi=WIGNER_KERNEL_MAX_ORDER)
+    batches, (n, m) = field(doc, "batches", list), _lower(order)
+    for i, batch in enumerate(batches):
+        if (size := len(field(batch, "values", list))) != n.size:
+            raise ValueError(f"batch {i} holds {size} values, order {order} has {n.size}")
+    lower = matrix_from_json([b["values"] for b in batches], "values").reshape(-1, n.size)
+    values = np.zeros((len(batches), order + 1, order + 1), dtype=complex)
+    values[:, m, n] = lower.conj()
+    values[:, n, m] = lower
+    return BatchMoments(values, np.array([field(b, "count", int, lo=1) for b in batches]))
 
 
 def save_report(path, report: InversionReport) -> None:

@@ -366,11 +366,12 @@ class TestExitCodes:
         assert not any(tmp_path.glob("out*"))
 
     @pytest.mark.parametrize("argv, name, corrupt", [
+        # a stored batch holds m(0, 0), m(1, 0), m(1, 1) and m(2, 0) at order 2
         (["calibrate", "--signal", "."], "moments_calibration.json",
-         lambda doc: doc[3]["values"][1].__setitem__(1, [math.nan, 0.0])),
+         lambda doc: doc["batches"][3]["values"].__setitem__(2, [math.nan, 0.0])),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_vacuum.json",
-         lambda doc: doc[0]["values"][0].__setitem__(1, [0.5, 0.0])),
+         "moments_vacuum.json",   # an entry more, as if m(0, 1) were stored apart
+         lambda doc: doc["batches"][0]["values"].append([0.5, 0.0])),
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc["moments"][1].__setitem__(1, [math.nan, 0.0])),
         (["wigner", "--report", "report.json"], "report.json",
@@ -382,18 +383,18 @@ class TestExitCodes:
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc.__setitem__("gain", "1.0")),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_signal.json", lambda doc: doc[2].__setitem__("count", 0)),
+         "moments_signal.json", lambda doc: doc["batches"][2].__setitem__("count", 0)),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_signal.json", lambda doc: doc.clear()),
+         "moments_signal.json", lambda doc: doc["batches"].clear()),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_signal.json", lambda doc: doc[2].__setitem__("count", True)),
+         "moments_signal.json", lambda doc: doc["batches"][2].__setitem__("count", True)),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_signal.json", lambda doc: doc[2].__setitem__("count", 999.5)),
+         "moments_signal.json", lambda doc: doc["batches"][2].__setitem__("count", 999.5)),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
          "moments_signal.json",   # an order-1 batch among order-2 ones
-         lambda doc: doc[4].__setitem__("values", [r[:2] for r in doc[4]["values"][:2]])),
+         lambda doc: doc["batches"][4].__setitem__("values", doc["batches"][4]["values"][:2])),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
-         "moments_vacuum.json", lambda doc: doc[1].pop("values")),
+         "moments_vacuum.json", lambda doc: doc["batches"][1].pop("values")),
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc.__setitem__("errors", None)),
         (["wigner", "--report", "report.json"], "report.json",
@@ -405,15 +406,19 @@ class TestExitCodes:
          lambda doc: doc["errors"][1].__setitem__(1, True)),
         (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
          "moments_signal.json",   # m(0, 0) = 1 as [true, false]
-         lambda doc: doc[0]["values"][0].__setitem__(0, [True, False])),
+         lambda doc: doc["batches"][0]["values"].__setitem__(0, [True, False])),
         (["calibrate", "--signal", "."], "moments_vacuum.json",
-         lambda doc: doc[0]["values"][0].__setitem__(0, [1.0, 0.0, 7.0])),
+         lambda doc: doc["batches"][0]["values"].__setitem__(0, [1.0, 0.0, 7.0])),
         # the parts of a report must agree in order
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc.__setitem__("noise_moments",
                                      [r[:3] for r in doc["noise_moments"][:3]])),
         (["wigner", "--report", "report.json"], "report.json",
          lambda doc: doc.__setitem__("order", 3)),
+        (["analyze", "--signal", ".", "--gain", "1.0", "--order", "2"],
+         "moments_vacuum.json", lambda doc: doc.pop("order")),
+        (["calibrate", "--signal", "."], "moments_vacuum.json",
+         lambda doc: doc.__setitem__("order", "2")),
     ])
     def test_corrupt_stored_file_is_3(self, tmp_path, capsys, monkeypatch, argv, name,
                                       corrupt):
@@ -431,9 +436,22 @@ class TestExitCodes:
         assert run([*argv, "--out", "out"]) == 3
         err = capsys.readouterr().err
         assert f"{name}: " in err
-        if not doc:
+        if doc.get("batches") == []:
             assert "holds no batches" in err
         assert not any(tmp_path.glob("out*"))
+
+    def test_full_matrix_layout_is_3(self, tmp_path, capsys):
+        # a vacuum run stored before the {order, batches} layout: a list of full matrices
+        save_batch_moments(tmp_path / "moments_calibration.json",
+                           _order2_run([_order2_batch(1.0, 3.0)] * 4))
+        (tmp_path / "moments_vacuum.json").write_text(json.dumps(
+            [{"count": 1000, "provenance": "streaming",
+              "values": serialize.matrix_to_json(_order2_batch(0.0, 2.0))}] * 4))
+        out = tmp_path / "out.json"
+        assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 3
+        assert (f"{tmp_path / 'moments_vacuum.json'}: a list of full matrices is the layout "
+                "before {order, batches}") in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, out", [
         ("simulate", "a_file"), ("full-run", "a_file/run"),
@@ -1201,9 +1219,11 @@ def test_calibrate_counts_replicas_whose_gain_overflows(tmp_path, capsys, k_fail
         warnings.simplefilter("error")
         assert run(["calibrate", "--signal", str(tmp_path), "--out", str(out)]) == 4
     assert not out.exists()
+    err = capsys.readouterr().err
     if k_fail == 2:
-        assert f"failed on {expected} of 200" in capsys.readouterr().err
+        assert f"failed on {expected} of 200" in err
     else:
+        assert "gain_stderr is inf: the replicas' spread is not finite" in err
         with np.errstate(all="ignore"):
             result = estimate_gain(*pair)
         assert (result["n_bootstrap_failed"], result["n_bootstrap"]) == (expected,
@@ -1218,8 +1238,12 @@ CALIBRATION_SHA256 = "e89c7e800f8d687edda8aff1b9f0d8a4e54dd4679a06dcdae643c8785b
 
 
 # moments_signal.json of the simulate below, taken while each batch's moments
-# were a validated matrix object of their own
+# were a validated matrix object of their own and were stored as a list of full
+# matrices, each {"count", "provenance": "streaming", "values"}
 MOMENTS_SIGNAL_SHA256 = "adf85d0eebfbc77d0bd841cc8f45075a0eba43ae82781ba797140f163a310ae4"
+
+# the same file as stored since: {"order", "batches"}, each batch's entries n >= m
+MOMENTS_SIGNAL_COMPACT_SHA256 = "24227bbd7dfa5d69c7939bd84b9cc28b1d60f50f6b5953585eafd099418c03c8"
 
 # hist_signal.occ of the same simulate, inflated: built in pure Python (a bit per bin,
 # then one byte per count) from the records of the hist_signal.coo pinned before it
@@ -1244,7 +1268,13 @@ def test_stored_moments_keep_their_bytes(tmp_path):
     cfg = write_config(tmp_path, shots=2003, batches=4)
     assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
     stored = (tmp_path / "run" / "moments_signal.json").read_bytes()
-    assert hashlib.sha256(stored).hexdigest() == MOMENTS_SIGNAL_SHA256
+    assert hashlib.sha256(stored).hexdigest() == MOMENTS_SIGNAL_COMPACT_SHA256
+    # expanded back into the full-matrix layout, it is the older file byte for byte
+    back = load_batch_moments(tmp_path / "run" / "moments_signal.json")
+    full = [{"count": int(count), "provenance": "streaming",
+             "values": serialize.matrix_to_json(values)}
+            for values, count in zip(back.values, back.counts)]
+    assert hashlib.sha256(json.dumps(full).encode()).hexdigest() == MOMENTS_SIGNAL_SHA256
 
 
 def test_stored_histogram_keeps_its_bytes(tmp_path):
@@ -1523,10 +1553,10 @@ def test_command_fuzz_exits_with_a_documented_code(stored_run, tmp_path, capsys,
                      "moments_vacuum.json"):
             shutil.copy(stored_run / name, run_dir)
         path = run_dir / f"moments_{run_name}.json"
-        batches = json.loads(path.read_text())
-        for batch in batches:
-            batch["values"][1][1] = [s11, 0.0]
-        path.write_text(json.dumps(batches))
+        doc = json.loads(path.read_text())
+        for batch in doc["batches"]:   # (0, 0), (1, 0), (1, 1), (2, 0), ... at order 4
+            batch["values"][2] = [s11, 0.0]
+        path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     out.mkdir()
     source = (["--report", str(run_dir / "report.json")] if command == "wigner"
@@ -1540,6 +1570,9 @@ def test_command_fuzz_exits_with_a_documented_code(stored_run, tmp_path, capsys,
     assert code in (0, 2, 3, 4)
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=_refuse_constant)
+    if stored_s11 is not None and abs(stored_s11[1]) == 1e308 and code == 4:
+        # the count-weighted mean overflows: the message names the run's file
+        assert f"moments_{stored_s11[0]}.json: " in capsys.readouterr().err
 
 
 def test_run_keeps_its_error_state_under_a_raising_caller(stored_run, tmp_path, capsys):

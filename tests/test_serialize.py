@@ -369,16 +369,53 @@ def test_histogram_loader_refuses_an_overflow_that_is_not_a_count(tmp_path, over
         load_histogram(tmp_path / "hist")
 
 
-def test_batch_moments_round_trip(tmp_path):
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_batch_moments_round_trip(tmp_path, order):
     chain = AmplifierChain(gain=10.0, nbar=0.5)
-    acc = StreamingMoments(2)
-    for i in range(4):
-        acc.update(sample_detector(FockState.vacuum(), chain, 500, seed=8, stream=i))
+    acc = StreamingMoments(order)
+    for i, n in enumerate((500, 499, 37, 1)):
+        acc.update(sample_detector(prepare_superposition(0.6), chain, n, seed=8, stream=i))
     batches = acc.result()
     save_batch_moments(tmp_path / "b.json", batches)
+    doc = json.loads((tmp_path / "b.json").read_text())
+    # the entries (n, m) with n >= m and n + m <= K: floor((K + 2)^2 / 4) of them
+    assert set(doc) == {"order", "batches"} and doc["order"] == order
+    assert [len(b["values"]) for b in doc["batches"]] == [(order + 2) ** 2 // 4] * 4
     back = load_batch_moments(tmp_path / "b.json")
-    assert np.array_equal(back.values, batches.values)
-    assert back.counts.tolist() == [500] * 4
+    assert np.array_equal(back.values.view(np.uint64), batches.values.view(np.uint64))
+    assert back.counts.tolist() == [500, 499, 37, 1]
+
+
+def _order2_moments(tmp_path) -> dict:
+    """The stored document of two order-2 batches."""
+    acc = StreamingMoments(2)
+    for i in range(2):
+        acc.update(sample_detector(FockState.vacuum(), AmplifierChain(10.0, 0.5), 100,
+                                   seed=8, stream=i))
+    save_batch_moments(tmp_path / "b.json", acc.result())
+    return json.loads((tmp_path / "b.json").read_text())
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # the full-matrix list of runs stored before the {order, batches} layout
+    (lambda doc: [{"count": b["count"], "provenance": "streaming",
+                   "values": [[[1.0, 0.0]] * 3] * 3} for b in doc["batches"]],
+     "a list of full matrices is the layout before {order, batches}"),
+    (lambda doc: {"batches": doc["batches"]}, "order is mandatory"),
+    (lambda doc: {**doc, "order": 2.0}, "order must be an integer in [0, 8], got 2.0"),
+    (lambda doc: {**doc, "order": 9}, "order must be an integer in [0, 8], got 9"),
+    (lambda doc: {"order": 2}, "batches is mandatory"),
+    (lambda doc: {**doc, "batches": []}, "holds no batches"),
+    # one upper entry more, as a batch stored with m(0, 1) apart from conj(m(1, 0))
+    (lambda doc: {**doc, "batches": [doc["batches"][0], {
+        "count": 100, "values": doc["batches"][1]["values"] + [[0.5, 0.0]]}]},
+     "batch 1 holds 5 values, order 2 has 4"),
+    (lambda doc: {**doc, "order": 4}, "batch 0 holds 4 values, order 4 has 9"),
+])
+def test_batch_moments_loader_refuses(tmp_path, corrupt, message):
+    (tmp_path / "b.json").write_text(json.dumps(corrupt(_order2_moments(tmp_path))))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_batch_moments(tmp_path / "b.json")
 
 
 def test_report_round_trip(tmp_path):
