@@ -16,7 +16,7 @@ from .moments import BatchMoments, MomentMatrix, hermitize, moment_indices
 
 DEFAULT_BINS = 1024
 OVERFLOW_WARN_FRACTION = 1e-3
-_BLOCK = 32768  # most shots in a leaf (see leaf_slices)
+_BLOCK, _TILE = 32768, 8192  # most shots in a leaf (see leaf_slices), and in a tile of one
 
 
 def _as_samples(data) -> np.ndarray:
@@ -32,8 +32,8 @@ class QuadratureHistogram:
         self.bins = bins
         self.extent = float(extent)
         self._edges = np.linspace(-self.extent, self.extent, bins + 1)
-        self.counts = np.zeros((bins, bins), dtype=np.uint32)   # add() fills a flat view
-        self.in_range = self.overflow = 0
+        self.counts = np.zeros((bins, bins), dtype=np.uint16)   # add() fills a flat view
+        self.in_range = self.overflow = self.peak = 0   # peak: the largest bin's count
         self._warned = False
 
     @property
@@ -51,10 +51,10 @@ class QuadratureHistogram:
         e = self.edges()
         return 0.5 * (e[:-1] + e[1:])
 
-    def widen_for(self, in_range: int) -> None:
-        """Widen the counts to uint64 if `in_range` shots could pass a bin's uint32."""
-        if in_range > np.iinfo(self.counts.dtype).max:
-            self.counts = self.counts.astype(np.uint64)
+    def widen_for(self, peak: int) -> None:
+        """Widen the counts up uint16 -> uint32 -> uint64 until a bin can hold `peak`."""
+        if peak > np.iinfo(self.counts.dtype).max:
+            self.counts = self.counts.astype(np.uint32 if peak < 2 ** 32 else np.uint64)
 
     def _bin_index(self, v: np.ndarray) -> np.ndarray:
         # bins as np.histogram2d assigns them: e[i] <= v < e[i+1], +extent in the last
@@ -68,11 +68,12 @@ class QuadratureHistogram:
         fraction is checked apart, by `check_overflow`, so once per batch."""
         s = _as_samples(data)
         inside = (np.abs(s.real) <= self.extent) & (np.abs(s.imag) <= self.extent)
-        ix, iy = (self._bin_index(v[inside]) for v in (s.real, s.imag))
-        self.widen_for(self.in_range + ix.size)
-        np.add.at(self.counts.reshape(-1), ix * self.bins + iy, self.counts.dtype.type(1))
-        self.in_range += ix.size
-        self.overflow += s.size - ix.size
+        idx = self._bin_index(s.real[inside]) * self.bins + self._bin_index(s.imag[inside])
+        self.widen_for(self.peak + idx.size)    # no bin gains more than the leaf's shots
+        np.add.at(flat := self.counts.reshape(-1), idx, self.counts.dtype.type(1))
+        self.peak = max(self.peak, int(flat[idx].max(initial=0)))
+        self.in_range += idx.size
+        self.overflow += s.size - idx.size
         return self
 
     def check_overflow(self) -> None:
@@ -124,14 +125,14 @@ def _power_table(s: np.ndarray, order: int) -> list[np.ndarray]:
     return powers
 
 
-def _pairwise(n: int, leaf, start: int = 0):
+def _pairwise(n: int, leaf, start: int = 0, block: int = _BLOCK):
     """`leaf(cut)` at each leaf of numpy's complex pairwise sum over n shots from
     `start`, in order, added up its tree: cut in half, rounded down to a multiple
-    of 4, down to at most `_BLOCK` shots."""
-    if n <= _BLOCK:
+    of 4, down to at most `block` shots."""
+    if n <= block:
         return leaf(slice(start, start + n))
     half = n // 2 - n // 2 % 4
-    return _pairwise(half, leaf, start) + _pairwise(n - half, leaf, start + half)
+    return _pairwise(half, leaf, start, block) + _pairwise(n - half, leaf, start + half, block)
 
 
 def leaf_slices(n: int) -> list[slice]:
@@ -143,7 +144,10 @@ def leaf_slices(n: int) -> list[slice]:
 def _leaf_sums(s: np.ndarray, order: int) -> np.ndarray:
     # terms have n >= m and n + m <= order, so S^m is needed only to m = order // 2;
     # S^n, its conjugate and the products reuse 4 rows, S^n two by turns because
-    # numpy's in-place complex multiply can round differently (sums stay bit-exact)
+    # numpy's in-place complex multiply can round differently (sums stay bit-exact);
+    # a table past an L2 budget of 2.5 MB is summed in tiles, subtrees of the leaf's tree
+    if s.size > _TILE and (order // 2 + 5) * s.nbytes > 2.5e6:
+        return _pairwise(s.size, lambda cut: _leaf_sums(s[cut], order), block=_TILE)
     sums = np.zeros((order + 1, order + 1), dtype=complex)
     low, buf = _power_table(s, order // 2), np.empty((4, s.size), dtype=complex)
     for n in range(order + 1):

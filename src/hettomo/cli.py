@@ -395,10 +395,14 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
     return pair
 
 
-def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float,
-                out_path: Path) -> InversionReport:
-    errors = bootstrap_errors(sig, vac, gain)
-    report = invert_moments(combine_batches(sig), combine_batches(vac), gain, errors)
+def cmd_analyze(sig: BatchMoments, vac: BatchMoments, gain: float, out_path: Path,
+                runs: str = "moments_signal.json and moments_vacuum.json") -> InversionReport:
+    """Bootstrap, then inversion; a stage left non-finite is a NumericError naming `runs`."""
+    with _block(f"{runs}: bootstrap", NumericError):
+        if not np.isfinite(errors := bootstrap_errors(sig, vac, gain)).all():
+            raise ValueError("the replicas' spread is not finite")
+    with _block(f"{runs}: inversion", NumericError):
+        report = invert_moments(combine_batches(sig), combine_batches(vac), gain, errors)
     serialize.save_report(out_path, report)
     out_path.with_suffix(".txt").write_text(format_moment_table(report))
     return report
@@ -586,7 +590,8 @@ def run(argv=None) -> int:
                                    _manifest_gain))
                 pair = _load_pair(signal_dir, "signal", vacuum_dir,
                                   _flag(args, "order", int, lo=1))
-                result = cmd_analyze(*pair, gain, out)
+                result = cmd_analyze(*pair, gain, out, f"{signal_dir / 'moments_signal.json'}"
+                                     f" and {vacuum_dir / 'moments_vacuum.json'}")
         print(format_moment_table(result) if args.command == "analyze"
               else json.dumps(result, indent=2))
     except (ConfigError, DataError, NumericError, ValueError) as exc:

@@ -20,7 +20,7 @@ from .acquire import QuadratureHistogram
 from .moments import BatchMoments, MomentMatrix, moment_indices
 from .tomo import WIGNER_KERNEL_MAX_ORDER, InversionReport, WignerGrid
 
-MAX_BINS = 4096  # largest config/header `bins`: a run's dense uint32 counts take <= 64 MiB
+MAX_BINS = 4096  # largest config/header `bins`: dense uint16 counts take 32 MiB, 64 MiB widened
 
 
 _KINDS = {bool: "true or false", int: "an integer", float: "a finite number",
@@ -206,9 +206,9 @@ def load_histogram(prefix) -> QuadratureHistogram:
         raise ValueError(f"{path}: counts sum to {summed}, header says "
                          f"total - overflow = {in_range}")
     hist = QuadratureHistogram(bins=bins, extent=extent)
-    hist.widen_for(summed)
+    hist.widen_for(peak := int(count.max(initial=0)))
     hist.counts.reshape(-1)[bits[:cells].view(bool)] = count
-    hist.in_range, hist.overflow = summed, overflow
+    hist.in_range, hist.overflow, hist.peak = summed, overflow, peak
     return hist
 
 

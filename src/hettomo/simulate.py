@@ -180,16 +180,17 @@ def detector_blocks(state: FockState, chain: AmplifierChain, cuts: list[slice],
         for cut in cuts:   # chunks of one draw equal the whole draw: rng ends at the uniforms
             rng.gamma(shape=p + 1, scale=1.0, size=cut.stop - cut.start)
     noise = stream_rng(seed, stream, 1)
-    for cut in cuts:
+    for cut in cuts:   # each leaf is built in place in one complex array, alpha
         size = cut.stop - cut.start
         if kind == "fock" and p > 0:
             r = gammas.gamma(shape=p + 1, scale=1.0, size=size)
-            alpha = np.sqrt(r, out=r) * np.exp(2j * np.pi * rng.random(size))
+            alpha = 2j * np.pi * rng.random(size)   # the phase, then the leaf
+            np.multiply(np.sqrt(r, out=r), np.exp(alpha, out=alpha), out=alpha)
         else:   # vacuum (Fock |0>), coherent or thermal
             z = _complex_normal(rng, size, (p + 1.0) / 2.0 if kind == "thermal" else 0.5)
-            alpha = p + z if kind == "coherent" else z
-        nu = _complex_normal(noise, size, nbar / 2.0) if nbar > 0 else 0.0
-        yield math.sqrt(chain.gain) * (alpha + nu)
+            alpha = np.add(p, z, out=z) if kind == "coherent" else z
+        alpha += _complex_normal(noise, size, nbar / 2.0) if nbar > 0 else 0.0
+        yield np.multiply(math.sqrt(chain.gain), alpha, out=alpha)
 
 
 def sample_detector(state: FockState, chain: AmplifierChain, n: int,

@@ -8,6 +8,7 @@ quadrature.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -16,6 +17,15 @@ from hettomo.acquire import combine_batches
 from hettomo.fock import FockState, destroy
 from hettomo.moments import MomentMatrix, hermitize, moment_indices
 from hettomo.tomo import bootstrap_errors, estimate_gain, invert_moments
+
+
+def traced_peak(call):
+    """`call()` under tracemalloc: its result and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> FockState:

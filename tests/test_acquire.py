@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ from hettomo.moments import BatchMoments, moment_indices
 from hettomo.serialize import load_histogram, save_histogram
 from hettomo.simulate import AmplifierChain, sample_detector, stream_rng
 
-from conftest import random_moment_matrix
+from conftest import random_moment_matrix, traced_peak
 
 CHAIN = AmplifierChain(gain=1.0e4, nbar=64.0)
 SIGMA_VAC = math.sqrt(1.0e4 * 65.0 / 2.0)
@@ -72,25 +71,39 @@ class TestQuadratureHistogram:
             warnings.simplefilter("ignore")
             h.add(x + 1j * y)
             ref, _, _ = np.histogram2d(x, y, bins=bins, range=[[-extent, extent]] * 2)
-        assert h.counts.dtype == np.uint32
+        assert h.counts.dtype == np.uint16
         assert np.array_equal(h.counts, ref.astype(np.uint64))
         assert h.overflow == x.size - int(ref.sum())
         assert h.in_range == int(ref.sum())
 
-    def test_counts_are_uint32(self):
-        # a bin never holds more than the run's in-range shots, so 4 B a bin
+    def test_counts_are_uint16(self):
+        # counts start at 2 B a bin and widen only when a bin could pass 65 535
         counts = QuadratureHistogram(1024, 6.0).counts
-        assert counts.dtype == np.uint32 and counts.nbytes == 1024 ** 2 * 4
+        assert counts.dtype == np.uint16 and counts.nbytes == 1024 ** 2 * 2
 
     @pytest.mark.parametrize("shots, dtype", [(2, np.uint32), (5, np.uint64)])
     def test_counts_widen_before_a_bin_could_pass_uint32(self, shots, dtype):
         h = QuadratureHistogram(bins=4, extent=1.0).add(np.zeros(3))
-        h.in_range = 2 ** 32 - 3    # as if 2^32 - 6 more shots had gone elsewhere
+        h.widen_for(2 ** 32 - 3)
+        assert h.counts.dtype == np.uint32
+        h.counts[3, 3] = h.peak = 2 ** 32 - 3   # as if 2^32 - 3 shots had fallen there
         h.add(np.full(shots, 0.5 + 0.5j))
-        assert h.counts.dtype == dtype and h.in_range == 2 ** 32 - 3 + shots
+        assert h.counts.dtype == dtype and h.peak == 2 ** 32 - 3 + shots
         expected = np.zeros((4, 4), dtype=np.uint64)
-        expected[2, 2], expected[3, 3] = 3, shots
+        expected[2, 2], expected[3, 3] = 3, 2 ** 32 - 3 + shots
         assert np.array_equal(h.counts, expected)
+
+    def test_counts_widen_as_one_bin_passes_uint16_across_leaves(self):
+        # four 20 000-shot leaves, nearly every shot in bin (3, 3): 80 000 > 65 535
+        leaves = [gaussian_shots(20_000, seed, sigma=0.06, mean=0.75 + 0.75j)
+                  for seed in range(4)]
+        h = QuadratureHistogram(bins=4, extent=1.0)
+        dtypes = [h.add(leaf).counts.dtype for leaf in leaves]
+        assert dtypes == [np.uint16] * 3 + [np.uint32]
+        s = np.concatenate(leaves)
+        ref, _, _ = np.histogram2d(s.real, s.imag, bins=4, range=[[-1.0, 1.0]] * 2)
+        assert ref.max() > 65_535 and h.peak == ref.max()
+        assert np.array_equal(h.counts, ref.astype(np.uint64))
 
     def test_counts_survive_reload(self, tmp_path):
         m = QuadratureHistogram(bins=32, extent=5.0).add(gaussian_shots(900, 22))
@@ -101,6 +114,15 @@ class TestQuadratureHistogram:
         assert (back.in_range, back.overflow) == (m.in_range, m.overflow)
         back.add(gaussian_shots(100, 25))
         assert back.total == 1400 and back.in_range == int(back.counts.sum())
+
+    def test_reloaded_counts_near_uint16_take_more_shots(self, tmp_path):
+        # the loader sets the peak from the counts it reads, so the next add widens
+        save_histogram(tmp_path / "h", QuadratureHistogram(bins=2, extent=1.0).add(
+            np.full(65_530, 0.5 + 0.5j)))
+        back = load_histogram(tmp_path / "h")
+        assert back.counts.dtype == np.uint16 and back.peak == 65_530
+        back.add(np.full(10, 0.5 + 0.5j))
+        assert back.counts.dtype == np.uint32 and int(back.counts[1, 1]) == 65_540
 
 
 def one_batch(values) -> BatchMoments:
@@ -211,13 +233,21 @@ class TestStreamingMoments:
     def test_large_batch_peaks_below_its_own_size(self):
         # order 8 at 400 000 shots: cache-sized blocks, no batch-sized power rows
         s = gaussian_shots(400_000, seed=3)
-        tracemalloc.start()
-        try:
-            StreamingMoments(8).update(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: StreamingMoments(8).update(s))
         assert peak < s.nbytes, peak
+
+    def test_order8_leaf_is_summed_in_tiles(self):
+        # one 32 768-shot leaf: its whole order-8 power table is 9 rows, 4.7 MB
+        s = gaussian_shots(32_768, seed=4)
+        _, peak = traced_peak(lambda: StreamingMoments(8).update(s))
+        assert peak < 2e6, peak
+
+    def test_order4_readme_leaf_stays_whole(self):
+        # a 20 000-shot order-4 leaf's table, 7 rows or 2.24 MB, is under the L2
+        # budget: summed whole, as the README acquisition's leaves are
+        s = gaussian_shots(20_000, seed=4)
+        _, peak = traced_peak(lambda: StreamingMoments(4).update(s))
+        assert 7 * 20_000 * 16 <= peak < 7 * 20_000 * 16 + 1e5, peak
 
     def test_leaves_must_be_cut_as_leaf_slices_cuts(self):
         # 40 000 shots are two leaves of 20 000 in the sum tree, 20 000 are one

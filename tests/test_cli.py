@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import json
 import math
@@ -8,7 +9,6 @@ import shutil
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 import zlib
 from pathlib import Path
@@ -30,7 +30,7 @@ from hettomo.simulate import (AmplifierChain, TemporalEnvelope, detector_blocks,
                               thermal_nbar)
 from hettomo.tomo import InversionReport, estimate_gain
 
-from conftest import noise_moments
+from conftest import noise_moments, traced_peak
 
 
 def write_config(tmp_path, **extra):
@@ -65,7 +65,7 @@ class TestParseConfig:
             parse_config({**doc, "shots": largest + 1})
 
     def test_largest_histogram_parses(self):
-        # 4096^2 dense uint32 counts are 64 MiB, the most a run may allocate
+        # 4096^2 dense uint16 counts are 32 MiB, 64 MiB once widened to uint32
         doc = {"seed": 1, "shots": 100, "state": {"kind": "vacuum"}}
         assert parse_config({**doc, "histogram": {"bins": 4096}}).bins == 4096
 
@@ -298,12 +298,8 @@ class TestExitCodes:
         # 1e12 photons need a dense rho of 1.4e13 levels; 1e12 time bins a 16 TB envelope
         cfg = write_config(tmp_path, **{block: value})
         out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            code = run(["simulate", "--config", str(cfg), "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run(["simulate", "--config", str(cfg),
+                                              "--out", str(out)]))
         assert code == 2
         assert f"{block}: {message}" in capsys.readouterr().err
         assert peak < 1e6
@@ -335,13 +331,9 @@ class TestExitCodes:
             moments=analytic_moments(FockState.fock(1), 4), gain=1.0,
             noise=noise_moments(0.0, 4), errors=np.zeros((5, 5))))
         out = tmp_path / "out"
-        tracemalloc.start()
-        try:
-            code = run(["wigner", "--report", str(tmp_path / "report.json"), "--resolution",
-                        str(cli.MAX_RESOLUTION + 1), "--out", str(out)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: run([
+            "wigner", "--report", str(tmp_path / "report.json"), "--resolution",
+            str(cli.MAX_RESOLUTION + 1), "--out", str(out)]))
         assert code == 2
         assert f"--resolution: value must be an integer in [1, {cli.MAX_RESOLUTION}], " \
             f"got {cli.MAX_RESOLUTION + 1}" in capsys.readouterr().err
@@ -741,12 +733,8 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli, "_available_cpus", lambda: 1)
         env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
         chain = AmplifierChain(gain=1.0e4, nbar=2.0)
-        tracemalloc.start()
-        try:
-            shots, = cli._time_domain_leaves(FockState.fock(1), env, chain, [2000], [7, 0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (shots,), peak = traced_peak(lambda: list(
+            cli._time_domain_leaves(FockState.fock(1), env, chain, [2000], [7, 0])))
         assert shots.shape == (2000,)
         assert peak < 2000 * 400 * 16 / 2
 
@@ -756,13 +744,24 @@ class TestSimulateCommand:
         cfg = parse_config({"seed": 7, "shots": 400_000, "batches": 1, "order": 8,
                             "state": {"kind": "fock", "k": 1},
                             "amplifier": {"gain": 1.0e4, "nbar": 2.0}})
-        tracemalloc.start()
+        _, peak = traced_peak(lambda: cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL,
+                                                          600.0))
+        assert peak - cfg.bins ** 2 * 2 < 22.8e6 / 2, peak     # 2 B a uint16 bin
+
+    def test_direct_run_frees_each_leaf_without_the_cycle_collector(self):
+        # two 400 000-shot Fock |1> batches at order 8 with gc off: a reference cycle
+        # that kept each leaf until the cycle collector ran would hold 12.8 MB of them;
+        # untiled order-8 sums and each leaf's temporaries peaked at 10 MB
+        cfg = parse_config({"seed": 7, "shots": 800_000, "batches": 2, "order": 8,
+                            "state": {"kind": "fock", "k": 1},
+                            "amplifier": {"gain": 1.0e4, "nbar": 2.0}})
+        gc.disable()
         try:
-            cli.run_acquisition(cfg.state, cfg, cli.STAGE_SIGNAL, 600.0)
-            peak = tracemalloc.get_traced_memory()[1]
+            _, peak = traced_peak(lambda: cli.run_acquisition(cfg.state, cfg,
+                                                              cli.STAGE_SIGNAL, 600.0))
         finally:
-            tracemalloc.stop()
-        assert peak - cfg.bins ** 2 * 4 < 22.8e6 / 2, peak     # 4 B a uint32 bin
+            gc.enable()
+        assert peak < 6e6, peak
 
     def test_draw_thread_keeps_the_sequential_bytes_under_fast_switching(self):
         # three Fock |2> batches of four leaves each: the draw thread crosses batch
@@ -1573,6 +1572,10 @@ def test_command_fuzz_exits_with_a_documented_code(stored_run, tmp_path, capsys,
     if stored_s11 is not None and abs(stored_s11[1]) == 1e308 and code == 4:
         # the count-weighted mean overflows: the message names the run's file
         assert f"moments_{stored_s11[0]}.json: " in capsys.readouterr().err
+    if stored_s11 is not None and stored_s11[1] == 1e300 and command == "analyze":
+        # the means are finite, the bootstrap spread is not: it names the files and stage
+        err = capsys.readouterr().err
+        assert code == 4 and f"moments_{stored_s11[0]}.json" in err and ": bootstrap: " in err
 
 
 def test_run_keeps_its_error_state_under_a_raising_caller(stored_run, tmp_path, capsys):

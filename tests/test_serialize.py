@@ -3,7 +3,6 @@ import json
 import math
 import re
 import sys
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -19,7 +18,7 @@ from hettomo.simulate import AmplifierChain, sample_detector
 from hettomo.tomo import (InversionReport, forward_moments, invert_moments,
                           reconstruct_wigner)
 
-from conftest import noise_moments
+from conftest import noise_moments, traced_peak
 
 
 def test_matrix_json_round_trip():
@@ -150,17 +149,12 @@ def test_histogram_round_trip_across_scan_chunks(tmp_path, bins):
 
 
 def test_histogram_save_copies_no_dense_array(tmp_path):
-    # 1024^2 uint32 bins are 4 MB; a few thousand occupied ones need ~100 kB
+    # 1024^2 uint32 bins would be 4 MB; a few thousand occupied ones need ~100 kB
     rng = np.random.default_rng(5)
     hist = QuadratureHistogram(bins=1024, extent=4.0).add(
         rng.normal(size=5000) + 1j * rng.normal(size=5000))
-    tracemalloc.start()
-    try:
-        save_histogram(tmp_path / "hist", hist)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < hist.counts.nbytes / 8
+    _, peak = traced_peak(lambda: save_histogram(tmp_path / "hist", hist))
+    assert peak < 1024 ** 2 * 4 / 8
 
 
 def test_histogram_loader_widens_counts_past_uint32(tmp_path):
@@ -272,14 +266,12 @@ def test_histogram_loader_inflates_at_most_one_byte_past_the_header(tmp_path):
         for _ in range(64):
             out.write(deflate.compress(bytes(1 << 20)))
         out.write(deflate.flush())
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match=re.escape(
                 f"{counts_path}: inflates past the 38 bytes the header implies")):
             load_histogram(tmp_path / "hist")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(refused)
     assert peak < 1e6, peak
 
 
@@ -345,14 +337,12 @@ def test_histogram_loader_checks_its_header_before_allocating(tmp_path, key, val
     _, json_path = save_histogram(tmp_path / "hist", hist)
     header = json.loads(json_path.read_text())
     json_path.write_text(json.dumps({**header, key: value}))   # json writes NaN, Infinity
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match=re.escape(message)):
             load_histogram(tmp_path / "hist")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6, peak     # 4097^2 uint32 counts would be 67 MB
+
+    _, peak = traced_peak(refused)
+    assert peak < 1e6, peak     # 4097^2 uint16 counts would be 34 MB
 
 
 @pytest.mark.parametrize("overflow, shown", [(-3, "-3"), (0.5, "0.5"), (True, "true")])
@@ -460,12 +450,7 @@ def test_wigner_csv_is_written_in_blocks(tmp_path):
     # formatting the whole grid at once peaks at about 200 B per point here
     grid = reconstruct_wigner(analytic_moments(FockState.fock(1), 4), np.zeros((5, 5)),
                               extent=3.0, resolution=256)
-    tracemalloc.start()
-    try:
-        save_wigner(tmp_path / "wigner", grid)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: save_wigner(tmp_path / "wigner", grid))
     assert peak < 32 * 256 ** 2, peak
 
 

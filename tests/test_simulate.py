@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,7 +16,7 @@ from hettomo.simulate import (_TRACE_ROW_BLOCK, AmplifierChain, TemporalEnvelope
                               sample_q, simulate_time_trace, stream_rng, thermal_nbar)
 from hettomo.tomo import forward_moments
 
-from conftest import antinormal_moments, noise_moments, random_density_matrix
+from conftest import antinormal_moments, noise_moments, random_density_matrix, traced_peak
 
 CHAIN = AmplifierChain(gain=1.0e4, nbar=64.0)
 QUIET = AmplifierChain(gain=1.0, nbar=0.0)
@@ -206,14 +205,18 @@ def test_fock_batch_holds_no_gammas_whole(k):
     # one 400 000-shot batch, drawn leaf by leaf as fock-order8 draws it: its
     # gammas held whole would take 3.2 MB beside the leaves
     chain = AmplifierChain(gain=1.0e4, nbar=2.0)
-    tracemalloc.start()
-    try:
-        for _ in detector_blocks(FockState.fock(k), chain, leaf_slices(400_000), [7, 0]):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6, peak
+    leaves = detector_blocks(FockState.fock(k), chain, leaf_slices(400_000), [7, 0])
+    drawn, peak = traced_peak(lambda: sum(1 for _ in leaves))
+    assert drawn == len(leaf_slices(400_000)) and peak < 4e6, peak
+
+
+def test_fock_leaf_is_built_in_one_complex_array():
+    # a 32 768-shot |1> leaf: its gammas, the leaf and the noise draw, 1.31 MB; the
+    # phase, its exponential and the products as temporaries took 1.84 MB
+    chain = AmplifierChain(gain=1.0e4, nbar=2.0)
+    leaf, peak = traced_peak(lambda: next(
+        detector_blocks(FockState.fock(1), chain, [slice(0, 32_768)], [7, 0])))
+    assert leaf.shape == (32_768,) and peak < 1.5e6, peak
 
 
 # the same call through the rejection sampler for prepare_superposition(0.6j, 0.2),
@@ -489,14 +492,9 @@ class TestTimeTrace:
         # time-domain pool worker does: each block and its noise draw stay within L2
         env = TemporalEnvelope(kappa=0.025, dt=1.0, n_bins=400)
         chain = AmplifierChain(gain=1.0e4, nbar=2.0)
-        tracemalloc.start()
-        try:
-            shots = np.concatenate([matched_filter(block, env) for block in
-                                    simulate_time_trace(FockState.fock(1), env, chain,
-                                                        2000, [7, 0])])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        shots, peak = traced_peak(lambda: np.concatenate([
+            matched_filter(block, env)
+            for block in simulate_time_trace(FockState.fock(1), env, chain, 2000, [7, 0])]))
         assert shots.shape == (2000,)
         assert peak < 2.5e6, peak
 

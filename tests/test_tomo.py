@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +15,8 @@ from hettomo.tomo import (_binomial_operator, _gain_diagonal, _solve,
                           wigner_from_moments, wigner_kernel)
 
 from conftest import (fock_power_moments, noise_moments, pipeline_over_seeds,
-                      random_density_matrix, random_moment_matrix, two_mode_raw_oracle,
-                      wigner_kernel_quadrature)
+                      random_density_matrix, random_moment_matrix, traced_peak,
+                      two_mode_raw_oracle, wigner_kernel_quadrature)
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -229,12 +228,7 @@ class TestBootstrapErrors:
         values = 0.1 * np.array([random_moment_matrix(rng, 8) for _ in range(10)])
         values[:, 0, 0] = 1.0
         run = BatchMoments(values, np.full(10, 1000))
-        tracemalloc.start()
-        try:
-            bootstrap_errors(run, run, 3.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: bootstrap_errors(run, run, 3.0))
         assert peak < 2e6, peak
 
     def test_tracks_batch_spread(self):
