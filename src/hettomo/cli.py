@@ -374,13 +374,10 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path,
     return moments
 
 
-def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
-               order: int) -> list[BatchMoments]:
-    """A signal run's and its vacuum run's batches, of one stored order, cut to
-    `order` where that is lower. A run whose count-weighted mean is not finite is a
-    NumericError naming its file."""
-    paths = [run_dir / f"moments_{name}.json"
-             for run_dir, name in ((signal_dir, signal_name), (vacuum_dir, "vacuum"))]
+def _load_pair(paths: list[Path], order: int) -> list[BatchMoments]:
+    """The batches at a signal run's and its vacuum run's `paths`, of one stored order,
+    cut to `order` where that is lower. A run whose count-weighted mean is not finite,
+    or (from order 2) has s(1,1) < |s(0,1)|^2, is a NumericError naming its file."""
     pair = [_read(path, "stored moments", serialize.load_batch_moments) for path in paths]
     stored = pair[0].order
     if pair[1].order != stored:
@@ -391,7 +388,9 @@ def _load_pair(signal_dir: Path, signal_name: str, vacuum_dir: Path,
             if order < stored else run for run in pair]
     for path, run in zip(paths, pair):
         with _block(f"{path}: count-weighted mean", NumericError):
-            combine_batches(run)
+            s = combine_batches(run).values
+            if order >= 2 and (var := s[1, 1].real - abs(s[0, 1]) ** 2) < 0:
+                raise ValueError(f"the shots' variance s(1,1) - |s(0,1)|^2 is {var:g} < 0")
     return pair
 
 
@@ -417,11 +416,14 @@ def format_moment_table(report: InversionReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path) -> dict:
-    result = estimate_gain(sup, vac)
-    for key in ("gain_stderr", "m1_stderr"):
-        if not math.isfinite(result[key]):
-            raise NumericError(f"{key} is {result[key]}: the replicas' spread is not finite")
+def cmd_calibrate(sup: BatchMoments, vac: BatchMoments, out_path: Path,
+                  runs: str = "moments_calibration.json and moments_vacuum.json") -> dict:
+    """Gain estimate; one refused or left non-finite is a NumericError naming `runs`."""
+    with _block(f"{runs}: calibration", NumericError):
+        result = estimate_gain(sup, vac)
+        for key in ("gain_stderr", "m1_stderr"):
+            if not math.isfinite(result[key]):
+                raise ValueError(f"{key} is {result[key]}: the replicas' spread is not finite")
     out_path.write_text(json.dumps(result, indent=2, allow_nan=False))
     return result
 
@@ -578,20 +580,19 @@ def run(argv=None) -> int:
             result = cmd_wigner(report, out, extent, resolution)
         else:   # calibrate and analyze read a signal run and its vacuum run
             signal_dir = Path(args.signal)
-            vacuum_dir = Path(args.vacuum) if args.vacuum else signal_dir
-            if args.command == "calibrate":
-                stored = ("calibration" if (signal_dir / "moments_calibration.json").exists()
-                          else "signal")
-                result = cmd_calibrate(*_load_pair(signal_dir, stored, vacuum_dir, order=2),
-                                       out)   # it reads s(0,1) and s(1,1)
+            calibration = signal_dir / "moments_calibration.json"
+            paths = [calibration if args.command == "calibrate" and calibration.exists()
+                     else signal_dir / "moments_signal.json",
+                     Path(args.vacuum or signal_dir) / "moments_vacuum.json"]
+            runs = " and ".join(map(str, paths))
+            if args.command == "calibrate":     # it reads s(0,1) and s(1,1)
+                result = cmd_calibrate(*_load_pair(paths, order=2), out, runs)
             else:
                 gain = (_flag(args, "gain", float, positive=True) if args.gain is not None
                         else _read(signal_dir / "manifest.json", "manifest (or pass --gain)",
                                    _manifest_gain))
-                pair = _load_pair(signal_dir, "signal", vacuum_dir,
-                                  _flag(args, "order", int, lo=1))
-                result = cmd_analyze(*pair, gain, out, f"{signal_dir / 'moments_signal.json'}"
-                                     f" and {vacuum_dir / 'moments_vacuum.json'}")
+                order = _flag(args, "order", int, lo=1)
+                result = cmd_analyze(*_load_pair(paths, order), gain, out, runs)
         print(format_moment_table(result) if args.command == "analyze"
               else json.dumps(result, indent=2))
     except (ConfigError, DataError, NumericError, ValueError) as exc:

@@ -254,11 +254,8 @@ def wigner_kernel(n: int, m: int, alpha) -> np.ndarray | complex:
     return complex(out) if np.ndim(alpha) == 0 else out
 
 
-def wigner_from_moments(moments: MomentMatrix, alpha,
-                        truncation: int | None = None) -> np.ndarray:
-    """Evaluate the truncated Wigner moment sum at arbitrary phase-space points."""
-    if truncation is None:
-        truncation = moments.order
+def wigner_from_moments(moments: MomentMatrix, alpha, truncation: int) -> np.ndarray:
+    """Evaluate the Wigner moment sum, truncated at `truncation`, at phase-space points."""
     alpha_arr = np.asarray(alpha, dtype=complex)
     w = np.zeros(alpha_arr.shape, dtype=float)
     for n, m in moment_indices(truncation):

@@ -1578,6 +1578,66 @@ def test_command_fuzz_exits_with_a_documented_code(stored_run, tmp_path, capsys,
         assert code == 4 and f"moments_{stored_s11[0]}.json" in err and ": bootstrap: " in err
 
 
+def _stored_copy(stored_run, tmp_path, run_name, s11):
+    """A copy of `stored_run`'s moments and manifest with s(1,1) = `s11` in every
+    batch of run `run_name`."""
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    for name in ("manifest.json", "moments_calibration.json", "moments_signal.json",
+                 "moments_vacuum.json"):
+        shutil.copy(stored_run / name, run_dir)
+    path = run_dir / f"moments_{run_name}.json"
+    doc = json.loads(path.read_text())
+    for batch in doc["batches"]:   # (0, 0), (1, 0), (1, 1), (2, 0), ... at order 4
+        batch["values"][2] = [s11, 0.0]
+    path.write_text(json.dumps(doc))
+    return run_dir
+
+
+@pytest.mark.parametrize("stored_s11, command, flags",
+                         [case for case in COMMAND_FUZZ_CASES if case.values[0] is not None])
+def test_stored_run_refusals_name_the_files(stored_run, tmp_path, capsys, stored_s11, command,
+                                            flags):
+    # each case is refused, by its count-weighted mean or by a later stage; either
+    # way the message names the stored files it read
+    run_name, s11 = stored_s11
+    run_dir = _stored_copy(stored_run, tmp_path, run_name, s11)
+    out = tmp_path / f"{command}.json"
+    assert run([command, "--signal", str(run_dir), *flags, "--out", str(out)]) == 4
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert re.search(r"moments_(calibration|signal|vacuum)\.json", err), err
+    if command == "calibrate" and s11 == 1e300:
+        # the means are finite, the gain or its noise subtraction is not
+        assert f"{run_dir / 'moments_calibration.json'} and " in err
+        assert f"{run_dir / 'moments_vacuum.json'}: calibration: " in err
+
+
+@pytest.mark.parametrize("s11", [-1e300, 1e-300], ids="s11-{:g}".format)
+@pytest.mark.parametrize("command, run_name", [("analyze", "vacuum"), ("analyze", "signal"),
+                                               ("calibrate", "vacuum"),
+                                               ("calibrate", "calibration")])
+def test_stored_run_with_negative_variance_is_refused(stored_run, tmp_path, capsys, command,
+                                                      run_name, s11):
+    # a run's count-weighted s(1,1) - |s(0,1)|^2 is its shots' variance: below 0,
+    # no set of shots gives it
+    run_dir = _stored_copy(stored_run, tmp_path, run_name, s11)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run([command, "--signal", str(run_dir), "--out", str(out / f"{command}.json")]) == 4
+    err = capsys.readouterr().err
+    assert (f"{run_dir / f'moments_{run_name}.json'}: count-weighted mean: "
+            "the shots' variance s(1,1) - |s(0,1)|^2 is ") in err
+    assert list(out.iterdir()) == []
+
+
+def test_analyze_order_1_skips_the_variance_check(stored_run, tmp_path, capsys):
+    # cut to order 1, a run keeps no s(1,1), and an order-1 inversion reads none
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--signal", str(stored_run), "--order", "1", "--out", str(out)]) == 0
+    assert load_report(out).moments.order == 1
+
+
 def test_run_keeps_its_error_state_under_a_raising_caller(stored_run, tmp_path, capsys):
     # W's Gaussian underflows at extent 30, and its polynomial overflows at 1e300
     report = str(stored_run / "report.json")
